@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engines import create_clock_engine
+from repro.core.engines import available_backends, create_clock_engine
 from repro.core.events import OpKind
 from repro.core.fingerprint import FingerprintChain
 from repro.core.vector_clock import VectorClock, tuple_leq
@@ -61,7 +61,7 @@ _OBSERVE_MIX = (
 )
 
 
-@pytest.mark.parametrize("engine", ["ref", "accel"])
+@pytest.mark.parametrize("engine", available_backends())
 def test_observe_isolated(benchmark, engine):
     """observe() alone — THE replay hot path — per backend, with the
     executor, scheduler and program machinery stripped away."""
@@ -79,7 +79,7 @@ def test_observe_isolated(benchmark, engine):
     benchmark(run)
 
 
-@pytest.mark.parametrize("engine", ["ref", "accel"])
+@pytest.mark.parametrize("engine", available_backends())
 def test_engine_fork(benchmark, engine):
     """Engine fork — paid once per snapshot restore — per backend."""
     eng = create_clock_engine(engine)
@@ -90,10 +90,9 @@ def test_engine_fork(benchmark, engine):
     benchmark(lambda: [eng.fork() for _ in range(50)])
 
 
-@pytest.mark.parametrize("engine", ["ref", "accel"])
+@pytest.mark.parametrize("engine", available_backends())
 def test_executor_step_isolated(benchmark, engine):
-    """The fast-replay executor step loop per backend (accel additionally
-    installs the specialized stepper)."""
+    """The fast-replay executor step loop per backend."""
     program = disjoint_coarse(3, 3)
 
     def run_steps():

@@ -3,9 +3,9 @@
 The package is pure Python with one *optional* C extension:
 ``repro.core._native``, the compiled clock-engine kernel behind
 ``engine="native"`` (see DESIGN.md §13).  The build is best-effort by
-design — the pure-Python twin in ``repro/core/hb_native.py`` is a
-byte-identical fallback, so a missing compiler degrades performance,
-never correctness.  Build in place with::
+design — without it the package falls back to ``ref``, the
+byte-identical pure-Python reference engine, so a missing compiler
+degrades performance, never correctness.  Build in place with::
 
     python setup.py build_ext --inplace
 
@@ -19,7 +19,7 @@ from setuptools.command.build_ext import build_ext
 
 class optional_build_ext(build_ext):
     """Build ``repro.core._native`` if the toolchain allows; otherwise
-    warn and continue — the pure fallback keeps the package working."""
+    warn and continue — the ``ref`` engine keeps the package working."""
 
     def build_extension(self, ext):
         try:
@@ -29,7 +29,7 @@ class optional_build_ext(build_ext):
 
             warnings.warn(
                 f"could not build optional extension {ext.name}: {exc}; "
-                "repro will use the pure-Python native fallback"
+                "repro will fall back to the pure-Python ref engine"
             )
 
 

@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="exit 0 iff the outcome matches (else the "
                               "exit code is 1 when a bug is found)")
     p_check.add_argument("--engine",
-                         choices=("ref", "accel", "native"),
+                         choices=("ref", "native"),
                          default=None,
                          help="clock-engine backend (default: auto; "
                               "see repro.core.engines)")
@@ -595,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "snapshot resume — results are identical "
                              "either way, only slower)")
     p_camp.add_argument("--engine",
-                        choices=("ref", "accel", "native"),
+                        choices=("ref", "native"),
                         default=None,
                         help="clock-engine backend for every cell "
                              "(exported as REPRO_ENGINE so pool and "
@@ -694,14 +694,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--cases",
                          help="comma-separated case names (default: all)")
     p_bench.add_argument("--engine",
-                         choices=("ref", "accel", "native", "both"),
+                         choices=("ref", "native", "both"),
                          default=None,
                          help="clock-engine backend; 'both' runs every "
-                              "case under ALL registered backends "
-                              "(ref, accel, native), asserts the "
-                              "fingerprint sets are identical, and "
-                              "reports the speedups vs ref (micro "
-                              "scenario only; default: auto)")
+                              "case under ref and the compiled native "
+                              "kernel, asserts the fingerprint sets are "
+                              "identical, and reports the native speedup "
+                              "(micro scenario only; default: auto)")
     p_bench.add_argument("--smoke", action="store_true",
                          help="fast mode for CI (shorter measurements)")
     p_bench.add_argument("--repeat", type=int, default=3,

@@ -181,7 +181,7 @@ def check(
     (delta-debugging style) and re-executed to render a per-thread
     timeline of the shortest reproduction.
 
-    ``engine`` pins the clock-engine backend (``"ref"``/``"accel"``;
+    ``engine`` pins the clock-engine backend (``"ref"``/``"native"``;
     ``None`` = auto) for the exploration; findings and statistics are
     identical either way (see :mod:`repro.core.engines`).
     """

@@ -1,10 +1,10 @@
 /* The compiled native clock-engine kernel (repro.core._native).
  *
- * C twin of the pure-Python kernel in repro/core/hb_native.py: the
+ * C implementation of the reference kernel in repro/core/hb.py: the
  * dual-side clock join of DualClockEngine.observe(), the
  * dominance-based A/M table replacement, and the flat fingerprint
  * chains, laid out as raw machine-int rows.  Byte-identity with the
- * pure engines is a hard contract: fingerprints are computed with a
+ * reference engine is a hard contract: fingerprints are computed with a
  * re-implementation of CPython's own int hash (61-bit Mersenne
  * modulus) and tuple hash (the xxPRIME combiner of pyhash.c, CPython
  * 3.8+), verified against the running interpreter at first use
@@ -19,10 +19,10 @@
  *   Physical cells past the logical length are always zero.
  * - Whole-object locations (key is None — the hot case) live in
  *   C arrays indexed by oid holding refcounted Snap rows: publishing
- *   allocates one Snap, not a Python tuple, and observe_fast()
- *   allocates no Python object at all on the keyless path.
+ *   allocates one Snap, not a Python tuple; the only Python objects
+ *   observe() allocates on the keyless path are the returned tuples.
  * - Element locations ((oid, key) with a real key) stay in Python
- *   dicts of published tuples, like the pure kernels.
+ *   dicts of published tuples, like the reference engine.
  * - fork() is a handful of memcpys plus table copies that bump Snap
  *   refcounts — the copy-on-publish discipline of the reference
  *   engine at the machine level.
@@ -514,8 +514,8 @@ keyed_publish(PyObject *access, PyObject *modify, PyObject *loc,
 /* observe                                                            */
 
 static PyObject *
-engine_observe_impl(EngineCore *self, PyObject *const *args, Py_ssize_t nargs,
-                    PyObject *kwnames, int want_tuples)
+engine_observe(EngineCore *self, PyObject *const *args, Py_ssize_t nargs,
+               PyObject *kwnames)
 {
     long tid, kind, oid;
     long rmo = -1;
@@ -526,7 +526,7 @@ engine_observe_impl(EngineCore *self, PyObject *const *args, Py_ssize_t nargs,
     int64_t *row;
     int32_t tlen;
     size_t base;
-    PyObject *snap_t = NULL, *lazy_t = NULL; /* built lazily */
+    PyObject *snap_t = NULL, *lazy_t = NULL; /* the returned tuples */
     Snap *snap_s = NULL;                     /* keyless published row */
     Py_hash_t snap_h, lazy_h;
     uint64_t keylane;
@@ -713,7 +713,7 @@ engine_observe_impl(EngineCore *self, PyObject *const *args, Py_ssize_t nargs,
         self->raccess_o[rmo] = s;
         self->rmodify_o[rmo] = snap_incref(s);
     }
-    if (want_tuples && snap_t == NULL) {
+    if (snap_t == NULL) {
         snap_t = tuple_from_row(row, tlen);
         if (snap_t == NULL)
             goto error;
@@ -816,7 +816,7 @@ engine_observe_impl(EngineCore *self, PyObject *const *args, Py_ssize_t nargs,
             }
         }
     }
-    if (want_tuples && lazy_t == NULL) {
+    if (lazy_t == NULL) {
         lazy_t = tuple_from_row(row, tlen);
         if (lazy_t == NULL)
             goto error;
@@ -866,15 +866,12 @@ engine_observe_impl(EngineCore *self, PyObject *const *args, Py_ssize_t nargs,
         self->lcount++;
     }
 
-    if (want_tuples) {
+    {
         PyObject *out = PyTuple_Pack(2, snap_t, lazy_t);
         Py_DECREF(snap_t);
         Py_DECREF(lazy_t);
         return out;
     }
-    Py_XDECREF(snap_t);
-    Py_XDECREF(lazy_t);
-    Py_RETURN_NONE;
 
 error:
     Py_XDECREF(pending_edges);
@@ -882,20 +879,6 @@ error:
     Py_XDECREF(lazy_t);
     snap_decref(snap_s);
     return NULL;
-}
-
-static PyObject *
-engine_observe(EngineCore *self, PyObject *const *args, Py_ssize_t nargs,
-               PyObject *kwnames)
-{
-    return engine_observe_impl(self, args, nargs, kwnames, 1);
-}
-
-static PyObject *
-engine_observe_fast(EngineCore *self, PyObject *const *args, Py_ssize_t nargs,
-                    PyObject *kwnames)
-{
-    return engine_observe_impl(self, args, nargs, kwnames, 0);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1135,9 +1118,6 @@ static PyMethodDef engine_methods[] = {
      METH_FASTCALL | METH_KEYWORDS,
      "Fold one executed operation into both relations; returns the "
      "published (regular, lazy) snapshot tuples."},
-    {"observe_fast", (PyCFunction)(void (*)(void))engine_observe_fast,
-     METH_FASTCALL | METH_KEYWORDS,
-     "observe() without materialising the snapshot tuples."},
     {"reserve", (PyCFunction)engine_reserve, METH_O,
      "Pre-size both relations for n statically known threads."},
     {"register_thread_clocks",

@@ -1,62 +1,43 @@
-"""The engine backend registry: pluggable clock-engine implementations.
+"""The two clock-engine backends, and how a run picks one.
 
-The replay hot path — :meth:`~repro.core.hb.DualClockEngine.observe`
-plus the executor step loop driving it — exists in three
-implementations:
+The replay hot path — :meth:`~repro.core.hb.DualClockEngine.observe`,
+called once per event by :meth:`~repro.runtime.executor.Executor.step`
+— exists in two implementations:
 
 * ``ref`` — the pure-Python reference (:class:`~repro.core.hb
-  .DualClockEngine`): list-of-list clocks, always correct, always
-  available.  The only backend that supports ``canonical=True``.
-* ``accel`` — the accelerated engine (:class:`~repro.core.hb_accel
-  .AccelClockEngine`): flat ``array('q')`` clock storage with
-  copy-on-publish at the array level, int-keyed location tables, an
-  optional numpy bulk-join path for wide clocks, and a specialized
-  executor step loop (:mod:`repro.runtime.stepper`).
-* ``native`` — the compiled kernel (:mod:`repro.core.hb_native`):
-  the ``observe`` dual-clock join, dominance tables and fingerprint
-  chains as a C extension (``repro.core._native``), fused with the
-  specialized step loop.  Always *available* — when the compiled
-  artifact has not been built for this interpreter, ``native`` falls
-  back to the byte-identical pure-Python kernel in the same module
-  (``PyNativeClockEngine``; :func:`native_compiled` tells the two
-  apart, and bench rows record the provenance).
+  .DualClockEngine`): list-of-list clocks, always available.  It is
+  both the executable spec and the fallback on a checkout without the
+  compiled extension, and the only backend that supports
+  ``canonical=True``.
+* ``native`` — the compiled C kernel (``repro.core._native``, wrapped
+  by :mod:`repro.core.hb_native`): the same dual-clock join, dominance
+  tables and fingerprint chains over contiguous machine-int rows.
+  Available only when the extension is built for this interpreter
+  (``python setup.py build_ext --inplace``).
 
-All backends are byte-identical by contract: fingerprints, state
-hashes, schedules and clock snapshots must match suite-wide (the
-equivalence tests, the three-engine hypothesis property and the
-``bench --engine both`` harness enforce it).
+The two are byte-identical by contract: fingerprints, state hashes,
+schedules and clock snapshots match suite-wide (the equivalence tests,
+the ref-vs-C hypothesis property and the ``bench --engine both``
+harness enforce it).
 
 Selection is runtime, with this precedence:
 
 1. an explicit name (``--engine`` on the ``bench``/``campaign``/
    ``check`` CLIs, or the ``engine=`` parameter threaded through
    :class:`~repro.runtime.executor.Executor` and the explorers);
-2. the ``REPRO_ENGINE`` environment variable (``ref``, ``accel`` or
-   ``native``);
-3. ``auto`` — the measured-fastest default for this machine class.
+2. the ``REPRO_ENGINE`` environment variable (``ref`` or ``native``);
+3. ``auto`` — ``native`` exactly when the compiled extension imports,
+   ``ref`` otherwise.
 
-Auto resolves to ``native`` exactly when the compiled artifact
-imports, and to ``ref`` otherwise: at suite thread counts (3–6
-threads) the reference's plain-list clocks measure faster than both
-pure-Python alternative layouts (boxing machine ints out of an
-``array('q')`` on every scalar read costs more than the batched joins
-save), while the compiled kernel beats everything by integer factors
-(the committed ``BENCH_baseline.json`` and DESIGN.md §13 carry the
-measured numbers).  The interleaved A/B harness (``bench --engine
-both``) is the evidence, and re-running it is how this default should
-be revisited.  The ``fast_replay`` hint threaded into
-:func:`resolve_engine` is the routing hook for per-mode auto picks.
-
-An *explicit* name (CLI flag or ``REPRO_ENGINE``) always wins, so
-``REPRO_ENGINE=ref`` pins the reference even where auto would pick the
-compiled kernel, and ``REPRO_ENGINE=native`` forces the native kernel
-(compiled or fallback) everywhere.  See DESIGN.md §11 and §13.
+An explicit ``native`` on a checkout without the compiled extension
+raises ``ValueError`` naming the build command; it never quietly runs
+something else.  See DESIGN.md §11 and §13.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from .hb import DualClockEngine
 
@@ -67,58 +48,27 @@ ENGINE_ENV = "REPRO_ENGINE"
 #: names a backend.
 AUTO = "auto"
 
-#: name -> zero-arg availability probe.  ``ref`` is always available;
-#: ``accel`` degrades to unavailable if its module fails to import
-#: (the registry then auto-picks ``ref``).
-_BACKENDS: Dict[str, Callable[[], bool]] = {}
+#: Every backend name, reference first.
+BACKENDS = ("ref", "native")
 
-
-def register_backend(name: str, available: Callable[[], bool]) -> None:
-    _BACKENDS[name] = available
-
-
-def _accel_importable() -> bool:
-    try:
-        from . import hb_accel  # noqa: F401
-    except Exception:  # pragma: no cover - accel ships with the package
-        return False
-    return True
-
-
-def _native_importable() -> bool:
-    # the native *backend* is always available: hb_native carries a
-    # pure-Python fallback kernel.  Whether the compiled artifact
-    # loaded is a provenance question (native_compiled()), not an
-    # availability one.
-    try:
-        from . import hb_native  # noqa: F401
-    except Exception:  # pragma: no cover - ships with the package
-        return False
-    return True
-
-
-register_backend("ref", lambda: True)
-register_backend("accel", _accel_importable)
-register_backend("native", _native_importable)
-
+#: The command that builds the compiled kernel, named by every error
+#: about its absence.
+BUILD_HINT = "python setup.py build_ext --inplace"
 
 _NATIVE_COMPILED: Optional[bool] = None
 
 
 def native_compiled() -> bool:
-    """True when the ``native`` backend's compiled C kernel imported
-    (vs the pure-Python fallback).  Drives the ``auto`` pick and the
-    bench provenance rows.  Memoised: every executor construction asks
-    (via :func:`resolve_engine`), and the answer is fixed per process
-    once :mod:`~repro.core.hb_native` has imported."""
+    """True when the compiled C kernel imported, i.e. when ``native``
+    is available.  Drives the ``auto`` pick and the bench provenance
+    rows.  Memoised: every executor construction asks (via
+    :func:`resolve_engine`), and the answer is fixed per process once
+    :mod:`~repro.core.hb_native` has imported."""
     global _NATIVE_COMPILED
     if _NATIVE_COMPILED is None:
-        try:
-            from .hb_native import NATIVE_COMPILED
-        except Exception:  # pragma: no cover - ships with the package
-            _NATIVE_COMPILED = False
-        else:
-            _NATIVE_COMPILED = NATIVE_COMPILED
+        from .hb_native import NATIVE_COMPILED
+
+        _NATIVE_COMPILED = NATIVE_COMPILED
     return _NATIVE_COMPILED
 
 
@@ -139,14 +89,10 @@ def engine_provenance(name: str) -> dict:
     }
 
 
-def backend_names() -> tuple:
-    """Registered backend names, reference first."""
-    return tuple(_BACKENDS)
-
-
 def available_backends() -> tuple:
-    """The subset of registered backends that can actually be built."""
-    return tuple(n for n, probe in _BACKENDS.items() if probe())
+    """The backends this process can build, reference first: ``ref``
+    always, ``native`` when the compiled kernel imported."""
+    return BACKENDS if native_compiled() else BACKENDS[:1]
 
 
 #: (requested name, REPRO_ENGINE value) -> resolved backend.  Every
@@ -155,18 +101,14 @@ def available_backends() -> tuple:
 _RESOLVE_CACHE: Dict[tuple, str] = {}
 
 
-def resolve_engine(
-    name: Optional[str] = None, fast_replay: bool = True
-) -> str:
+def resolve_engine(name: Optional[str] = None) -> str:
     """Resolve a requested engine name to a concrete backend.
 
-    ``None``/``"auto"`` consults :data:`ENGINE_ENV`, then falls back
-    to the measured-fastest default — ``native`` when its compiled
-    kernel imported, ``ref`` otherwise (see the module docstring;
-    ``fast_replay`` is the hook that lets auto route per mode if that
-    measurement changes).  An explicit unknown or unavailable name
-    raises ``ValueError`` (misconfiguration should be loud, not a
-    silent fallback).
+    ``None``/``"auto"`` consults :data:`ENGINE_ENV`, then falls back to
+    ``native`` when its compiled kernel imported and ``ref`` otherwise.
+    An unknown name, or ``native`` without the compiled kernel, raises
+    ``ValueError`` (misconfiguration should be loud, not a silent
+    fallback).
     """
     env = os.environ.get(ENGINE_ENV)
     cached = _RESOLVE_CACHE.get((name, env))
@@ -177,24 +119,24 @@ def resolve_engine(
         name = env or AUTO
     if name == AUTO:
         resolved = "native" if native_compiled() else "ref"
+    elif name not in BACKENDS:
+        raise ValueError(
+            f"unknown engine {name!r}; available: {list(BACKENDS)} "
+            f"(or 'auto')"
+        )
+    elif name == "native" and not native_compiled():
+        raise ValueError(
+            "engine 'native' needs the compiled extension, which is not "
+            f"built for this interpreter; run `{BUILD_HINT}` or use "
+            "engine 'ref'"
+        )
     else:
-        if name not in _BACKENDS:
-            raise ValueError(
-                f"unknown engine {name!r}; available: "
-                f"{sorted(_BACKENDS)} (or 'auto')"
-            )
-        if not _BACKENDS[name]():
-            raise ValueError(f"engine {name!r} is not available in this "
-                             f"environment")
         resolved = name
     _RESOLVE_CACHE[(requested, env)] = resolved
     return resolved
 
 
-def create_clock_engine(
-    name: Optional[str] = None, canonical: bool = False,
-    fast_replay: bool = True,
-):
+def create_clock_engine(name: Optional[str] = None, canonical: bool = False):
     """Build a clock engine for the resolved backend.
 
     ``canonical=True`` always builds the reference engine: the exact
@@ -202,14 +144,10 @@ def create_clock_engine(
     checker/test machinery, never part of the replay hot path, and only
     the reference implementation carries them.
     """
-    resolved = resolve_engine(name, fast_replay=fast_replay)
+    resolved = resolve_engine(name)
     if canonical or resolved == "ref":
         return DualClockEngine(canonical=canonical)
-    if resolved == "native":
-        from .hb_native import NativeClockEngine, self_test
+    from .hb_native import NativeClockEngine, self_test
 
-        self_test()
-        return NativeClockEngine()
-    from .hb_accel import AccelClockEngine
-
-    return AccelClockEngine()
+    self_test()
+    return NativeClockEngine()

@@ -311,11 +311,6 @@ class DualClockEngine:
             lazy.canonical.update(tid, label, lazy_snap)
         return snap, lazy_snap
 
-    #: No-return variant for callers that drop the published snapshots
-    #: (the fused step loop).  A plain alias here; the compiled native
-    #: kernel's version skips the tuple materialisations.
-    observe_fast = observe
-
     # ------------------------------------------------------------------
     # Fingerprint accessors
     def hbr_fingerprint(self) -> int:
@@ -355,8 +350,8 @@ class DualClockEngine:
     # ------------------------------------------------------------------
     def table_stats(self) -> Tuple[int, int]:
         """(published table entries, thread count) — the backend-neutral
-        sizing hook snapshot memory estimation uses (the accelerated
-        engine exposes the same signature over its own layout)."""
+        sizing hook snapshot memory estimation uses (the compiled
+        kernel exposes the same signature over its own layout)."""
         r, z = self.regular, self.lazy
         entries = (
             len(r.access) + len(r.modify) + len(z.access) + len(z.modify)

@@ -1,31 +1,23 @@
-"""The native clock engine (``engine="native"``): compiled kernel with
-a byte-identical pure-Python fallback.
+"""The native clock engine (``engine="native"``): the compiled kernel.
 
-This module is the *frontend* for the third backend in the registry
-(:mod:`repro.core.engines`).  The hot-path kernel — the dual-side clock
-join of :meth:`~repro.core.hb.DualClockEngine.observe`, the
-dominance-based table replacement, and the flat fingerprint hashing —
-exists twice:
+This module is the Python frontend of ``repro.core._native``, the C
+implementation of the hot-path kernel — the dual-side clock join of
+:meth:`~repro.core.hb.DualClockEngine.observe`, the dominance-based
+table replacement, and the flat fingerprint hashing (built by
+``python setup.py build_ext --inplace``; see DESIGN.md §13).  When the
+extension imports, :data:`NATIVE_COMPILED` is true, the registry's
+``auto`` pick resolves to ``native``, and :class:`NativeClockEngine`
+is the class ``create_clock_engine("native")`` builds.  When it does
+not, the reference engine is the fallback and ``native`` is not
+available (:mod:`repro.core.engines`).
 
-* :class:`PyNativeClockEngine` (below) — the pure-Python kernel,
-  written in a compilation-friendly style (flat layout, machine ints,
-  no closures, split int-keyed location tables).  This is the
-  always-correct fallback: it runs uncompiled on any interpreter and
-  is what ``engine="native"`` builds when the compiled artifact is
-  absent.
-* ``repro.core._native`` — the compiled C twin of the same kernel
-  (built by ``python setup.py build_ext --inplace``; see DESIGN.md
-  §13).  When it imports, :data:`NativeClockEngine` points at it and
-  :data:`NATIVE_COMPILED` is true — and the registry's ``auto`` pick
-  resolves to ``native``.
-
-Byte-identity between the two (and against ``ref``/``accel``) is not
-aspirational: the compiled kernel re-implements CPython's own int and
-tuple hashing (``pyhash.c``'s xxPRIME tuple hash over 61-bit-modulus
-int hashes), so fingerprints, published clock snapshots, schedules and
-state hashes are bit-for-bit identical, enforced suite-wide by the
-equivalence tests, the three-engine hypothesis property and the
-``bench --engine both`` harness.
+Byte-identity with the reference engine is not aspirational: the
+compiled kernel re-implements CPython's own int and tuple hashing
+(``pyhash.c``'s xxPRIME tuple hash over 61-bit-modulus int hashes), so
+fingerprints, published clock snapshots, schedules and state hashes
+are bit-for-bit identical, enforced suite-wide by the equivalence
+tests, the ref-vs-C hypothesis property and the ``bench --engine
+both`` harness.
 
 The one hashed value the C kernel delegates back to CPython is a
 non-int element key (``PyObject_Hash``), so string-keyed locations
@@ -38,319 +30,16 @@ from __future__ import annotations
 
 import platform
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from .events import Event, IS_MODIFYING, IS_MUTEX
+from .events import Event
 from .fingerprint import _SEED
-from .vector_clock import (
-    VectorClock,
-    join_tuple_into,
-    tuple_dominates,
-    tuple_join,
-)
+from .vector_clock import VectorClock
 
-try:  # the compiled kernel; absence is not an error (pure fallback)
+try:  # the compiled kernel; absence is not an error (ref is the fallback)
     from . import _native as _C  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - exercised by the CI fallback job
+except ImportError:  # pragma: no cover - exercised by the uncompiled CI job
     _C = None
-
-
-class PyNativeClockEngine:
-    """Pure-Python native kernel: the uncompiled fallback.
-
-    Same observable behaviour as :class:`~repro.core.hb.DualClockEngine`
-    (the equivalence suite enforces it); laid out the way the compiled
-    kernel is laid out — flat per-side state, split location tables
-    (int-keyed dicts for whole-object locations, tuple-keyed dicts for
-    element locations), inline fingerprint chains — so the two sources
-    stay line-for-line comparable.
-    """
-
-    backend = "native"
-    compiled = False
-
-    __slots__ = (
-        "_pending_sync",
-        # regular relation
-        "_rclocks", "_rchains", "_rcount",
-        "_raccess_o", "_rmodify_o", "_raccess_k", "_rmodify_k",
-        # lazy relation
-        "_lclocks", "_lchains", "_lcount",
-        "_laccess_o", "_lmodify_o", "_laccess_k", "_lmodify_k",
-    )
-
-    def __init__(self) -> None:
-        self._pending_sync: Dict[
-            int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
-        ] = {}
-        self._rclocks: List[List[int]] = []
-        self._lclocks: List[List[int]] = []
-        self._rchains: List[int] = []
-        self._lchains: List[int] = []
-        self._rcount = 0
-        self._lcount = 0
-        self._raccess_o: Dict[int, Tuple[int, ...]] = {}
-        self._rmodify_o: Dict[int, Tuple[int, ...]] = {}
-        self._raccess_k: Dict[Tuple[int, object], Tuple[int, ...]] = {}
-        self._rmodify_k: Dict[Tuple[int, object], Tuple[int, ...]] = {}
-        self._laccess_o: Dict[int, Tuple[int, ...]] = {}
-        self._lmodify_o: Dict[int, Tuple[int, ...]] = {}
-        self._laccess_k: Dict[Tuple[int, object], Tuple[int, ...]] = {}
-        self._lmodify_k: Dict[Tuple[int, object], Tuple[int, ...]] = {}
-
-    # ------------------------------------------------------------------
-    def _ensure(self, tid: int) -> None:
-        """Declare threads ``0..tid`` in both relations (the reference
-        engine's per-side ``ensure_thread``, fused)."""
-        rclocks = self._rclocks
-        n = len(rclocks)
-        if n > tid:
-            return
-        lclocks = self._lclocks
-        rchains, lchains = self._rchains, self._lchains
-        while n <= tid:
-            rclocks.append([0] * (n + 1))
-            lclocks.append([0] * (n + 1))
-            seed = hash((_SEED, n))
-            rchains.append(seed)
-            lchains.append(seed)
-            n += 1
-
-    # ------------------------------------------------------------------
-    def fork(self) -> "PyNativeClockEngine":
-        """An independent engine continuing from this one's state.
-        Published tuples in the location tables are shared
-        (copy-on-publish discipline, exactly like the reference)."""
-        eng = PyNativeClockEngine.__new__(PyNativeClockEngine)
-        eng._rclocks = [list(c) for c in self._rclocks]
-        eng._lclocks = [list(c) for c in self._lclocks]
-        eng._rchains = self._rchains[:]
-        eng._lchains = self._lchains[:]
-        eng._rcount = self._rcount
-        eng._lcount = self._lcount
-        eng._raccess_o = dict(self._raccess_o)
-        eng._rmodify_o = dict(self._rmodify_o)
-        eng._raccess_k = dict(self._raccess_k)
-        eng._rmodify_k = dict(self._rmodify_k)
-        eng._laccess_o = dict(self._laccess_o)
-        eng._lmodify_o = dict(self._lmodify_o)
-        eng._laccess_k = dict(self._laccess_k)
-        eng._lmodify_k = dict(self._lmodify_k)
-        eng._pending_sync = {
-            tid: list(edges) for tid, edges in self._pending_sync.items()
-        }
-        return eng
-
-    # ------------------------------------------------------------------
-    def reserve(self, n: int) -> None:
-        if n > 0:
-            self._ensure(n - 1)
-
-    def register_thread(
-        self, tid: int, parent_spawn_event: Optional[Event] = None
-    ) -> None:
-        if parent_spawn_event is not None:
-            assert parent_spawn_event.clock is not None
-            self.register_thread_clocks(
-                tid, parent_spawn_event.clock, parent_spawn_event.lazy_clock
-            )
-        else:
-            self._ensure(tid)
-
-    def register_thread_clocks(
-        self,
-        tid: int,
-        spawn_clock: Tuple[int, ...],
-        spawn_lazy_clock: Tuple[int, ...],
-    ) -> None:
-        self._ensure(tid)
-        join_tuple_into(self._rclocks[tid], spawn_clock)
-        join_tuple_into(self._lclocks[tid], spawn_lazy_clock)
-
-    def add_release_edge(self, event: Event, released_tid: int) -> None:
-        assert event.clock is not None and event.lazy_clock is not None
-        self.add_release_edge_clocks(
-            event.clock, event.lazy_clock, released_tid
-        )
-
-    def add_release_edge_clocks(
-        self,
-        clock: Tuple[int, ...],
-        lazy_clock: Tuple[int, ...],
-        released_tid: int,
-    ) -> None:
-        self._pending_sync.setdefault(released_tid, []).append(
-            (clock, lazy_clock)
-        )
-
-    # ------------------------------------------------------------------
-    def on_event(self, event: Event) -> None:
-        event.clock, event.lazy_clock = self.observe(
-            event.tid, event.kind, event.oid, event.key,
-            event.released_mutex_oid,
-        )
-
-    def observe(
-        self,
-        tid: int,
-        kind: int,
-        oid: int,
-        key: object,
-        released_mutex_oid: Optional[int] = None,
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Fold one executed operation into both relations; identical
-        observable behaviour to the reference engine's ``observe``."""
-        ps = self._pending_sync
-        pending = ps.pop(tid, None) if ps else None
-        modifying = IS_MODIFYING[kind]
-        keyless = key is None
-
-        # -- regular relation ------------------------------------------
-        tc = self._rclocks[tid]
-        if pending:
-            for edge in pending:
-                join_tuple_into(tc, edge[0])
-        access_o = self._raccess_o
-        if oid >= 0:
-            if keyless:
-                prev = (access_o if modifying else self._rmodify_o).get(oid)
-            else:
-                prev = (self._raccess_k if modifying
-                        else self._rmodify_k).get((oid, key))
-            if prev is not None:
-                join_tuple_into(tc, prev)
-        # A WAIT event releases its paired mutex: regular side only.
-        if released_mutex_oid is not None:
-            prev = access_o.get(released_mutex_oid)
-            if prev is not None:
-                join_tuple_into(tc, prev)
-        tc[tid] += 1
-        snap = tuple(tc)  # copy-on-publish
-        if oid >= 0:
-            if modifying:
-                # joined A[loc] above, then ticked: plain replacement
-                if keyless:
-                    access_o[oid] = snap
-                    self._rmodify_o[oid] = snap
-                else:
-                    loc = (oid, key)
-                    self._raccess_k[loc] = snap
-                    self._rmodify_k[loc] = snap
-            elif keyless:
-                old = access_o.get(oid)
-                if old is None or tuple_dominates(snap, old):
-                    access_o[oid] = snap
-                else:  # concurrent readers: genuine join
-                    access_o[oid] = tuple_join(snap, old)
-            else:
-                loc = (oid, key)
-                access_k = self._raccess_k
-                old = access_k.get(loc)
-                if old is None or tuple_dominates(snap, old):
-                    access_k[loc] = snap
-                else:
-                    access_k[loc] = tuple_join(snap, old)
-        if released_mutex_oid is not None:
-            access_o[released_mutex_oid] = snap
-            self._rmodify_o[released_mutex_oid] = snap
-
-        # -- lazy relation (mutex ops induce no inter-thread edges) ----
-        tc = self._lclocks[tid]
-        if pending:
-            for edge in pending:
-                join_tuple_into(tc, edge[1])
-        track = oid >= 0 and not IS_MUTEX[kind]
-        if track:
-            if keyless:
-                prev = (self._laccess_o if modifying
-                        else self._lmodify_o).get(oid)
-            else:
-                prev = (self._laccess_k if modifying
-                        else self._lmodify_k).get((oid, key))
-            if prev is not None:
-                join_tuple_into(tc, prev)
-        tc[tid] += 1
-        lazy_snap = tuple(tc)
-        if track:
-            if modifying:
-                if keyless:
-                    self._laccess_o[oid] = lazy_snap
-                    self._lmodify_o[oid] = lazy_snap
-                else:
-                    loc = (oid, key)
-                    self._laccess_k[loc] = lazy_snap
-                    self._lmodify_k[loc] = lazy_snap
-            elif keyless:
-                access_o = self._laccess_o
-                old = access_o.get(oid)
-                if old is None or tuple_dominates(lazy_snap, old):
-                    access_o[oid] = lazy_snap
-                else:
-                    access_o[oid] = tuple_join(lazy_snap, old)
-            else:
-                loc = (oid, key)
-                access_k = self._laccess_k
-                old = access_k.get(loc)
-                if old is None or tuple_dominates(lazy_snap, old):
-                    access_k[loc] = lazy_snap
-                else:
-                    access_k[loc] = tuple_join(lazy_snap, old)
-
-        # -- fingerprints (the chained-hash formula of FingerprintChain)
-        if key is None:
-            key = -1
-        chains = self._rchains
-        chains[tid] = hash((chains[tid], kind, oid, key, snap))
-        self._rcount += 1
-        chains = self._lchains
-        chains[tid] = hash((chains[tid], kind, oid, key, lazy_snap))
-        self._lcount += 1
-        return snap, lazy_snap
-
-    #: The no-return variant the fused step loop calls when the caller
-    #: has no use for the published snapshots.  The compiled kernel
-    #: skips the two tuple materialisations entirely; here it is a
-    #: plain alias (the tuples are built for publication anyway).
-    observe_fast = observe
-
-    # ------------------------------------------------------------------
-    # Fingerprint accessors
-    def hbr_fingerprint(self) -> int:
-        return hash((self._rcount, tuple(self._rchains)))
-
-    def lazy_fingerprint(self) -> int:
-        return hash((self._lcount, tuple(self._lchains)))
-
-    def canonical_hbr(self):
-        raise ValueError("engine was created with canonical=False")
-
-    def canonical_lazy_hbr(self):
-        raise ValueError("engine was created with canonical=False")
-
-    # ------------------------------------------------------------------
-    def thread_clock(self, tid: int, lazy: bool = False) -> VectorClock:
-        self._ensure(tid)
-        clocks = self._lclocks if lazy else self._rclocks
-        return VectorClock(init=clocks[tid])
-
-    def thread_clock_raw(self, tid: int, lazy: bool = False) -> List[int]:
-        """The live, mutable list clock of ``tid`` — read-only use
-        (DPOR's happens-before tests).  No defensive copy."""
-        self._ensure(tid)
-        clocks = self._lclocks if lazy else self._rclocks
-        return clocks[tid]
-
-    # ------------------------------------------------------------------
-    def table_stats(self) -> Tuple[int, int]:
-        """(published table entries, thread count) — snapshot sizing."""
-        entries = (
-            len(self._raccess_o) + len(self._rmodify_o)
-            + len(self._raccess_k) + len(self._rmodify_k)
-            + len(self._laccess_o) + len(self._lmodify_o)
-            + len(self._laccess_k) + len(self._lmodify_k)
-        )
-        return entries, len(self._rclocks)
-
 
 #: True when the compiled C kernel imported: the registry's ``auto``
 #: resolves to ``native`` exactly when this is true.
@@ -364,7 +53,6 @@ if NATIVE_COMPILED:
         C; these wrappers are called at spawn/snapshot frequency)."""
 
         backend = "native"
-        compiled = True
 
         def fork(self) -> "NativeClockEngine":
             eng = type(self)()
@@ -405,15 +93,12 @@ if NATIVE_COMPILED:
         def thread_clock(self, tid: int, lazy: bool = False) -> VectorClock:
             return VectorClock(init=self.thread_clock_raw(tid, lazy))
 
-else:
-    #: The engine class ``create_clock_engine("native")`` instantiates.
-    NativeClockEngine = PyNativeClockEngine  # type: ignore[assignment, misc]
-
 
 def provenance() -> Dict[str, object]:
     """How this process's ``native`` backend was built — recorded per
-    bench case row so reports cannot silently mix compiled and fallback
-    numbers (the ``bench --baseline`` comparison warns on mismatch)."""
+    bench case row so reports cannot silently mix compiled and
+    reference numbers (the ``bench --baseline`` comparison warns on
+    mismatch)."""
     return {
         "compiled": NATIVE_COMPILED,
         "compiler": (_C.COMPILER if NATIVE_COMPILED else None),

@@ -267,7 +267,7 @@ class Explorer:
     fast_replay = True
 
     #: Clock-engine backend for the executors this explorer builds
-    #: (``"ref"``/``"accel"``/``None`` = auto; see
+    #: (``"ref"``/``"native"``/``None`` = auto; see
     #: :mod:`repro.core.engines`).  Set by ``make_explorer(engine=...)``
     #: or directly on the instance before :meth:`run`.
     engine: Optional[str] = None

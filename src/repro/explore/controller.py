@@ -95,7 +95,7 @@ def make_explorer(
     """Instantiate a standard explorer by name (seed-aware).
 
     ``engine`` pins the clock-engine backend for every executor the
-    explorer builds (``"ref"``/``"accel"``; ``None`` keeps the
+    explorer builds (``"ref"``/``"native"``; ``None`` keeps the
     registry's auto pick — see :mod:`repro.core.engines`).
     """
     require_explorer(name)
@@ -135,7 +135,7 @@ def run_single(
     identical fingerprints, state hashes and schedule counts; the
     equivalence suite enforces this.
 
-    ``engine`` pins the clock-engine backend (``"ref"``/``"accel"``)
+    ``engine`` pins the clock-engine backend (``"ref"``/``"native"``)
     for the cell's executors; ``None`` keeps the registry's auto pick.
     Both backends are byte-identical in observable behaviour.
 

@@ -32,7 +32,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.engines import backend_names, engine_provenance, resolve_engine
+from ..core.engines import (
+    BUILD_HINT,
+    available_backends,
+    engine_provenance,
+    resolve_engine,
+)
 from ..explore import ExplorationLimits
 from ..explore.controller import make_explorer, require_explorer
 from ..ioutil import atomic_write_text
@@ -196,20 +201,6 @@ def _select_cases(cases: Optional[Sequence[str]]) -> List[BenchCase]:
     return selected
 
 
-def _case_engine(case: BenchCase, engine: Optional[str]) -> str:
-    """The backend the case's executors will actually use.
-
-    Resolution goes through :func:`repro.core.engines.resolve_engine`
-    with the case's executor mode, so the recorded name tracks
-    whatever the registry decides for that explorer — ``native`` under
-    auto when the compiled kernel is built, ``ref`` otherwise — and
-    the row stays truthful if the default changes.
-    """
-    probe = make_explorer(case.explorer, REGISTRY[case.bench_id].program,
-                          _case_limits(case))
-    return resolve_engine(engine, fast_replay=probe.fast_replay)
-
-
 def run_bench(
     cases: Optional[Sequence[str]] = None,
     smoke: bool = False,
@@ -221,14 +212,15 @@ def run_bench(
     """Run the micro-benchmarks and return the JSON-ready report.
 
     ``engine`` pins the clock-engine backend for every case
-    (``"ref"``/``"accel"``/``"native"``; ``None`` = the registry's
-    mode-aware auto pick).  Every case row records the backend it
-    actually ran under (``"engine"``) and how that backend was built
-    (``"provenance"``: compiled vs pure fallback, interpreter,
-    compiler), so reports are self-describing and cross-provenance
-    comparisons can warn (:func:`provenance_warnings`).
+    (``"ref"``/``"native"``; ``None`` = the registry's auto pick).
+    Every case row records the backend it actually ran under
+    (``"engine"``) and how that backend was built (``"provenance"``:
+    compiled or not, interpreter, compiler), so reports are
+    self-describing and cross-provenance comparisons can warn
+    (:func:`provenance_warnings`).
     """
     selected = _select_cases(cases)
+    resolved = resolve_engine(engine)
     if smoke:
         # shorter than the default but long enough that a single noisy
         # scheduler hiccup cannot fake a >30% regression in CI
@@ -255,7 +247,6 @@ def run_bench(
             m = _measure_case(case, min_time, engine=engine)
             if best is None or m["schedules_per_sec"] > best["schedules_per_sec"]:
                 best = m
-        resolved = _case_engine(case, engine)
         entry = {
             "explorer": case.explorer,
             "bench_id": case.bench_id,
@@ -281,12 +272,12 @@ def provenance_warnings(
     current: Dict[str, Any], baseline: Dict[str, Any]
 ) -> List[str]:
     """Human-readable warnings for shared cases whose engine provenance
-    differs between two reports — compiled kernel vs pure fallback,
-    different interpreter, different compiler.  Such pairs are still
-    *compared* (calibration normalisation keeps the gate meaningful for
-    same-provenance rows), but the mismatch must be loud: a 3x compiled
-    win silently measured against a fallback baseline reads as a
-    regression fixed, and vice versa.
+    differs between two reports — compiled kernel vs the ``ref``
+    fallback, different interpreter, different compiler.  Such pairs
+    are still *compared* (calibration normalisation keeps the gate
+    meaningful for same-provenance rows), but the mismatch must be
+    loud: a 3x compiled win silently measured against a fallback
+    baseline reads as a regression fixed, and vice versa.
     """
     warnings: List[str] = []
     for name, base in baseline.get("cases", {}).items():
@@ -337,9 +328,10 @@ def run_engine_ab(
     min_time: float = 0.25,
     progress=None,
 ) -> Dict[str, Any]:
-    """``bench --engine both``: measure every case under every
-    registered backend (``ref``, ``accel``, ``native``, and whatever is
-    registered next — the list comes from the registry).
+    """``bench --engine both``: measure every case under ``ref`` and
+    the compiled ``native`` kernel.  Raises ``ValueError`` naming the
+    build command when the kernel is not built (there is nothing to
+    compare ``ref`` against).
 
     For each case the harness first runs one full exploration per
     engine and hard-fails (``AssertionError``) unless the fingerprint
@@ -349,12 +341,17 @@ def run_engine_ab(
     measurement rounds are interleaved (best kept per engine) so
     machine noise hits every backend evenly.
     """
+    engines = list(available_backends())
+    if len(engines) < 2:
+        raise ValueError(
+            "--engine both compares ref with the compiled native kernel, "
+            f"which is not built; run `{BUILD_HINT}` first"
+        )
     selected = _select_cases(cases)
     if smoke:
         repeat = min(repeat, 2)
         min_time = min(min_time, 0.2)
 
-    engines = list(backend_names())
     report: Dict[str, Any] = {
         "meta": {
             "kind": AB_REPORT_KIND,
@@ -405,8 +402,6 @@ def run_engine_ab(
         }
         for name in engines:
             entry[name] = {**best[name], "engine": name}
-        # kept for report consumers predating the three-engine table
-        entry["accel_speedup"] = entry["speedups"]["accel"]
         report["cases"][case.name] = entry
         if progress is not None:
             rates = " ".join(
@@ -738,7 +733,7 @@ def bench_table(report: Dict[str, Any]) -> str:
 def ab_table(report: Dict[str, Any]) -> str:
     """Markdown table of a ``--engine both`` A/B report, one rate
     column per measured engine plus speedup-vs-ref columns."""
-    engines = report["meta"].get("engines", ["ref", "accel"])
+    engines = report["meta"]["engines"]
     others = [e for e in engines if e != "ref"]
     header = (
         "| case | "
@@ -750,11 +745,10 @@ def ab_table(report: Dict[str, Any]) -> str:
     out = [header, "|---|" + "---:|" * (len(engines) + len(others))]
     for name in sorted(report["cases"]):
         c = report["cases"][name]
-        speedups = c.get("speedups") or {"accel": c["accel_speedup"]}
         rates = " | ".join(
             f"{c[e]['schedules_per_sec']:,.0f}" for e in engines
         )
-        ratios = " | ".join(f"{speedups[e]:.2f}x" for e in others)
+        ratios = " | ".join(f"{c['speedups'][e]:.2f}x" for e in others)
         out.append(f"| {name} | {rates} | {ratios} |")
     return "\n".join(out)
 
@@ -816,7 +810,10 @@ def main(args) -> int:  # pragma: no cover - exercised via the CLI tests
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        except (AssertionError, ValueError) as exc:
+        except ValueError as exc:  # the compiled kernel is not built
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except AssertionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print()

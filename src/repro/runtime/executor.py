@@ -76,11 +76,6 @@ from .optrie import UNKEYABLE, OpTrie, trie_key
 from .program import Program, ProgramInstance
 from .snapshot import ExecutorSnapshot, ThreadRecord
 from .state import compute_state_hash, describe_state
-from .stepper import install_specialized_step
-
-#: Backends whose executors run the fused fast-replay step loop
-#: (:mod:`repro.runtime.stepper`) instead of the generic ``step``.
-_SPECIALIZED_BACKENDS = frozenset(("accel", "native"))
 from .thread_api import ThreadAPI
 from .trace import PendingInfo, TraceResult
 
@@ -208,12 +203,9 @@ class Executor:
         self._clock = self.instance.clock
         # canonical runs always use the reference engine (the exact HBR
         # forms are analysis machinery); otherwise the backend registry
-        # resolves engine name -> implementation (None = env/auto; auto
-        # routes by execution mode — see repro.core.engines)
-        self.engine_name = (
-            "ref" if canonical
-            else resolve_engine(engine, fast_replay=fast_replay)
-        )
+        # resolves engine name -> implementation (None = env/auto; see
+        # repro.core.engines)
+        self.engine_name = "ref" if canonical else resolve_engine(engine)
         self.engine = create_clock_engine(self.engine_name, canonical=canonical)
         self.max_events = max_events
         self.fast_replay = fast_replay
@@ -287,8 +279,6 @@ class Executor:
         #: instance reuse unsound (fast-forward re-runs the creating
         #: host code and would register duplicates)
         self._boot_objects = len(self.instance.registry.objects)
-        if fast_replay and self.engine.backend in _SPECIALIZED_BACKENDS:
-            install_specialized_step(self)
 
     @property
     def num_events(self) -> int:
@@ -970,9 +960,7 @@ class Executor:
     # (keeping all time events totally ordered, so "now" is a function
     # of the HB fingerprint) and its secondary location is the awaited
     # object the thread withdraws from (so DPOR race-reverses it
-    # against the operation that would have satisfied the wait).  The
-    # specialized accel stepper delegates to these same methods, which
-    # keeps the two step implementations byte-identical on timed paths.
+    # against the operation that would have satisfied the wait).
     def _fire_pending_timeout(self, t: _GuestThread, op: Op) -> Optional[Event]:
         """The scheduler chose the timeout branch of a timed blocking
         op: withdraw the pending op and deliver the primitive's
@@ -1466,8 +1454,6 @@ class Executor:
             )
         for obj, state in zip(objects, snap.object_states):
             obj.restore_state(state)
-        if ex.fast_replay and ex.engine.backend in _SPECIALIZED_BACKENDS:
-            install_specialized_step(ex)
         return ex
 
     # ------------------------------------------------------------------

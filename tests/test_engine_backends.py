@@ -1,15 +1,18 @@
-"""The engine backend registry and ref/accel/native byte-identity.
+"""The engine backend registry and ref-vs-native byte-identity.
 
 Three layers of assurance:
 
 * registry unit tests — resolution precedence (explicit > environment >
   auto), the compiled-artifact-aware auto pick, and loud failures on
-  misconfiguration;
-* a hypothesis property driving the reference, accelerated and native
-  engines (the compiled kernel too, when built) through identical
-  random operation sequences — spawn edges, release edges, engine forks
-  included — and comparing every published clock snapshot, fingerprint
-  and dominance outcome event by event;
+  misconfiguration (an unknown name, or ``native`` without the
+  compiled kernel);
+* a hypothesis property driving the reference engine and, when built,
+  the compiled kernel through identical random operation sequences —
+  spawn edges, release edges, engine forks included — and comparing
+  every published clock snapshot, fingerprint and dominance outcome
+  event by event.  Each engine also runs alongside an independent fork
+  of itself taken before the first event, so state aliasing between a
+  parent and its fork shows up as divergence on every checkout;
 * subprocess tests proving ``REPRO_ENGINE`` actually steers a fresh
   interpreter (the escape hatch the docs promise).
 """
@@ -22,111 +25,121 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import engines as engines_mod
 from repro.core.engines import (
     ENGINE_ENV,
-    _BACKENDS,
     available_backends,
-    backend_names,
     create_clock_engine,
     native_compiled,
-    register_backend,
     resolve_engine,
 )
 from repro.core.events import OpKind
 from repro.core.hb import DualClockEngine
-from repro.core.hb_accel import AccelClockEngine
-from repro.core.hb_native import (
-    NATIVE_COMPILED,
-    NativeClockEngine,
-    PyNativeClockEngine,
-)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _fresh_engines():
-    """One instance of every engine implementation under test: the
-    reference, the accelerated, the pure native twin — and the compiled
-    kernel when the artifact is built.  Index 0 is the reference."""
-    engines = [DualClockEngine(), AccelClockEngine(), PyNativeClockEngine()]
-    if NATIVE_COMPILED:
-        engines.append(NativeClockEngine())
+def _fresh_engines(nthreads):
+    """Every engine under test, pre-sized for ``nthreads``: one instance
+    per available backend, each followed by an independent fork of
+    itself.  Index 0 is the reference."""
+    engines = []
+    for name in available_backends():
+        e = create_clock_engine(name)
+        e.reserve(nthreads)
+        engines += [e, e.fork()]
     return engines
+
+
+@pytest.fixture
+def uncompiled(monkeypatch):
+    """Make this process look like a checkout without the compiled
+    kernel, whether or not it is built."""
+    monkeypatch.setattr(engines_mod, "_NATIVE_COMPILED", False)
+    monkeypatch.setattr(engines_mod, "_RESOLVE_CACHE", {})
 
 
 class TestRegistry:
     def test_backends_registered(self):
-        assert backend_names() == ("ref", "accel", "native")
-        # all three ship with the package; accel has a stdlib-only
-        # fallback and native a pure-Python twin, so every backend is
-        # importable even without numpy or a C toolchain
-        assert set(available_backends()) == {"ref", "accel", "native"}
+        expected = ("ref", "native") if native_compiled() else ("ref",)
+        assert available_backends() == expected
 
     def test_explicit_name_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "accel")
+        monkeypatch.setenv(ENGINE_ENV, "native")
         assert resolve_engine("ref") == "ref"
-        monkeypatch.setenv(ENGINE_ENV, "ref")
-        assert resolve_engine("accel") == "accel"
-        monkeypatch.setenv(ENGINE_ENV, "ref")
-        assert resolve_engine("native") == "native"
+        if native_compiled():
+            monkeypatch.setenv(ENGINE_ENV, "ref")
+            assert resolve_engine("native") == "native"
 
     def test_environment_beats_auto(self, monkeypatch):
-        # env forces accel everywhere, whatever auto would have picked
-        monkeypatch.setenv(ENGINE_ENV, "accel")
-        assert resolve_engine(None, fast_replay=True) == "accel"
-        assert resolve_engine(None, fast_replay=False) == "accel"
+        # env pins ref everywhere, even where auto picks the compiled
+        # kernel
+        monkeypatch.setenv(ENGINE_ENV, "ref")
+        assert resolve_engine(None) == "ref"
+        assert resolve_engine("auto") == "ref"
+        if native_compiled():
+            monkeypatch.setenv(ENGINE_ENV, "native")
+            assert resolve_engine(None) == "native"
 
     def test_auto_tracks_compiled_artifact(self, monkeypatch):
         # auto picks the compiled native kernel when the artifact is
-        # built, and the measured-fastest pure backend (ref) when not —
-        # never the uncompiled native twin (see engines.py docstring)
+        # built, and the reference engine when not
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         expected = "native" if native_compiled() else "ref"
-        for fast_replay in (True, False):
-            assert resolve_engine(None, fast_replay=fast_replay) == expected
-            assert resolve_engine("auto", fast_replay=fast_replay) == expected
+        assert resolve_engine(None) == expected
+        assert resolve_engine("auto") == expected
 
     def test_unknown_engine_is_loud(self):
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("turbo")
 
-    def test_unavailable_engine_is_loud(self):
-        register_backend("broken", lambda: False)
-        try:
-            with pytest.raises(ValueError, match="not available"):
-                resolve_engine("broken")
-        finally:
-            del _BACKENDS["broken"]
+    def test_unavailable_engine_is_loud(self, monkeypatch, uncompiled):
+        # explicit native without the compiled kernel names the build
+        # command instead of quietly running something else
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        with pytest.raises(ValueError, match="build_ext --inplace"):
+            resolve_engine("native")
+        with pytest.raises(ValueError, match="build_ext --inplace"):
+            create_clock_engine("native")
+        monkeypatch.setenv(ENGINE_ENV, "native")
+        with pytest.raises(ValueError, match="build_ext --inplace"):
+            resolve_engine(None)
+        # ...while auto still falls back to the reference engine
+        monkeypatch.delenv(ENGINE_ENV)
+        assert resolve_engine(None) == "ref"
 
     def test_create_respects_backend(self):
         assert create_clock_engine("ref").backend == "ref"
-        assert create_clock_engine("accel").backend == "accel"
-        assert isinstance(create_clock_engine("accel"), AccelClockEngine)
-        native = create_clock_engine("native")
-        assert native.backend == "native"
-        assert native.compiled == NATIVE_COMPILED
+        assert isinstance(create_clock_engine("ref"), DualClockEngine)
+        if native_compiled():
+            assert create_clock_engine("native").backend == "native"
+        else:
+            with pytest.raises(ValueError, match="build_ext"):
+                create_clock_engine("native")
 
     def test_canonical_always_reference(self):
         # canonical HBR forms are theorem-checker machinery; only the
         # reference engine carries them
-        for name in ("accel", "native"):
+        for name in available_backends():
             engine = create_clock_engine(name, canonical=True)
             assert isinstance(engine, DualClockEngine)
             assert engine.backend == "ref"
 
     def test_native_canonical_accessors_raise(self):
-        engine = create_clock_engine("native")
-        with pytest.raises(ValueError, match="canonical"):
-            engine.canonical_hbr()
-        with pytest.raises(ValueError, match="canonical"):
-            engine.canonical_lazy_hbr()
+        # every non-canonical engine (native included, when built)
+        for name in available_backends():
+            engine = create_clock_engine(name)
+            with pytest.raises(ValueError, match="canonical"):
+                engine.canonical_hbr()
+            with pytest.raises(ValueError, match="canonical"):
+                engine.canonical_lazy_hbr()
 
 
 # -- the hypothesis property -------------------------------------------
 
 #: Kinds the property exercises: data ops (both dominance branches),
 #: mutex ops (lazy side must skip them) and the channel kinds (tuple
-#: keys exercise the keyed location tables of accel and native).
+#: keys exercise the compiled kernel's keyed location tables).
 _KINDS = (
     OpKind.READ, OpKind.WRITE, OpKind.RMW,
     OpKind.LOCK, OpKind.UNLOCK,
@@ -158,8 +171,8 @@ class TestObserveEquivalence:
 
     def _compare(self, engines, nthreads):
         ref = engines[0]
-        for other in engines[1:]:
-            label = type(other).__name__
+        for i, other in enumerate(engines[1:], 1):
+            label = (i, type(other).__name__)
             assert ref.hbr_fingerprint() == other.hbr_fingerprint(), label
             assert ref.lazy_fingerprint() == other.lazy_fingerprint(), label
             for t in range(nthreads):
@@ -174,9 +187,7 @@ class TestObserveEquivalence:
     def test_random_sequences(self, data):
         nthreads = data.draw(st.integers(2, 5))
         steps = data.draw(_steps(nthreads))
-        engines = _fresh_engines()
-        for e in engines:
-            e.reserve(nthreads)
+        engines = _fresh_engines(nthreads)
         last_snap = {}
         for step in steps:
             if step[0] == "observe":
@@ -218,9 +229,7 @@ class TestObserveEquivalence:
     def test_fork_isolation(self, data):
         """Mutating a fork never leaks into the parent (any engine)."""
         nthreads = 3
-        engines = _fresh_engines()
-        for e in engines:
-            e.reserve(nthreads)
+        engines = _fresh_engines(nthreads)
         warm = data.draw(_steps(nthreads))
         for step in warm:
             if step[0] == "observe":
@@ -241,13 +250,11 @@ class TestObserveEquivalence:
             assert fork.lazy_fingerprint() == rfork.lazy_fingerprint()
 
     def test_wide_clocks_hit_bulk_join_path(self):
-        """40 threads crosses the numpy bulk-join threshold (when numpy
-        is present) and every flat engine's row-growth path; the
-        outcome must not depend on which join ran."""
+        """40 threads, far wider than any suite program: every engine's
+        row-growth and full-width join paths, with keyed and keyless
+        locations mixed."""
         nthreads = 40
-        engines = _fresh_engines()
-        for e in engines:
-            e.reserve(nthreads)
+        engines = _fresh_engines(nthreads)
         ref = engines[0]
         for round_no in range(3):
             for tid in range(nthreads):
@@ -256,6 +263,7 @@ class TestObserveEquivalence:
                 snaps = [e.observe(tid, int(kind), tid % 5, key)
                          for e in engines]
                 assert all(s == snaps[0] for s in snaps), (round_no, tid)
+        assert ref.table_stats()[1] == nthreads
         for other in engines[1:]:
             assert ref.hbr_fingerprint() == other.hbr_fingerprint()
             assert ref.lazy_fingerprint() == other.lazy_fingerprint()
@@ -265,34 +273,44 @@ class TestObserveEquivalence:
 class TestEnvSteering:
     """REPRO_ENGINE must steer a fresh interpreter end to end."""
 
-    def _run(self, engine_env, fast_replay):
+    def _run(self, engine_env, fast_replay, hide_kernel=False):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         env[ENGINE_ENV] = engine_env
         code = (
-            "from repro.runtime.executor import Executor\n"
+            # a None entry makes the import fail as if it were not built
+            ("import sys; sys.modules['repro.core._native'] = None\n"
+             if hide_kernel else "")
+            + "from repro.runtime.executor import Executor\n"
             "from repro.suite import REGISTRY\n"
             f"ex = Executor(REGISTRY[4].program, fast_replay={fast_replay})\n"
             "print(ex.engine_name, ex.engine.backend)\n"
         )
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=env, cwd=REPO_ROOT,
         )
+
+    def _backend(self, engine_env, fast_replay):
+        proc = self._run(engine_env, fast_replay)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
 
     def test_ref_env_forces_fallback(self):
-        # even on the fast-replay path, where auto may pick a faster
-        # backend
-        assert self._run("ref", True) == ["ref", "ref"]
-
-    def test_accel_env_forces_accel_everywhere(self):
-        assert self._run("accel", False) == ["accel", "accel"]
+        # even on the fast-replay path, where auto may pick the
+        # compiled kernel
+        assert self._backend("ref", True) == ["ref", "ref"]
 
     def test_native_env_forces_native_everywhere(self):
-        # compiled or not: the name always resolves (pure twin fallback)
-        assert self._run("native", True) == ["native", "native"]
-        assert self._run("native", False) == ["native", "native"]
+        if native_compiled():
+            assert self._backend("native", True) == ["native", "native"]
+            assert self._backend("native", False) == ["native", "native"]
+        # without the compiled kernel (hidden here when it is built) the
+        # same request fails loudly, naming the build command, instead
+        # of running a stand-in
+        proc = self._run("native", True, hide_kernel=True)
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr
+        assert "build_ext --inplace" in proc.stderr

@@ -127,6 +127,7 @@ class TestTimedBugWitness:
         assert "lease stolen" in str(r.error)
 
     def test_witness_reproduces_on_every_configuration(self, witness):
+        from repro.core.engines import available_backends
         from repro.runtime.executor import Executor
 
         program, _, result = witness
@@ -134,8 +135,8 @@ class TestTimedBugWitness:
         # policy; base.schedule is the fully-recorded schedule
         base = execute(program, schedule=result.schedule)
         signature = (base.hbr_fp, base.lazy_fp, base.state_hash)
-        for kwargs in ({"engine": "ref"}, {"engine": "accel"},
-                       {"snapshots": True}):
+        configs = [{"engine": e} for e in available_backends()]
+        for kwargs in configs + [{"snapshots": True}]:
             ex = Executor(program, **kwargs)
             for tid in base.schedule:
                 ex.step(tid)

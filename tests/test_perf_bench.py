@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from repro.core.engines import BACKENDS
 from repro.perf.bench import (
     AB_REPORT_KIND,
     CASES,
@@ -154,14 +155,14 @@ class TestRunBench:
         assert len({c.bench_id for c in CASES}) >= 3
 
     def test_engine_recorded_in_every_case_row(self, monkeypatch):
-        from repro.core.engines import backend_names, native_compiled
+        from repro.core.engines import available_backends, native_compiled
 
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         report = run_bench(cases=["dfs/racy_counter", "dpor/racy_counter"],
                            **TINY)
         assert report["meta"]["engine"] == "auto"
         for row in report["cases"].values():
-            assert row["engine"] in backend_names()
+            assert row["engine"] in available_backends()
             # every row carries the provenance of the backend it ran on
             prov = row["provenance"]
             assert isinstance(prov["compiled"], bool)
@@ -196,39 +197,65 @@ class TestRunBench:
 
 class TestEngineAB:
     def test_ab_report_shape_and_equivalence(self):
-        from repro.core.engines import backend_names
+        from repro.core.engines import native_compiled
 
+        if not native_compiled():
+            # nothing to compare ref against: refused up front
+            with pytest.raises(ValueError, match="build_ext --inplace"):
+                run_engine_ab(cases=["dfs/racy_counter"], **TINY)
+            return
         report = run_engine_ab(cases=["dfs/racy_counter"], **TINY)
         assert report["meta"]["kind"] == AB_REPORT_KIND
-        # every registered backend is measured, not a hardcoded pair
-        assert report["meta"]["engines"] == list(backend_names())
-        assert set(report["meta"]["provenance"]) == set(backend_names())
+        assert report["meta"]["engines"] == ["ref", "native"]
+        assert set(report["meta"]["provenance"]) == {"ref", "native"}
+        assert report["meta"]["provenance"]["native"]["compiled"] is True
         case = report["cases"]["dfs/racy_counter"]
         assert case["equivalent"] is True
-        for name in backend_names():
+        for name in ("ref", "native"):
             assert case[name]["engine"] == name
             assert case[name]["schedules_per_sec"] > 0
-        ref_rate = case["ref"]["schedules_per_sec"]
-        for name, ratio in case["speedups"].items():
-            assert ratio == pytest.approx(
-                case[name]["schedules_per_sec"] / ref_rate
-            )
-        assert case["accel_speedup"] == case["speedups"]["accel"]
+        assert set(case["speedups"]) == {"native"}
+        assert case["speedups"]["native"] == pytest.approx(
+            case["native"]["schedules_per_sec"]
+            / case["ref"]["schedules_per_sec"]
+        )
         table = ab_table(report)
-        assert "dfs/racy_counter" in table and "accel speedup" in table
+        assert "dfs/racy_counter" in table and "ref sched/s" in table
         assert "native sched/s" in table and "native speedup" in table
 
-    def test_ab_cli(self, tmp_path, capsys):
+    def _ab_cli(self, *extra):
         from repro.__main__ import main
 
-        out = tmp_path / "BENCH_ab.json"
-        assert main(["bench", "--engine", "both",
+        return main(["bench", "--engine", "both",
                      "--cases", "dpor/racy_counter", "--repeat", "1",
-                     "--min-time", "0.0", "--quiet",
-                     "--out", str(out)]) == 0
-        assert "accel speedup" in capsys.readouterr().out
+                     "--min-time", "0.0", "--quiet", *extra])
+
+    def test_ab_cli(self, tmp_path, capsys):
+        from repro.core.engines import native_compiled
+
+        out = tmp_path / "BENCH_ab.json"
+        rc = self._ab_cli("--out", str(out))
+        if not native_compiled():
+            assert rc == 2 and not out.exists()
+            return
+        assert rc == 0
+        assert "native speedup" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert payload["meta"]["kind"] == AB_REPORT_KIND
+
+    def test_ab_cli_without_kernel_exits_2(self, monkeypatch, capsys):
+        from repro.core import engines
+
+        # look uncompiled, whether or not the kernel is built
+        monkeypatch.setattr(engines, "_NATIVE_COMPILED", False)
+        monkeypatch.setattr(engines, "_RESOLVE_CACHE", {})
+        assert self._ab_cli() == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: ")
+        assert "build_ext --inplace" in lines[0]
+        assert captured.out == ""
 
 
 class TestCompareReports:
@@ -303,7 +330,7 @@ class TestCommittedBaseline:
         # every case row is self-describing about its backend and how
         # that backend was built
         for name, row in baseline["cases"].items():
-            assert row["engine"] in ("ref", "accel", "native"), name
+            assert row["engine"] in BACKENDS, name
             assert "provenance" in row, name
         pre = baseline["pre_pr"]
         assert pre["commit"]

@@ -75,15 +75,15 @@ def test_equivalence_report_shape():
 #
 # The shim pipeline must stay byte-identical to its DSL twin no matter
 # which backend replays it, and each twin's exploration signature must
-# itself be backend-invariant.  ``accel`` is always importable;
-# ``native`` only runs where the compiled artifact exists (the same
-# machines the `auto` policy would select it on).
+# itself be backend-invariant.  ``native`` only runs where the compiled
+# artifact exists (the same machines the `auto` policy would select it
+# on).
 
-from repro.core.engines import native_compiled  # noqa: E402
+from repro.core.engines import available_backends  # noqa: E402
 from repro.runtime.executor import Executor  # noqa: E402
 from repro.runtime.schedule import execute  # noqa: E402
 
-ENGINES = ("ref", "accel") + (("native",) if native_compiled() else ())
+ENGINES = available_backends()
 ENGINE_LIM = ExplorationLimits(max_schedules=600)
 
 

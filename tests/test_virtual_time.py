@@ -5,8 +5,8 @@ The headline property is replay determinism: for any timed benchmark
 and any recorded schedule, re-executing that schedule must produce an
 identical time-event sequence (fire order *and* the virtual-clock
 value at each fire), identical fingerprints and an identical state
-hash — on the reference engine, on the accelerated engine, and across
-a COW-snapshot round-trip.  Virtual time is part of the explored
+hash — on every available clock-engine backend, and across a
+COW-snapshot round-trip.  Virtual time is part of the explored
 state, so any wall-clock leak here would silently break replay and
 partial-order reduction.
 """
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engines import available_backends
 from repro.core.events import TICKS_PER_SECOND, TIMED_OUT, OpKind, to_ticks
 from repro.errors import UnsupportedTimeoutError
 from repro.runtime.executor import Executor
@@ -47,8 +48,8 @@ class TestScheduleDeterminism:
         fires = fire_order(base)
         signature = (base.hbr_fp, base.lazy_fp, base.state_hash)
 
-        # both clock-engine backends replay the schedule byte-identically
-        for engine in ("ref", "accel"):
+        # every clock-engine backend replays the schedule byte-identically
+        for engine in available_backends():
             ex = Executor(prog, engine=engine)
             for tid in base.schedule:
                 ex.step(tid)
