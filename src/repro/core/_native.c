@@ -29,8 +29,8 @@
  *
  * The Python-visible class (hb_native.NativeClockEngine) subclasses
  * EngineCore to add the thin conveniences (register_thread from a
- * spawn event, on_event stamping, VectorClock views); everything on
- * the per-event path lives here.
+ * spawn event, VectorClock views); everything on the per-event path
+ * lives here.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1016,8 +1016,10 @@ engine_thread_clock_raw(EngineCore *self, PyObject *const *args,
         if (lazy < 0)
             return NULL;
     }
-    if (engine_ensure(self, (int32_t)tid) < 0)
-        return NULL;
+    /* read-only: an unregistered tid reads as the empty clock (every
+     * entry zero) and registers nothing, like the reference engine */
+    if (tid < 0 || tid >= self->nthreads)
+        return PyTuple_New(0);
     if (lazy)
         return tuple_from_row(self->lbuf + (size_t)tid * self->cap,
                               self->llens[tid]);

@@ -293,8 +293,8 @@ class Event:
     no object is touched).  ``tindex`` is the event's position within
     its own thread (0-based).  ``clock`` / ``lazy_clock`` are the
     event's vector clocks under the regular and lazy happens-before
-    relations; they are filled in by the
-    :class:`~repro.core.hb.DualClockEngine` as the event executes.
+    relations, as :meth:`~repro.core.hb.DualClockEngine.observe`
+    published them when the event executed.
     """
 
     index: int                      #: position in the schedule (0-based)

@@ -48,7 +48,7 @@ participates in both relations by declaring its classes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .events import Event, IS_MODIFYING, IS_MUTEX
 from .fingerprint import CanonicalHBR, FingerprintChain
@@ -198,14 +198,6 @@ class DualClockEngine:
         )
 
     # ------------------------------------------------------------------
-    def on_event(self, event: Event) -> None:
-        """Execute the clock updates for ``event`` and stamp it with its
-        regular and lazy clocks.  Must be called in schedule order."""
-        event.clock, event.lazy_clock = self.observe(
-            event.tid, event.kind, event.oid, event.key,
-            event.released_mutex_oid,
-        )
-
     def observe(
         self,
         tid: int,
@@ -336,16 +328,21 @@ class DualClockEngine:
     def thread_clock(self, tid: int, lazy: bool = False) -> VectorClock:
         """The thread's current clock, as an independent
         :class:`VectorClock` copy (API for analysis code and tests)."""
-        side = self.lazy if lazy else self.regular
-        side.ensure_thread(tid)
-        return VectorClock(init=side.thread_clocks[tid])
+        return VectorClock(init=self.thread_clock_raw(tid, lazy))
 
-    def thread_clock_raw(self, tid: int, lazy: bool = False) -> List[int]:
+    def thread_clock_raw(
+        self, tid: int, lazy: bool = False
+    ) -> Sequence[int]:
         """The live, mutable list clock of ``tid`` — read-only use
-        (DPOR's happens-before tests).  No defensive copy."""
-        side = self.lazy if lazy else self.regular
-        side.ensure_thread(tid)
-        return side.thread_clocks[tid]
+        (DPOR's happens-before tests).  No defensive copy.
+
+        A tid the engine has not registered reads as the empty tuple
+        (every entry zero) and registers nothing: reading a clock must
+        not change the fingerprints or :meth:`table_stats`."""
+        clocks = (self.lazy if lazy else self.regular).thread_clocks
+        if 0 <= tid < len(clocks):
+            return clocks[tid]
+        return ()
 
     # ------------------------------------------------------------------
     def table_stats(self) -> Tuple[int, int]:

@@ -78,12 +78,6 @@ if NATIVE_COMPILED:
                 event.clock, event.lazy_clock, released_tid
             )
 
-        def on_event(self, event: Event) -> None:
-            event.clock, event.lazy_clock = self.observe(
-                event.tid, event.kind, event.oid, event.key,
-                event.released_mutex_oid,
-            )
-
         def canonical_hbr(self):
             raise ValueError("engine was created with canonical=False")
 

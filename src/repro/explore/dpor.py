@@ -17,16 +17,28 @@ not all linearizations of a lazy HBR are feasible.  (The prototype that
 *adds* lazy-HBR pruning on top lives in
 :mod:`repro.explore.lazy_dpor`.)
 
-The implementation indexes the trace per memory location so the
-backward scan for the latest conflicting event is O(events on that
-location), not O(trace length).
+The per-state work is proportional to what changed since the previous
+state (DESIGN.md §14):
+
+* **Delta.**  Between two analysed states exactly one event is
+  appended, and a thread's regular clock only changes when that thread
+  executes.  So a thread that did not execute the newest event and
+  still has the same :class:`~repro.runtime.trace.PendingInfo` object
+  can only gain one race: with the newest event.  Only the thread that
+  stepped, threads with a new pending op, and every thread at the
+  first analysed state of a run get a full scan.
+* **Early exit.**  A full scan walks the trace per memory location,
+  newest first, and stops a location's list at the first modification
+  of that location that already happens before the pending op: the
+  engine joins every earlier access there into that modification's
+  clock, so none of them can race either.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..core.events import Event, OpKind
+from ..core.events import Event, IS_MODIFYING, OpKind
 from ..core.dependence import conflicts, may_be_coenabled
 from ..runtime.executor import Executor
 from ..runtime.trace import PendingInfo
@@ -40,11 +52,13 @@ DPOR_SNAPSHOT_VERSION = 1
 class _Node:
     """One scheduling point on the DPOR stack."""
 
-    __slots__ = ("enabled", "chosen", "backtrack", "done", "sleep",
-                 "want_snap")
+    __slots__ = ("enabled", "enabled_set", "chosen", "backtrack", "done",
+                 "sleep", "want_snap")
 
     def __init__(self, enabled: List[int], sleep: Set[int]) -> None:
         self.enabled = enabled
+        #: ``enabled`` as a set, for the race analysis's E computation
+        self.enabled_set = frozenset(enabled)
         self.chosen = -1
         self.backtrack: Set[int] = set()
         self.done: Set[int] = set()
@@ -174,8 +188,15 @@ class DPORExplorer(Explorer):
                 ex = Executor.from_snapshot(
                     snap, reuse=pool.pop() if pool else None
                 )
+                setdefault = loc_index.setdefault
                 for event in ex.trace:
-                    self._index_event(loc_index, ex.trace, event)
+                    if event.oid >= 0:
+                        setdefault((event.oid, event.key), []).append(
+                            event.index
+                        )
+                    if event.released_mutex_oid is not None:
+                        setdefault((event.released_mutex_oid, None),
+                                   []).append(event.index)
                 tree.resumed_events += start
         if ex is None:
             ex = self._new_executor()
@@ -200,13 +221,16 @@ class DPORExplorer(Explorer):
     # ------------------------------------------------------------------
     def _run_one(self, stack: List[_Node]) -> Optional[bool]:
         """Replay the stack prefix, then extend to a terminal (or
-        sleep-pruned) state, updating backtrack sets.  Returns True if
-        the run was pruned by sleep sets, None if the wall-clock
-        deadline fired mid-schedule (the stack stays valid: every
-        appended node was fully race-analysed before its step ran, so
-        a resumed run replays the prefix and picks up exactly at the
-        first unanalysed state)."""
+        pruned) state, updating backtrack sets.  Returns True if the
+        run was pruned (by sleep sets, or by :meth:`_prune_after_step`),
+        None if the wall-clock deadline fired mid-schedule (the stack
+        stays valid: every appended node was fully race-analysed before
+        its step ran, so a resumed run replays the prefix and picks up
+        exactly at the first unanalysed state)."""
         ex, loc_index = self._replay_stack(stack)
+        # pending ops analysed at the previous state of this run, by
+        # tid: the delta of _update_backtracks (empty = full scans)
+        analysed: Dict[int, PendingInfo] = {}
 
         while True:
             if self._deadline_exceeded_midschedule():
@@ -214,13 +238,15 @@ class DPORExplorer(Explorer):
             if ex.is_done():
                 result = ex.finish()
                 self.stats.num_events += result.num_events
-                self._update_backtracks(ex, stack, loc_index)
+                self._update_backtracks(ex, stack, loc_index, analysed)
                 self._record_terminal(result)
                 self._retire(ex)
                 return False
             if len(ex.trace) >= len(stack):
                 # a state we have not analysed yet
-                self._update_backtracks(ex, stack, loc_index)
+                analysed = self._update_backtracks(
+                    ex, stack, loc_index, analysed
+                )
                 enabled = ex.enabled()
                 if len(ex.trace) == len(stack):
                     sleep = self._child_sleep(stack, ex)
@@ -237,6 +263,14 @@ class DPORExplorer(Explorer):
                     node.done.add(choice)
                     stack.append(node)
             self._index_event(loc_index, ex.trace, ex.step(stack[len(ex.trace)].chosen))
+            if self._prune_after_step(ex):
+                self._retire(ex)
+                return True
+
+    def _prune_after_step(self, ex: Executor) -> bool:
+        """Post-step hook: True abandons the run as pruned (plain DPOR
+        never does; lazy-DPOR probes its fingerprint cache here)."""
+        return False
 
     def _retire(self, ex: Executor) -> None:
         """Bank a finished schedule's instance/threads for the next
@@ -360,44 +394,81 @@ class DPORExplorer(Explorer):
         ex: Executor,
         stack: List[_Node],
         loc_index: Dict[Tuple[int, object], List[int]],
-    ) -> None:
+        analysed: Dict[int, PendingInfo],
+    ) -> Dict[int, PendingInfo]:
         """F–G race analysis: for every pending operation, find the
         latest conflicting, possibly-co-enabled, HB-unordered event and
-        register a backtrack point before it."""
+        register a backtrack point before it.
+
+        ``analysed`` holds the pending ops analysed at the previous
+        state, which is exactly one event older (empty at the first
+        analysed state of a run).  A thread that did not execute the
+        newest event and still has the same ``PendingInfo`` object
+        kept its op and its clock, so its latest race is either the one
+        already registered there (re-registering is a no-op) or the
+        newest event: only that one pair is tested.  Returns the map
+        for the next state."""
         trace = ex.trace
+        n = len(trace)
+        newest = trace[-1] if analysed else None
+        mover = newest.tid if newest is not None else -1
+        clock_of = ex.engine.thread_clock_raw
+        now: Dict[int, PendingInfo] = {}
         # the race analysis never reads PendingInfo.enabled, so skip
         # the per-thread enabledness recheck the full accessor pays
         for info in ex.all_pending_infos(refresh_enabled=False):
             if info.oid < 0 and info.released_mutex_oid is None:
                 continue
+            tid = info.tid
+            now[tid] = info
+            if tid != mover and analysed.get(tid) is info:
+                # The newest event is another thread's fresh tick, which
+                # this thread's unchanged clock cannot have seen, so it
+                # never happens-before the pending op: it races iff it
+                # conflicts and may be co-enabled.  With i = n - 1 the
+                # E scan below is empty: E is the thread itself, if it
+                # was enabled there.
+                if conflicts(newest, info) and \
+                        may_be_coenabled(newest, info):
+                    node = stack[n - 1]
+                    self._add_backtrack(
+                        node, {tid} if tid in node.enabled_set else set()
+                    )
+                continue
             # the conflict predicates duck-type over the PendingInfo;
             # no throwaway Event allocation per pending op
-            pend = info
-            cv = ex.engine.thread_clock_raw(info.tid)  # regular clock of tid
-            i = self._latest_race(trace, loc_index, pend, cv)
+            cv = clock_of(tid)  # regular clock of tid
+            i = self._latest_race(trace, loc_index, info, cv)
             if i is None or i >= len(stack):
                 continue
             node = stack[i]
             # E: threads that could get the pending op (or something
             # happening-before it) running at the pre-state of event i
-            p = info.tid
+            enabled_at_i = node.enabled_set
             E: Set[int] = set()
-            enabled_at_i = set(node.enabled)
-            if p in enabled_at_i:
-                E.add(p)
-            for j in range(i + 1, len(trace)):
+            if tid in enabled_at_i:
+                E.add(tid)
+            for j in range(i + 1, n):
                 e_j = trace[j]
                 if e_j.tid in enabled_at_i and self._hb_pending(e_j, cv):
                     E.add(e_j.tid)
-            if E:
-                if not (E & (node.backtrack | node.done)):
-                    node.backtrack.add(min(E))
-                    node.want_snap = True
-            else:
-                before = len(node.backtrack)
-                node.backtrack.update(enabled_at_i)
-                if len(node.backtrack) != before:
-                    node.want_snap = True
+            self._add_backtrack(node, E)
+        return now
+
+    @staticmethod
+    def _add_backtrack(node: _Node, E: Set[int]) -> None:
+        """Register a race at ``node``: one thread of ``E`` unless one
+        is already there, or every enabled thread when ``E`` is empty.
+        Idempotent, so a race registered again changes nothing."""
+        if E:
+            if not (E & (node.backtrack | node.done)):
+                node.backtrack.add(min(E))
+                node.want_snap = True
+        else:
+            before = len(node.backtrack)
+            node.backtrack.update(node.enabled_set)
+            if len(node.backtrack) != before:
+                node.want_snap = True
 
     def _latest_race(
         self,
@@ -414,37 +485,47 @@ class DPORExplorer(Explorer):
         # materialising sorted(set(...)) per pending op per state.
         # WAIT events that released a mutex are indexed under the mutex
         # location already, so MUTEX_KINDS need nothing extra.
+        mutex = pend.released_mutex_oid
         a = loc_index.get((pend.oid, pend.key)) if pend.oid >= 0 else None
-        b = (
-            loc_index.get((pend.released_mutex_oid, None))
-            if pend.released_mutex_oid is not None else None
-        )
+        b = loc_index.get((mutex, None)) if mutex is not None else None
         ia = len(a) - 1 if a is not None else -1
         ib = len(b) - 1 if b is not None else -1
+        ncv = len(cv)
         while ia >= 0 or ib >= 0:
             va = a[ia] if ia >= 0 else -1
             vb = b[ib] if ib >= 0 else -1
             if va >= vb:
                 i = va
+                in_a = True
+                in_b = vb == va  # same event under both locations
                 ia -= 1
-                if vb == va:
-                    ib -= 1  # same event under both locations
+                if in_b:
+                    ib -= 1
             else:
                 i = vb
+                in_a = False
+                in_b = True
                 ib -= 1
             e = trace[i]
-            if e.tid == pend.tid:
+            etid = e.tid
+            if etid < ncv and e.clock[etid] <= cv[etid]:
+                # e happens before the pending op (always so for the
+                # pending thread's own events): no race.  If e also
+                # modifies the list's location, the engine joined every
+                # earlier access there into e's clock, so they all
+                # happen before the pending op too: that list is done.
+                # An entry indexed under a released oid (WAIT,
+                # TIME_FIRE: modifying kinds) counts as a modification
+                # there as well, because observe publishes it as one.
+                if IS_MODIFYING[e.kind]:
+                    if in_a:
+                        ia = -1
+                    if in_b:
+                        ib = -1
                 continue
             if not conflicts(e, pend):
                 continue
             if not may_be_coenabled(e, pend):
-                continue
-            if self._hb_pending(e, cv):
-                # already ordered before the pending op: not a race, and
-                # nothing earlier on this location can race either
-                # (later events on the location dominate earlier ones);
-                # keep scanning, though, because a non-modifying chain
-                # may hide an older racing write.
                 continue
             return i
         return None

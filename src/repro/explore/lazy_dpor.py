@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..core.cache import FingerprintCache
-from .dpor import DPORExplorer, _Node
+from .dpor import DPORExplorer
 
 
 class LazyDPORExplorer(DPORExplorer):
@@ -63,39 +63,13 @@ class LazyDPORExplorer(DPORExplorer):
         if payload:
             self.cache = FingerprintCache.from_dict(payload)
 
-    def _run_one(self, stack) -> Optional[bool]:
-        ex, loc_index = self._replay_stack(stack)
-
-        while True:
-            if self._deadline_exceeded_midschedule():
-                return None
-            if ex.is_done():
-                result = ex.finish()
-                self.stats.num_events += result.num_events
-                self._update_backtracks(ex, stack, loc_index)
-                self._record_terminal(result)
-                return False
-            if len(ex.trace) >= len(stack):
-                self._update_backtracks(ex, stack, loc_index)
-                enabled = ex.enabled()
-                if len(ex.trace) == len(stack):
-                    sleep = self._child_sleep(stack, ex)
-                    node = _Node(enabled, sleep)
-                    runnable = [t for t in enabled if t not in sleep]
-                    if not runnable:
-                        return True
-                    choice = runnable[0]
-                    node.backtrack.add(choice)
-                    node.chosen = choice
-                    node.done.add(choice)
-                    stack.append(node)
-            event = ex.step(stack[len(ex.trace)].chosen)
-            self._index_event(loc_index, ex.trace, event)
-            # lazy-HBR pruning: skip continuations of prefixes whose
-            # lazy HBR was already reached by an earlier feasible prefix
-            if not self.cache.insert(ex.engine.lazy_fingerprint()):
-                self.stats.num_events += ex.num_events
-                return True
+    def _prune_after_step(self, ex) -> bool:
+        # lazy-HBR pruning: skip continuations of prefixes whose lazy
+        # HBR was already reached by an earlier feasible prefix
+        if self.cache.insert(ex.engine.lazy_fingerprint()):
+            return False
+        self.stats.num_events += ex.num_events
+        return True
 
     def run(self):
         stats = super().run()

@@ -639,7 +639,9 @@ class Executor:
         only when the op or status changes.  ``enabled`` *is*
         state-dependent and is refreshed in place on each call;
         callers that never read it (DPOR's race analysis) pass
-        ``refresh_enabled=False`` to skip the recheck.
+        ``refresh_enabled=False`` to skip the recheck.  DPOR also
+        reads the identity: the same object at two consecutive states
+        means the same op under the same status.
         """
         t = self.threads[tid]
         op = t.pending
@@ -658,23 +660,16 @@ class Executor:
                 en = status == _Status.RUNNABLE and (
                     info.timed or self._op_enabled(t)
                 )
-                if en != info.enabled:
-                    object.__setattr__(info, "enabled", en)
+                info.enabled = en
             return info
         if op is None:
             if t.deadline is not None and status == _Status.WAITING:
                 # timed condvar waiter: the lookahead is its TIME_FIRE
                 # on the clock, withdrawing it from the parked-on cv
                 info = PendingInfo(
-                    tid=tid,
-                    kind=int(_TIME_FIRE),
-                    oid=self._clock.oid,
-                    key=None,
-                    enabled=True,
-                    released_mutex_oid=(
-                        t.parked_on.oid if t.parked_on is not None else None
-                    ),
-                    timed=True,
+                    tid, int(_TIME_FIRE), self._clock.oid, None, True,
+                    t.parked_on.oid if t.parked_on is not None else None,
+                    True,
                 )
                 t.pinfo = (None, status, info)
                 return info
@@ -690,14 +685,9 @@ class Executor:
             # DPOR orders it against other time events
             released = self._clock.oid
         info = PendingInfo(
-            tid=tid,
-            kind=int(op.kind),
-            oid=oid,
-            key=key,
-            enabled=status == _Status.RUNNABLE
-            and (timed or self._op_enabled(t)),
-            released_mutex_oid=released,
-            timed=timed,
+            tid, int(op.kind), oid, key,
+            status == _Status.RUNNABLE and (timed or self._op_enabled(t)),
+            released, timed,
         )
         t.pinfo = (op, status, info)
         return info
@@ -860,24 +850,16 @@ class Executor:
             else:
                 t.deadline = None  # the base operation won
 
+        clock, lazy_clock = self.engine.observe(
+            tid, kind, oid, key, released_mutex_oid
+        )
         event: Optional[Event] = None
-        if self.fast_replay:
-            clock, lazy_clock = self.engine.observe(
-                tid, kind, oid, key, released_mutex_oid
-            )
-        else:
+        if not self.fast_replay:
+            # positional: the per-event record is built on the hot path
             event = Event(
-                index=self._num_events,
-                tid=tid,
-                tindex=t.tindex,
-                kind=kind,
-                oid=oid,
-                key=key,
-                value=value,
-                released_mutex_oid=released_mutex_oid,
+                self._num_events, tid, t.tindex, kind, oid, key, value,
+                clock, lazy_clock, released_mutex_oid,
             )
-            self.engine.on_event(event)
-            clock, lazy_clock = event.clock, event.lazy_clock
             self.trace.append(event)
         t.tindex += 1
         self._num_events += 1
@@ -1009,23 +991,16 @@ class Executor:
         """Record one TIME_FIRE event for ``t`` (clock engines, trace,
         schedule, counters)."""
         tid = t.tid
-        if self.fast_replay:
-            event = None
-            self.engine.observe(
-                tid, _TIME_FIRE, self._clock.oid, None, released_oid
-            )
-        else:
+        oid = self._clock.oid
+        clock, lazy_clock = self.engine.observe(
+            tid, _TIME_FIRE, oid, None, released_oid
+        )
+        event = None
+        if not self.fast_replay:
             event = Event(
-                index=self._num_events,
-                tid=tid,
-                tindex=t.tindex,
-                kind=_TIME_FIRE,
-                oid=self._clock.oid,
-                key=None,
-                value=value,
-                released_mutex_oid=released_oid,
+                self._num_events, tid, t.tindex, _TIME_FIRE, oid, None,
+                value, clock, lazy_clock, released_oid,
             )
-            self.engine.on_event(event)
             self.trace.append(event)
         t.tindex += 1
         self._num_events += 1

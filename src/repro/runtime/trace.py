@@ -55,9 +55,15 @@ class TraceResult:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PendingInfo:
-    """What a not-yet-executed thread wants to do next (DPOR lookahead)."""
+    """What a not-yet-executed thread wants to do next (DPOR lookahead).
+
+    Mutable only so the executor can refresh ``enabled`` in place: every
+    other field is a pure function of the pending op, and DPOR's race
+    analysis relies on a new object being built whenever the op or the
+    thread's status changes (see ``Executor.pending_info``).
+    """
 
     tid: int
     kind: int

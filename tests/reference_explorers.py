@@ -8,16 +8,27 @@ for terminal runs, the executed prefix for pruned runs).
 
 ``tests/test_kernel_equivalence.py`` runs each kernel-ported strategy
 against its reference here and asserts byte-identical schedule
-sequences, fingerprint sets and statistics.  Do not "improve" this
-file: its only job is to stay exactly what the pre-refactor code did.
+sequences, fingerprint sets and statistics.
+
+The DPOR pair at the end freezes the race analysis as it was before it
+became incremental (a full per-location scan of every pending op at
+every state, no early exit) and lazy-DPOR's former copy of the DPOR
+loop; ``tests/test_dpor_equivalence.py`` holds the live explorers to
+them.  Do not "improve" this file: its only job is to stay exactly
+what the pre-refactor code did.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cache import FingerprintCache
+from repro.core.dependence import conflicts, may_be_coenabled
+from repro.core.events import Event
 from repro.explore.base import ExplorationLimits, Explorer
+from repro.explore.dpor import DPORExplorer, _Node
+from repro.explore.lazy_dpor import LazyDPORExplorer
+from repro.runtime.executor import Executor
 
 
 class _LogMixin:
@@ -344,3 +355,204 @@ class ReferenceHBRCaching(_LogMixin, Explorer):
         stats.extra["cache_size"] = len(self.cache)
         stats.extra["cache_hits"] = self.cache.hits
         return stats
+
+
+# ---------------------------------------------------------------------------
+# DPOR race analysis (pre-incremental repro/explore/dpor.py) and
+# lazy-DPOR's loop (pre-hook repro/explore/lazy_dpor.py)
+# ---------------------------------------------------------------------------
+
+class TerminalLogMixin:
+    """Records every terminal schedule, in order, in ``schedule_log``
+    (DPOR's loop has no schedule sink; sleep- and cache-pruned runs are
+    counted by ``num_pruned``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.schedule_log: List[List[int]] = []
+
+    def _record_terminal(self, result) -> None:
+        self.schedule_log.append(list(result.schedule))
+        super()._record_terminal(result)
+
+
+class _FrozenRaceAnalysis:
+    """The full-scan race analysis: every pending op, every state."""
+
+    def _update_backtracks(
+        self,
+        ex: Executor,
+        stack: List[_Node],
+        loc_index: Dict[Tuple[int, object], List[int]],
+    ) -> None:
+        """F–G race analysis: for every pending operation, find the
+        latest conflicting, possibly-co-enabled, HB-unordered event and
+        register a backtrack point before it."""
+        trace = ex.trace
+        # the race analysis never reads PendingInfo.enabled, so skip
+        # the per-thread enabledness recheck the full accessor pays
+        for info in ex.all_pending_infos(refresh_enabled=False):
+            if info.oid < 0 and info.released_mutex_oid is None:
+                continue
+            # the conflict predicates duck-type over the PendingInfo;
+            # no throwaway Event allocation per pending op
+            pend = info
+            cv = ex.engine.thread_clock_raw(info.tid)  # regular clock of tid
+            i = self._latest_race(trace, loc_index, pend, cv)
+            if i is None or i >= len(stack):
+                continue
+            node = stack[i]
+            # E: threads that could get the pending op (or something
+            # happening-before it) running at the pre-state of event i
+            p = info.tid
+            E: Set[int] = set()
+            enabled_at_i = set(node.enabled)
+            if p in enabled_at_i:
+                E.add(p)
+            for j in range(i + 1, len(trace)):
+                e_j = trace[j]
+                if e_j.tid in enabled_at_i and self._hb_pending(e_j, cv):
+                    E.add(e_j.tid)
+            if E:
+                if not (E & (node.backtrack | node.done)):
+                    node.backtrack.add(min(E))
+                    node.want_snap = True
+            else:
+                before = len(node.backtrack)
+                node.backtrack.update(enabled_at_i)
+                if len(node.backtrack) != before:
+                    node.want_snap = True
+
+    def _latest_race(
+        self,
+        trace: List[Event],
+        loc_index: Dict[Tuple[int, object], List[int]],
+        pend,  # Event or PendingInfo (duck-typed)
+        cv,
+    ) -> Optional[int]:
+        """Index of the latest event racing with ``pend`` (conflicting,
+        possibly co-enabled, not happens-before the pending thread)."""
+        # The per-location index lists are appended in trace order, so
+        # each candidate source is already ascending: walk the (at
+        # most) two lists as a descending merge instead of
+        # materialising sorted(set(...)) per pending op per state.
+        # WAIT events that released a mutex are indexed under the mutex
+        # location already, so MUTEX_KINDS need nothing extra.
+        a = loc_index.get((pend.oid, pend.key)) if pend.oid >= 0 else None
+        b = (
+            loc_index.get((pend.released_mutex_oid, None))
+            if pend.released_mutex_oid is not None else None
+        )
+        ia = len(a) - 1 if a is not None else -1
+        ib = len(b) - 1 if b is not None else -1
+        while ia >= 0 or ib >= 0:
+            va = a[ia] if ia >= 0 else -1
+            vb = b[ib] if ib >= 0 else -1
+            if va >= vb:
+                i = va
+                ia -= 1
+                if vb == va:
+                    ib -= 1  # same event under both locations
+            else:
+                i = vb
+                ib -= 1
+            e = trace[i]
+            if e.tid == pend.tid:
+                continue
+            if not conflicts(e, pend):
+                continue
+            if not may_be_coenabled(e, pend):
+                continue
+            if self._hb_pending(e, cv):
+                # already ordered before the pending op: not a race, and
+                # nothing earlier on this location can race either
+                # (later events on the location dominate earlier ones);
+                # keep scanning, though, because a non-modifying chain
+                # may hide an older racing write.
+                continue
+            return i
+        return None
+
+
+class ReferenceDPOR(TerminalLogMixin, _FrozenRaceAnalysis, DPORExplorer):
+    """DPOR with the frozen loop and race analysis."""
+
+    def _run_one(self, stack: List[_Node]) -> Optional[bool]:
+        """Replay the stack prefix, then extend to a terminal (or
+        sleep-pruned) state, updating backtrack sets.  Returns True if
+        the run was pruned by sleep sets, None if the wall-clock
+        deadline fired mid-schedule (the stack stays valid: every
+        appended node was fully race-analysed before its step ran, so
+        a resumed run replays the prefix and picks up exactly at the
+        first unanalysed state)."""
+        ex, loc_index = self._replay_stack(stack)
+
+        while True:
+            if self._deadline_exceeded_midschedule():
+                return None
+            if ex.is_done():
+                result = ex.finish()
+                self.stats.num_events += result.num_events
+                self._update_backtracks(ex, stack, loc_index)
+                self._record_terminal(result)
+                self._retire(ex)
+                return False
+            if len(ex.trace) >= len(stack):
+                # a state we have not analysed yet
+                self._update_backtracks(ex, stack, loc_index)
+                enabled = ex.enabled()
+                if len(ex.trace) == len(stack):
+                    sleep = self._child_sleep(stack, ex)
+                    node = _Node(enabled, sleep)
+                    runnable = [t for t in enabled if t not in sleep]
+                    if not runnable:
+                        # every enabled thread is redundant here: the
+                        # continuation is covered by an earlier branch
+                        self._retire(ex)
+                        return True
+                    choice = runnable[0]
+                    node.backtrack.add(choice)
+                    node.chosen = choice
+                    node.done.add(choice)
+                    stack.append(node)
+            self._index_event(loc_index, ex.trace, ex.step(stack[len(ex.trace)].chosen))
+
+
+class ReferenceLazyDPOR(TerminalLogMixin, _FrozenRaceAnalysis,
+                        LazyDPORExplorer):
+    """Lazy-DPOR with its frozen copy of the loop (which never retired
+    executors to the instance pool) and the frozen race analysis."""
+
+    def _run_one(self, stack) -> Optional[bool]:
+        ex, loc_index = self._replay_stack(stack)
+
+        while True:
+            if self._deadline_exceeded_midschedule():
+                return None
+            if ex.is_done():
+                result = ex.finish()
+                self.stats.num_events += result.num_events
+                self._update_backtracks(ex, stack, loc_index)
+                self._record_terminal(result)
+                return False
+            if len(ex.trace) >= len(stack):
+                self._update_backtracks(ex, stack, loc_index)
+                enabled = ex.enabled()
+                if len(ex.trace) == len(stack):
+                    sleep = self._child_sleep(stack, ex)
+                    node = _Node(enabled, sleep)
+                    runnable = [t for t in enabled if t not in sleep]
+                    if not runnable:
+                        return True
+                    choice = runnable[0]
+                    node.backtrack.add(choice)
+                    node.chosen = choice
+                    node.done.add(choice)
+                    stack.append(node)
+            event = ex.step(stack[len(ex.trace)].chosen)
+            self._index_event(loc_index, ex.trace, event)
+            # lazy-HBR pruning: skip continuations of prefixes whose
+            # lazy HBR was already reached by an earlier feasible prefix
+            if not self.cache.insert(ex.engine.lazy_fingerprint()):
+                self.stats.num_events += ex.num_events
+                return True

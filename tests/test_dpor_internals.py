@@ -94,3 +94,120 @@ class TestLocIndex:
         e = Event(index=0, tid=0, tindex=0, kind=OpKind.YIELD, oid=-1)
         DPORExplorer._index_event(idx, [], e)
         assert idx == {}
+
+
+class _CountingTrace(list):
+    """A trace that records which positions the race scan inspects."""
+
+    def __init__(self, events):
+        super().__init__(events)
+        self.inspected = []
+
+    def __getitem__(self, i):
+        self.inspected.append(i)
+        return list.__getitem__(self, i)
+
+
+class TestIncrementalAnalysis:
+    """Pins on the work the incremental race analysis removed."""
+
+    def test_full_scans_per_analysed_state(self, monkeypatch):
+        # only the thread that stepped, threads with a new pending op
+        # and the first analysed state of a run need a full scan; the
+        # full-scan analysis did 1.74 per analysed state here
+        from repro.suite import REGISTRY
+
+        program = next(b.program for b in REGISTRY.values()
+                       if b.program.name == "racy_counter_t3_k1")
+        counts = {"states": 0, "scans": 0}
+        update = DPORExplorer._update_backtracks
+        scan = DPORExplorer._latest_race
+
+        def counting_update(self, *args):
+            counts["states"] += 1
+            return update(self, *args)
+
+        def counting_scan(self, *args):
+            counts["scans"] += 1
+            return scan(self, *args)
+
+        monkeypatch.setattr(DPORExplorer, "_update_backtracks",
+                            counting_update)
+        monkeypatch.setattr(DPORExplorer, "_latest_race", counting_scan)
+        stats = DPORExplorer(program).run()
+        assert stats.exhausted
+        assert counts["states"] > 0
+        assert counts["scans"] / counts["states"] <= 1.0
+
+    def test_ordered_modification_ends_the_scan(self):
+        # x: T1 writes twice, T0 reads (seeing both writes), T2 reads.
+        # T0's next read of x is ordered after T1's second write, and
+        # the engine joined T1's first write into it: the backward scan
+        # must stop there without looking at the first write.
+        from repro.core.events import Event
+
+        x = 5
+        trace = [
+            Event(0, 1, 0, OpKind.WRITE, x, None, None, (0, 1, 0), None),
+            Event(1, 1, 1, OpKind.WRITE, x, None, None, (0, 2, 0), None),
+            Event(2, 0, 0, OpKind.READ, x, None, None, (1, 2, 0), None),
+            Event(3, 2, 0, OpKind.READ, x, None, None, (0, 2, 1), None),
+        ]
+        loc_index = {}
+        for e in trace:
+            DPORExplorer._index_event(loc_index, trace, e)
+        trace = _CountingTrace(trace)
+        pend = PendingInfo(0, int(OpKind.READ), x, None, True)
+        explorer = DPORExplorer(TestRaceAnalysis()._program())
+        race = explorer._latest_race(trace, loc_index, pend, [1, 2, 0])
+        assert race is None
+        # T2's read (unordered, but read/read), T0's own read (ordered,
+        # not a modification), T1's second write (ordered: stop)
+        assert trace.inspected == [3, 2, 1]
+
+    def test_released_mutex_entry_ends_the_scan(self):
+        # T1 locks m and waits on cv (releasing m); T0 notifies cv,
+        # which orders T0 after the wait.  The WAIT is indexed under m
+        # only through the mutex it released, and observe published it
+        # there as a modification: T0's pending lock of m must stop at
+        # it without inspecting T1's lock.
+        from repro.core.events import Event
+
+        m, cv = 3, 7
+        trace = [
+            Event(0, 1, 0, OpKind.LOCK, m, None, None, (0, 1), None),
+            Event(1, 1, 1, OpKind.WAIT, cv, None, None, (0, 2), None, m),
+            Event(2, 0, 0, OpKind.NOTIFY, cv, None, None, (1, 2), None),
+        ]
+        loc_index = {}
+        for e in trace:
+            DPORExplorer._index_event(loc_index, trace, e)
+        trace = _CountingTrace(trace)
+        pend = PendingInfo(0, int(OpKind.LOCK), m, None, False)
+        explorer = DPORExplorer(TestRaceAnalysis()._program())
+        race = explorer._latest_race(trace, loc_index, pend, [1, 2])
+        assert race is None
+        assert trace.inspected == [1]
+
+
+def test_lazy_dpor_recycles_instances(monkeypatch):
+    # lazy-DPOR runs DPOR's loop, so its finished and pruned runs
+    # retire their program instances to the pool like DPOR's do, and
+    # every snapshot restore gets one (its former copy of the loop
+    # retired none, so every restore re-instantiated the program)
+    from repro.explore import LazyDPORExplorer
+    from repro.suite import REGISTRY
+
+    restore = Executor.from_snapshot.__func__
+    counts = {"restores": 0, "pooled": 0}
+
+    def counting_restore(cls, snap, reuse=None):
+        counts["restores"] += 1
+        counts["pooled"] += reuse is not None
+        return restore(cls, snap, reuse=reuse)
+
+    monkeypatch.setattr(Executor, "from_snapshot",
+                        classmethod(counting_restore))
+    LazyDPORExplorer(REGISTRY[3].program).run()
+    assert counts["restores"] > 0
+    assert counts["pooled"] == counts["restores"]

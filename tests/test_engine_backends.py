@@ -270,6 +270,27 @@ class TestObserveEquivalence:
             assert ref.table_stats() == other.table_stats()
 
 
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_clock_reads_do_not_grow_the_engine(backend):
+    """Reading a clock is read-only: a tid past the registered threads
+    reads as the empty clock and registers nothing, so neither
+    relation's fingerprint nor ``table_stats()`` moves."""
+    engine = create_clock_engine(backend)
+    engine.reserve(2)
+    engine.observe(0, int(OpKind.WRITE), 1, None)
+    engine.observe(1, int(OpKind.READ), 1, None)
+    before = (engine.hbr_fingerprint(), engine.lazy_fingerprint(),
+              engine.table_stats())
+    for lazy in (False, True):
+        assert tuple(engine.thread_clock_raw(5, lazy)) == ()
+        assert engine.thread_clock(5, lazy)[5] == 0
+        assert list(engine.thread_clock_raw(1, lazy)) == [1, 1]
+    after = (engine.hbr_fingerprint(), engine.lazy_fingerprint(),
+             engine.table_stats())
+    assert after == before
+    assert engine.table_stats()[1] == 2
+
 class TestEnvSteering:
     """REPRO_ENGINE must steer a fresh interpreter end to end."""
 
