@@ -1,10 +1,13 @@
 """Explorer framework: limits, statistics and the base class.
 
 An explorer enumerates schedules of one program.  All concrete
-explorers are *stateless* in the SCT sense: each schedule is executed
-against a freshly built program instance, replaying the prefix of
-thread choices that leads to the branch point (the standard architecture
-of Verisoft/CHESS-style tools, which cannot checkpoint states).
+explorers are *stateless* in the SCT sense: each schedule replays the
+prefix of thread choices that leads to its branch point (the standard
+architecture of Verisoft/CHESS-style tools).  The executor it replays
+on comes from one acquire/retire path (:meth:`Explorer._executor_at`,
+:meth:`Explorer._retire`): a restored snapshot of the deepest cached
+ancestor state, or of the exploration's initial state, observably
+identical to a freshly built program instance.
 
 Statistics mirror the quantities of the paper's evaluation: the number
 of schedules executed, and the numbers of distinct terminal HBRs,
@@ -28,12 +31,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GuestError
 from ..runtime.executor import Executor
 from ..runtime.program import Program
+from ..runtime.snapshot import ExecutorSnapshot
 from ..runtime.trace import TraceResult
+from .snapshots import SnapshotTree
 
 DEFAULT_SCHEDULE_LIMIT = 100_000
 
@@ -281,11 +286,20 @@ class Explorer:
         self.limits = limits or ExplorationLimits()
         self._error_kinds: Set[Tuple[str, str]] = set()
         self.stats = ExplorationStats(program.name, self.name)
-        #: prefix snapshot cache (see :mod:`repro.explore.snapshots`);
-        #: installed by the explorers that replay prefixes (the kernel
-        #: family and DPOR) when the limits grant a budget.  When set,
-        #: executors are built with tape recording enabled.
-        self.snapshot_tree = None
+        #: prefix snapshot cache (see :mod:`repro.explore.snapshots`),
+        #: present when the limits grant a budget; only explorers that
+        #: replay non-empty prefixes (the kernel family and DPOR) fill it
+        self.snapshot_tree: Optional[SnapshotTree] = None
+        if self.limits.snapshot_budget_bytes > 0:
+            self.snapshot_tree = SnapshotTree(
+                self.limits.snapshot_budget_bytes
+            )
+        #: depth-0 snapshot of the exploration's first executor: every
+        #: later schedule a tree lookup cannot serve restores it
+        self._boot: Optional[ExecutorSnapshot] = None
+        #: the last retired executor's instance and threads, handed to
+        #: the next restore (see Executor.release_instance)
+        self._spare = None
         self._deadline: Optional[float] = None
         #: wall-clock already consumed by a restored run; counted
         #: against ``max_seconds`` and added to the final ``elapsed``
@@ -324,9 +338,43 @@ class Explorer:
             self.program,
             max_events=self.limits.max_events_per_schedule,
             fast_replay=self.fast_replay,
-            snapshots=self.snapshot_tree is not None,
             engine=self.engine,
         )
+
+    # -- the acquire/retire path ----------------------------------------------
+    def _executor_at(self, prefix: Sequence[int]) -> Tuple[Executor, int]:
+        """An executor placed at ``prefix[:depth]``, and ``depth``; the
+        caller replays ``prefix[depth:]``.
+
+        A snapshot-tree hit restores the deepest cached ancestor of
+        ``prefix``; a miss restores the boot snapshot (depth 0).  Only
+        the exploration's first schedule builds a fresh executor, whose
+        depth-0 state becomes the boot snapshot.  Every restore
+        recycles the spare instance :meth:`_retire` banked, and the
+        tree counts the resumed and the to-be-replayed prefix events.
+        Restores are observably identical to replaying from a fresh
+        executor (the snapshot equivalence guarantee)."""
+        snap = self._boot
+        depth = 0
+        tree = self.snapshot_tree
+        if tree is not None and prefix:
+            cached = tree.lookup(tuple(prefix))
+            if cached is not None:
+                depth, snap = cached
+                tree.resumed_events += depth
+            tree.replayed_events += len(prefix) - depth
+        if snap is None:
+            ex = self._new_executor()
+            self._boot = ex.snapshot()
+            return ex, 0
+        spare, self._spare = self._spare, None
+        return Executor.from_snapshot(snap, reuse=spare), depth
+
+    def _retire(self, ex: Executor) -> None:
+        """Hand a finished schedule's executor back: its instance and
+        threads become the spare for the next restore (``None`` for
+        programs that cannot be pooled).  ``ex`` is dead afterwards."""
+        self._spare = ex.release_instance()
 
     def _record_terminal(self, result: TraceResult) -> None:
         """Account for one completed (terminal) execution."""

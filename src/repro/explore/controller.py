@@ -112,7 +112,6 @@ def run_single(
     limits: Optional[ExplorationLimits] = None,
     seed: int = 0,
     verify: bool = True,
-    fast: Optional[bool] = None,
     resume_state: Optional[dict] = None,
     checkpoint_fn=None,
     checkpoint_interval: float = 2.0,
@@ -128,12 +127,6 @@ def run_single(
     sharded runs produce bit-for-bit identical statistics (given
     deterministic budgets; a binding ``max_seconds`` wall-clock cap is
     inherently load-dependent).
-
-    ``fast`` overrides the explorer's replay mode: ``True`` forces
-    fast-replay executors, ``False`` forces the reference path, ``None``
-    (default) keeps the strategy's own choice.  Both paths produce
-    identical fingerprints, state hashes and schedule counts; the
-    equivalence suite enforces this.
 
     ``engine`` pins the clock-engine backend (``"ref"``/``"native"``)
     for the cell's executors; ``None`` keeps the registry's auto pick.
@@ -159,8 +152,6 @@ def run_single(
     """
     explorer = make_explorer(explorer_name, program, limits, seed,
                              engine=engine)
-    if fast is not None:
-        explorer.fast_replay = fast
     if resume_state is not None and hasattr(explorer, "restore"):
         explorer.restore(resume_state)
     if checkpoint_fn is not None and hasattr(explorer, "snapshot"):

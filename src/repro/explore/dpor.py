@@ -44,7 +44,6 @@ from ..runtime.executor import Executor
 from ..runtime.trace import PendingInfo
 from .base import Explorer
 from .frontier import Frontier, WorkItem
-from .snapshots import SnapshotTree
 
 DPOR_SNAPSHOT_VERSION = 1
 
@@ -99,12 +98,11 @@ class DPORExplorer(Explorer):
     def _new_executor(self):
         # Hard override: DPOR's race analysis walks ex.trace, so the
         # events must be materialised whatever self.fast_replay says
-        # (run_single(fast=True) is a no-op for this strategy).
+        # (setting it to True is a no-op for this strategy).
         return Executor(
             self.program,
             max_events=self.limits.max_events_per_schedule,
             fast_replay=False,
-            snapshots=self.snapshot_tree is not None,
             engine=self.engine,
         )
 
@@ -117,13 +115,6 @@ class DPORExplorer(Explorer):
         #: exploration state can be snapshot/restored between schedules
         self._stack: List[_Node] = []
         self._started = False
-        #: retired (instance, threads) handoffs from finished schedules,
-        #: recycled by snapshot restores (see Executor.release_instance)
-        self._instance_pool: List[Any] = []
-        if self.limits.snapshot_budget_bytes > 0:
-            self.snapshot_tree = SnapshotTree(
-                self.limits.snapshot_budget_bytes
-            )
 
     # ------------------------------------------------------------------
     def _explore(self) -> None:
@@ -170,36 +161,23 @@ class DPORExplorer(Explorer):
         the per-location index of trace positions for fast race lookup.
 
         Resumes from the deepest cached snapshot of the prefix when the
-        snapshot tree has one — the per-location index is rebuilt from
-        the restored trace (cheap dict appends, no re-execution) —
-        falling back to plain stepwise replay.  Snapshot keys are
-        prefixes of *already-executed* choices, so re-choosing a node's
-        ``chosen`` during backtracking never invalidates the snapshots
-        below it."""
+        snapshot tree has one, else from the boot snapshot (see
+        :meth:`Explorer._executor_at`); the per-location index is
+        rebuilt from the restored trace (cheap dict appends, no
+        re-execution), and the rest of the prefix is replayed stepwise.
+        Snapshot keys are prefixes of *already-executed* choices, so
+        re-choosing a node's ``chosen`` during backtracking never
+        invalidates the snapshots below it."""
         loc_index: Dict[Tuple[int, object], List[int]] = {}
         tree = self.snapshot_tree
-        ex: Optional[Executor] = None
-        start = 0
-        if tree is not None and stack:
-            cached = tree.lookup(tuple(node.chosen for node in stack))
-            if cached is not None:
-                start, snap = cached
-                pool = self._instance_pool
-                ex = Executor.from_snapshot(
-                    snap, reuse=pool.pop() if pool else None
-                )
-                setdefault = loc_index.setdefault
-                for event in ex.trace:
-                    if event.oid >= 0:
-                        setdefault((event.oid, event.key), []).append(
-                            event.index
-                        )
-                    if event.released_mutex_oid is not None:
-                        setdefault((event.released_mutex_oid, None),
-                                   []).append(event.index)
-                tree.resumed_events += start
-        if ex is None:
-            ex = self._new_executor()
+        ex, start = self._executor_at(tuple(node.chosen for node in stack))
+        setdefault = loc_index.setdefault
+        for event in ex.trace:
+            if event.oid >= 0:
+                setdefault((event.oid, event.key), []).append(event.index)
+            if event.released_mutex_oid is not None:
+                setdefault((event.released_mutex_oid, None),
+                           []).append(event.index)
         for node in stack[start:]:
             if node.want_snap and tree is not None:
                 # this node holds a pending backtrack candidate, so its
@@ -214,8 +192,6 @@ class DPORExplorer(Explorer):
                 if tree.wants(key):
                     tree.insert(key, ex.snapshot())
             self._index_event(loc_index, ex.trace, ex.step(node.chosen))
-        if tree is not None:
-            tree.replayed_events += len(stack) - start
         return ex, loc_index
 
     # ------------------------------------------------------------------
@@ -271,15 +247,6 @@ class DPORExplorer(Explorer):
         """Post-step hook: True abandons the run as pruned (plain DPOR
         never does; lazy-DPOR probes its fingerprint cache here)."""
         return False
-
-    def _retire(self, ex: Executor) -> None:
-        """Bank a finished schedule's instance/threads for the next
-        snapshot restore (bounded pool; shim programs opt out)."""
-        pool = self._instance_pool
-        if len(pool) < 4:
-            handoff = ex.release_instance()
-            if handoff is not None:
-                pool.append(handoff)
 
     # ------------------------------------------------------------------
     # The frontier/work-item interface.  DPOR keeps its bespoke loop —

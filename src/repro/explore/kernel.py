@@ -32,10 +32,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..runtime.executor import Executor
 from .base import ExplorationStats, Explorer
 from .frontier import Annotation, Frontier, WorkItem
-from .snapshots import SnapshotTree
 
 SNAPSHOT_VERSION = 1
 
@@ -68,8 +66,6 @@ class Strategy:
 
     #: strategy name; becomes the explorer/stats name
     name = "strategy"
-    #: see :attr:`repro.explore.base.Explorer.fast_replay`
-    fast_replay = True
     #: safe to shard via ``Frontier.split``?  True for every kernel
     #: strategy (their work items are self-contained subtree roots)
     supports_split = True
@@ -145,7 +141,6 @@ class KernelExplorer(Explorer):
             raise ValueError("KernelExplorer requires a strategy")
         super().__init__(program, limits)
         self.strategy = strategy
-        self.fast_replay = strategy.fast_replay
         self.name = strategy.name
         self.stats.explorer_name = strategy.name
         strategy.bind(self)
@@ -154,19 +149,6 @@ class KernelExplorer(Explorer):
             self.frontier.push(item)
         self.schedule_sink: Optional[List[List[int]]] = None
         self._seed_target: Optional[int] = None
-        # retired program instances recycled into from_snapshot (see
-        # Executor.release_instance: DSL programs only, bounded depth)
-        self._instance_pool: List[Any] = []
-        # depth-0 snapshot of the first executor: later from-scratch
-        # replays restore it (with a pooled instance) instead of
-        # re-instantiating the program — observably identical by the
-        # snapshot-equivalence guarantee, and the restore path rides
-        # the op cache
-        self._boot_snap = None
-        if self.limits.snapshot_budget_bytes > 0:
-            self.snapshot_tree = SnapshotTree(
-                self.limits.snapshot_budget_bytes
-            )
 
     # ------------------------------------------------------------------
     def _explore(self) -> None:
@@ -196,41 +178,12 @@ class KernelExplorer(Explorer):
                 item = frontier.pop()
             strategy.on_schedule_start(item)
             self._schedule_started()
-            # resume from the deepest cached ancestor state instead of
-            # schedule step zero; a tree miss (cold cache, eviction,
-            # disabled budget) falls back to plain replay — the two
-            # paths are observably identical (snapshot equivalence)
+            # resume from the deepest cached ancestor state (or the
+            # initial state) and replay only the rest of the prefix
             prefix: List[int] = list(item.prefix)
             tree = self.snapshot_tree
-            pool = self._instance_pool
-            ex: Optional[Executor] = None
-            if tree is not None and prefix:
-                cached = tree.lookup(item.prefix)
-                if cached is not None:
-                    depth, snap = cached
-                    ex = Executor.from_snapshot(
-                        snap, reuse=pool.pop() if pool else None
-                    )
-                    ex.replay_prefix(prefix[depth:])
-                    tree.resumed_events += depth
-                    tree.replayed_events += len(prefix) - depth
-            if ex is None:
-                boot = self._boot_snap
-                if boot is not None:
-                    ex = Executor.from_snapshot(
-                        boot, reuse=pool.pop() if pool else None
-                    )
-                else:
-                    ex = self._new_executor()
-                    if ex._record:
-                        # tapes are recorded from step zero (the op
-                        # cache forces it even under snapshots=False),
-                        # so the depth-0 snapshot is well-defined
-                        ex._snapshot_ok = True
-                        self._boot_snap = ex.snapshot()
-                ex.replay_prefix(prefix)
-                if tree is not None:
-                    tree.replayed_events += len(prefix)
+            ex, depth = self._executor_at(item.prefix)
+            ex.replay_prefix(prefix[depth:])
             ann = item.annotation
             pruned = False
             aborted = False
@@ -304,10 +257,7 @@ class KernelExplorer(Explorer):
                 self._record_terminal(result)
                 if sink is not None:
                     sink.append(list(result.schedule))
-            if len(pool) < 4:
-                retired = ex.release_instance()
-                if retired is not None:
-                    pool.append(retired)
+            self._retire(ex)
         self.stats.exhausted = not self.stats.limit_hit
 
     def run(self) -> ExplorationStats:

@@ -44,7 +44,7 @@ class PCTExplorer(Explorer):
             self._one_run(rng)
 
     def _one_run(self, rng: random.Random) -> None:
-        ex = self._new_executor()
+        ex, _ = self._executor_at(())
         # base priorities: uniform random in (0, 1), i.e. a uniformly
         # random priority ordering per run; ties have probability zero
         priorities: Dict[int, float] = {}
@@ -74,3 +74,4 @@ class PCTExplorer(Explorer):
         result = ex.finish()
         self.stats.num_events += result.num_events
         self._record_terminal(result)
+        self._retire(ex)

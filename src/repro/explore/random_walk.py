@@ -26,7 +26,7 @@ class RandomWalkExplorer(Explorer):
         randrange = rng.randrange
         while not self._budget_exceeded():
             self._schedule_started()
-            ex = self._new_executor()
+            ex, _ = self._executor_at(())
             # hot loop: bound methods hoisted, choices trusted (drawn
             # from the enabled list we just fetched)
             is_done = ex.is_done
@@ -38,3 +38,4 @@ class RandomWalkExplorer(Explorer):
             result = ex.finish()
             self.stats.num_events += result.num_events
             self._record_terminal(result)
+            self._retire(ex)

@@ -20,10 +20,10 @@ serialized form is also a schedule prefix per node.
 Memory is bounded: entries are LRU-evicted once the configured byte
 budget (estimated — see ``ExecutorSnapshot.approx_bytes``) is exceeded.
 Eviction only costs performance, never correctness: a miss falls back
-to plain ``replay_prefix`` from scratch, which is byte-identical by the
-snapshot equivalence guarantee.  The tree is in-memory only — explorer
-``snapshot()/restore()`` checkpoints do not serialize it; a resumed run
-simply starts with a cold cache.
+to the exploration's boot snapshot and replays the whole prefix, which
+is byte-identical by the snapshot equivalence guarantee.  The tree is
+in-memory only — explorer ``snapshot()/restore()`` checkpoints do not
+serialize it; a resumed run simply starts with a cold cache.
 """
 
 from __future__ import annotations
@@ -95,7 +95,9 @@ class SnapshotTree:
     def wants(self, prefix: Prefix) -> bool:
         """Would an insert at ``prefix`` store anything new?  (Checked
         before paying the snapshot cost.)  Depth-0 snapshots are never
-        wanted: restoring one costs more than a fresh executor."""
+        wanted: the explorer holds its boot snapshot outside the tree
+        (see ``Explorer._executor_at``), where eviction cannot reach
+        it."""
         return bool(prefix) and prefix not in self._entries
 
     def insert(self, prefix: Prefix, snapshot: ExecutorSnapshot) -> bool:

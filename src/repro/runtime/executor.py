@@ -12,8 +12,10 @@ its guest generators one visible operation at a time:
 * when no thread is enabled and some are unfinished, the run ends in a
   recorded :class:`~repro.errors.DeadlockError`.
 
-Explorers re-create an Executor per schedule (stateless exploration
-with replay), so this class has no reset logic.
+Explorers build one Executor per exploration and place every later
+schedule's executor by restoring a snapshot
+(:meth:`repro.explore.base.Explorer._executor_at`), so this class has
+no reset logic.
 
 Hot-path machinery (this class runs millions of steps per campaign):
 
@@ -39,12 +41,12 @@ Hot-path machinery (this class runs millions of steps per campaign):
   ``repro.suite``;
 * :meth:`replay_prefix` re-executes a known-feasible prefix without
   re-validating enabledness at every step;
-* ``snapshots=True`` additionally records each thread's *send tape*
-  (the values its generator has received), enabling
-  :meth:`snapshot`/:meth:`fork`/:meth:`from_snapshot` — copy-on-write
-  executor snapshots that let explorers resume from a cached branch
-  point instead of replaying the whole prefix (see
-  :mod:`repro.runtime.snapshot` for the design and its guarantees).
+* every thread's *send tape* (the values its generator has received)
+  is recorded, enabling :meth:`snapshot`/:meth:`fork`/
+  :meth:`from_snapshot` — copy-on-write executor snapshots that let
+  explorers resume from a cached branch point instead of replaying the
+  whole prefix (see :mod:`repro.runtime.snapshot` for the design and
+  its guarantees).
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ class _GuestThread:
         self.resuming = False         # pending op is the implicit re-lock
         self.exit_recorded = False
         self.crashed = False          # terminated by a guest assertion
-        self.tape: Optional[List[Any]] = None  # send-value record (snapshots)
+        self.tape: List[Any] = []     # send-value record (snapshots)
         self.spawn_count = 0          # executed SPAWNs (snapshot bookkeeping)
         self.throw_exc: Optional[GuestError] = None  # fx_throw injected error
         # virtual-time bookkeeping for the pending op (set when a timed
@@ -195,7 +197,6 @@ class Executor:
         max_events: int = DEFAULT_MAX_EVENTS,
         canonical: bool = False,
         fast_replay: bool = False,
-        snapshots: bool = False,
         engine: Optional[str] = None,
     ) -> None:
         self.program = program
@@ -209,15 +210,6 @@ class Executor:
         self.engine = create_clock_engine(self.engine_name, canonical=canonical)
         self.max_events = max_events
         self.fast_replay = fast_replay
-        #: record per-thread send tapes so snapshot()/fork() work; the
-        #: recording itself never changes behaviour (one list append
-        #: per generator resume)
-        self._record = snapshots
-        #: the *public* snapshot() contract flag: the op cache below may
-        #: force recording on anyway, but callers who built the executor
-        #: with ``snapshots=False`` still get the loud error (internal
-        #: users that know recording is live bypass via _snapshot_ok)
-        self._snapshot_ok = snapshots
         #: programs whose guests mutate host-side Python state (the shim
         #: frontend: closures, lists, per-object hold maps) opt in to
         #: replaying *every* thread's tape on snapshot restore — a
@@ -229,15 +221,13 @@ class Executor:
         #: op-stream cache (see :mod:`repro.runtime.optrie`): serves
         #: previously-seen guest op sequences without generators.
         #: Excluded exactly where tape-skipping is (guests with
-        #: host-side state); enabling it forces tape recording, which
-        #: materialisation needs
+        #: host-side state); materialisation re-feeds the send tape
         self._optrie: Optional[OpTrie] = None
         if _OPCACHE_ON and not self._replay_all_tapes:
             trie = self.instance.optrie
             if trie is None:
                 trie = self.instance.optrie = OpTrie()
             self._optrie = trie
-            self._record = True
         self._spawn_origin: Dict[int, Tuple[int, int]] = {}
         self.trace: List[Event] = []
         self.schedule: List[int] = []
@@ -291,8 +281,6 @@ class Executor:
         tid = len(self.threads)
         handle = ThreadHandle(self.instance.registry, tid)
         t = _GuestThread(tid, name or f"T{tid}", None, handle)
-        if self._record:
-            t.tape = []
         self.threads.append(t)
         self._runnable.add(tid)
         self._runnable_sorted = None
@@ -397,7 +385,7 @@ class Executor:
             # unexplored edge: build the generator at this position and
             # fall through to live execution (recording resumes below)
             gen = self._materialize(t)
-        if t.tape is not None and not first:
+        if not first:
             # the tape records the value even when the send terminates
             # the generator: fast-forward re-feeds it to reproduce the
             # same StopIteration/GuestError
@@ -813,9 +801,8 @@ class Executor:
                 spawned = self._create_thread(fn, args, "")
                 value = spawned.tid
                 oid = spawned.handle.oid
-                if self._record:
-                    self._spawn_origin[spawned.tid] = (tid, t.spawn_count)
-                    t.spawn_count += 1
+                self._spawn_origin[spawned.tid] = (tid, t.spawn_count)
+                t.spawn_count += 1
             elif kind is _JOIN:
                 oid = self.threads[op.arg].handle.oid
             elif kind is _EXIT:
@@ -1015,13 +1002,8 @@ class Executor:
         O(threads + objects + clock-table entries): thread tapes are
         shared (append-only copy-on-write), the clock engine forks by
         sharing its published tuples, and each shared object contributes
-        a few scalars.  Requires ``snapshots=True`` at construction (the
-        send tapes must have been recorded from step zero).
+        a few scalars.
         """
-        if not self._snapshot_ok:
-            raise SchedulerError(
-                "snapshot() requires an executor built with snapshots=True"
-            )
         finished = _Status.FINISHED
         records = [
             ThreadRecord(
@@ -1052,12 +1034,7 @@ class Executor:
         ]
         return ExecutorSnapshot(
             self.program,
-            self.max_events,
-            self.fast_replay,
             tuple(self.schedule),
-            self._num_events,
-            self.truncated,
-            self.error,
             tuple(self.guest_failures),
             tuple(self.trace),
             dict(self._exit_events),
@@ -1065,9 +1042,6 @@ class Executor:
             dict(self._spawn_origin),
             [o.snapshot_state() for o in self.instance.registry.objects],
             self.engine.fork(),
-            self._barrier_pending,
-            self._pred_watch,
-            self._unfinished,
             frozenset(self._runnable),
             self._static_threads,
             # restore template: every scalar/immutable executor
@@ -1079,7 +1053,6 @@ class Executor:
                 "_replay_all_tapes": self._replay_all_tapes,
                 "max_events": self.max_events,
                 "fast_replay": self.fast_replay,
-                "_record": True,
                 "error": self.error,
                 "truncated": self.truncated,
                 "_num_events": self._num_events,
@@ -1087,7 +1060,6 @@ class Executor:
                 "_barrier_pending": self._barrier_pending,
                 "_pred_watch": self._pred_watch,
                 "_static_threads": self._static_threads,
-                "_snapshot_ok": True,
                 "engine_name": self.engine.backend,
                 "_enabled_cache": None,
                 "_runnable_sorted": None,
@@ -1285,7 +1257,6 @@ class Executor:
                 if (
                     adopt is not None
                     and rt.tape is rec.tape
-                    and rec.tape is not None
                     and len(rt.tape) == rec.tape_len
                     and rt.tindex == rec.tindex
                     and rt.status == rec.status

@@ -71,7 +71,7 @@ class ThreadRecord(NamedTuple):
     exit_recorded: bool
     crashed: bool
     wait_mutex_oid: Optional[int]
-    tape: Optional[List[Any]]
+    tape: List[Any]
     tape_len: int
     spawn_count: int
     needs_replay: bool
@@ -91,22 +91,15 @@ class ExecutorSnapshot:
     """
 
     __slots__ = (
-        "program", "max_events", "fast_replay", "schedule", "num_events",
-        "truncated", "error", "guest_failures", "trace", "exit_events",
+        "program", "schedule", "guest_failures", "trace", "exit_events",
         "thread_records", "spawn_origin", "object_states", "engine",
-        "barrier_pending", "pred_watch", "unfinished", "runnable",
-        "static_threads", "restore_fields", "_approx_bytes",
+        "runnable", "static_threads", "restore_fields", "_approx_bytes",
     )
 
     def __init__(
         self,
         program,
-        max_events: int,
-        fast_replay: bool,
         schedule: Tuple[int, ...],
-        num_events: int,
-        truncated: bool,
-        error,
         guest_failures: Tuple,
         trace: Tuple,
         exit_events: Dict,
@@ -114,20 +107,12 @@ class ExecutorSnapshot:
         spawn_origin: Dict[int, Tuple[int, int]],
         object_states: List[Any],
         engine: DualClockEngine,
-        barrier_pending: int,
-        pred_watch: int,
-        unfinished: int,
         runnable: frozenset,
         static_threads: int,
         restore_fields: Dict[str, Any],
     ) -> None:
         self.program = program
-        self.max_events = max_events
-        self.fast_replay = fast_replay
         self.schedule = schedule
-        self.num_events = num_events
-        self.truncated = truncated
-        self.error = error
         self.guest_failures = guest_failures
         self.trace = trace
         self.exit_events = exit_events
@@ -135,22 +120,15 @@ class ExecutorSnapshot:
         self.spawn_origin = spawn_origin
         self.object_states = object_states
         self.engine = engine
-        self.barrier_pending = barrier_pending
-        self.pred_watch = pred_watch
-        self.unfinished = unfinished
         self.runnable = runnable
         self.static_threads = static_threads
-        #: the scalar/shared executor attributes this snapshot pins,
-        #: prebuilt as a dict so a restore is one C-level
-        #: ``__dict__.update`` plus the handful of per-restore values
-        #: (instance, engine fork, mutable-container copies)
+        #: every scalar/shared executor attribute this snapshot pins
+        #: (limits, flags, counters, error), prebuilt as a dict so a
+        #: restore is one C-level ``__dict__.update`` plus the handful
+        #: of per-restore values (instance, engine fork,
+        #: mutable-container copies)
         self.restore_fields = restore_fields
         self._approx_bytes: Optional[int] = None
-
-    @property
-    def depth(self) -> int:
-        """Schedule position this snapshot was taken at."""
-        return len(self.schedule)
 
     @property
     def approx_bytes(self) -> int:

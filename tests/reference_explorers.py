@@ -10,16 +10,21 @@ for terminal runs, the executed prefix for pruned runs).
 against its reference here and asserts byte-identical schedule
 sequences, fingerprint sets and statistics.
 
-The DPOR pair at the end freezes the race analysis as it was before it
-became incremental (a full per-location scan of every pending op at
-every state, no early exit) and lazy-DPOR's former copy of the DPOR
-loop; ``tests/test_dpor_equivalence.py`` holds the live explorers to
-them.  Do not "improve" this file: its only job is to stay exactly
-what the pre-refactor code did.
+The DPOR pair freezes the race analysis as it was before it became
+incremental (a full per-location scan of every pending op at every
+state, no early exit) and lazy-DPOR's former copy of the DPOR loop;
+``tests/test_dpor_equivalence.py`` holds the live explorers to them.
+
+The random-walk and PCT loops at the end build a fresh executor for
+every schedule, as they did before every explorer acquired executors
+through ``Explorer._executor_at``; ``tests/test_kernel_equivalence.py``
+holds the live explorers to them.  Do not "improve" this file: its
+only job is to stay exactly what the pre-refactor code did.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cache import FingerprintCache
@@ -28,6 +33,8 @@ from repro.core.events import Event
 from repro.explore.base import ExplorationLimits, Explorer
 from repro.explore.dpor import DPORExplorer, _Node
 from repro.explore.lazy_dpor import LazyDPORExplorer
+from repro.explore.pct import PCTExplorer
+from repro.explore.random_walk import RandomWalkExplorer
 from repro.runtime.executor import Executor
 
 
@@ -556,3 +563,62 @@ class ReferenceLazyDPOR(TerminalLogMixin, _FrozenRaceAnalysis,
             if not self.cache.insert(ex.engine.lazy_fingerprint()):
                 self.stats.num_events += ex.num_events
                 return True
+
+
+# ---------------------------------------------------------------------------
+# Random walk and PCT (pre-acquire/retire repro/explore/random_walk.py
+# and repro/explore/pct.py): a fresh executor per schedule, never retired
+# ---------------------------------------------------------------------------
+
+class ReferenceRandomWalk(RandomWalkExplorer):
+    def _explore(self) -> None:
+        rng = random.Random(self.seed)
+        randrange = rng.randrange
+        while not self._budget_exceeded():
+            self._schedule_started()
+            ex = self._new_executor()
+            # hot loop: bound methods hoisted, choices trusted (drawn
+            # from the enabled list we just fetched)
+            is_done = ex.is_done
+            enabled_of = ex.enabled
+            step = ex.step
+            while not is_done():
+                enabled = enabled_of()
+                step(enabled[randrange(len(enabled))], True)
+            result = ex.finish()
+            self.stats.num_events += result.num_events
+            self._record_terminal(result)
+
+
+class ReferencePCT(PCTExplorer):
+    def _one_run(self, rng: random.Random) -> None:
+        ex = self._new_executor()
+        # base priorities: uniform random in (0, 1), i.e. a uniformly
+        # random priority ordering per run; ties have probability zero
+        priorities: Dict[int, float] = {}
+        change_points = sorted(
+            rng.randrange(1, max(2, self.expected_events))
+            for _ in range(self.depth - 1)
+        )
+        low = 0.0  # change points push priorities below every base one
+        steps = 0
+        # hot loop: bound methods hoisted, choices trusted
+        is_done = ex.is_done
+        enabled_of = ex.enabled
+        step = ex.step
+        prio_of = priorities.__getitem__
+        while not is_done():
+            enabled = enabled_of()
+            for tid in enabled:
+                if tid not in priorities:
+                    priorities[tid] = rng.random()
+            chosen = max(enabled, key=prio_of)
+            step(chosen, True)
+            steps += 1
+            while change_points and steps >= change_points[0]:
+                change_points.pop(0)
+                low -= 1.0
+                priorities[chosen] = low
+        result = ex.finish()
+        self.stats.num_events += result.num_events
+        self._record_terminal(result)

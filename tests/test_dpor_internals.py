@@ -1,5 +1,7 @@
 """White-box tests for DPOR's race analysis machinery."""
 
+import pytest
+
 from repro import Program
 from repro.core.events import OpKind
 from repro.explore.dpor import DPORExplorer, _Node, _pending_as_event
@@ -190,24 +192,38 @@ class TestIncrementalAnalysis:
         assert trace.inspected == [1]
 
 
-def test_lazy_dpor_recycles_instances(monkeypatch):
-    # lazy-DPOR runs DPOR's loop, so its finished and pruned runs
-    # retire their program instances to the pool like DPOR's do, and
-    # every snapshot restore gets one (its former copy of the loop
-    # retired none, so every restore re-instantiated the program)
-    from repro.explore import LazyDPORExplorer
+@pytest.mark.parametrize("name", [
+    "dfs", "hbr-caching", "lazy-hbr-caching", "dpor", "lazy-dpor",
+    "random", "pct",
+])
+def test_one_fresh_executor_per_run(name, monkeypatch):
+    # every explorer gets its executors through one acquire/retire
+    # path: only the first schedule builds an executor, every later
+    # one is a snapshot restore, and each restore recycles the
+    # instance the previous schedule retired
+    from repro.explore import ExplorationLimits
+    from repro.explore.controller import make_explorer
     from repro.suite import REGISTRY
 
+    init = Executor.__init__
     restore = Executor.from_snapshot.__func__
-    counts = {"restores": 0, "pooled": 0}
+    counts = {"new": 0, "restores": 0, "pooled": 0}
+
+    def counting_init(self, *args, **kwargs):
+        counts["new"] += 1
+        init(self, *args, **kwargs)
 
     def counting_restore(cls, snap, reuse=None):
         counts["restores"] += 1
         counts["pooled"] += reuse is not None
         return restore(cls, snap, reuse=reuse)
 
+    monkeypatch.setattr(Executor, "__init__", counting_init)
     monkeypatch.setattr(Executor, "from_snapshot",
                         classmethod(counting_restore))
-    LazyDPORExplorer(REGISTRY[3].program).run()
-    assert counts["restores"] > 0
+    explorer = make_explorer(name, REGISTRY[3].program,
+                             ExplorationLimits(max_schedules=200))
+    stats = explorer.run()
+    assert counts["new"] == 1
+    assert counts["restores"] == stats.num_schedules - 1 > 0
     assert counts["pooled"] == counts["restores"]

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.explore import ExplorationLimits
-from repro.explore.controller import run_single
+from repro.explore.controller import make_explorer
 from repro.runtime.executor import Executor
 from repro.runtime.schedule import RandomScheduler
 from repro.suite import REGISTRY, all_benchmarks
@@ -69,6 +69,15 @@ def test_executor_fast_vs_reference_schedules(bid):
         assert slow.num_events == len(slow.events)
 
 
+def _explore(program, explorer_name, fast: bool):
+    """One exploration with the explorer's replay mode set to ``fast``."""
+    explorer = make_explorer(explorer_name, program, LIMITS)
+    explorer.fast_replay = fast
+    stats = explorer.run()
+    stats.verify_inequality()
+    return stats
+
+
 def _stats_fields(stats):
     return (
         stats.num_schedules,
@@ -89,16 +98,16 @@ def test_dfs_exploration_fast_vs_reference(bid):
     """Whole-exploration equivalence: DFS with fast executors produces
     bit-identical statistics to DFS with reference executors."""
     program = REGISTRY[bid].program
-    fast = run_single(program, "dfs", LIMITS, verify=True, fast=True)
-    slow = run_single(program, "dfs", LIMITS, verify=True, fast=False)
+    fast = _explore(program, "dfs", fast=True)
+    slow = _explore(program, "dfs", fast=False)
     assert _stats_fields(fast) == _stats_fields(slow)
 
 
 @pytest.mark.parametrize("bid", ALL_IDS[::6])
 def test_dpor_ignores_fast_flag(bid):
-    """DPOR hard-requires materialised traces; ``fast=True`` must be a
-    harmless no-op for it, not a corruption."""
+    """DPOR hard-requires materialised traces; ``fast_replay = True``
+    must be a harmless no-op for it, not a corruption."""
     program = REGISTRY[bid].program
-    a = run_single(program, "dpor", LIMITS, verify=True, fast=True)
-    b = run_single(program, "dpor", LIMITS, verify=True, fast=False)
+    a = _explore(program, "dpor", fast=True)
+    b = _explore(program, "dpor", fast=False)
     assert _stats_fields(a) == _stats_fields(b)

@@ -11,6 +11,11 @@ of the ``small`` suite, the kernel port must produce **byte-identical**
 
 both on exhaustive runs and under a binding ``max_schedules`` budget
 (same order => same cutoff point).
+
+Random walk and PCT, which restore a boot snapshot for every schedule
+after the first, are held to their former fresh-executor-per-schedule
+loops the same way (statistics, over every small program and three
+seeds).
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from repro.explore.bounded import (
 )
 from repro.explore.caching import HBRCachingExplorer
 from repro.explore.delay import DelayBoundedExplorer
+from repro.explore.pct import PCTExplorer
+from repro.explore.random_walk import RandomWalkExplorer
 from repro.suite import REGISTRY, small_benchmarks
 
 from reference_explorers import (
@@ -32,7 +39,9 @@ from reference_explorers import (
     ReferenceDelayBounded,
     ReferenceHBRCaching,
     ReferenceIterativeCB,
+    ReferencePCT,
     ReferencePreemptionBounded,
+    ReferenceRandomWalk,
 )
 
 #: behaviour-spanning subset of the small suite: racy counters, coarse
@@ -122,3 +131,23 @@ def test_full_small_suite_dfs_equivalence():
         nd.pop("elapsed")
         rd.pop("elapsed")
         assert nd == rd, bench.program.name
+
+
+RANDOMIZED = [
+    ("random", RandomWalkExplorer, ReferenceRandomWalk),
+    ("pct", PCTExplorer, ReferencePCT),
+]
+
+
+@pytest.mark.parametrize("label,new_cls,ref_cls", RANDOMIZED,
+                         ids=[r[0] for r in RANDOMIZED])
+def test_randomized_explorers_match_fresh_executor_loops(label, new_cls,
+                                                         ref_cls):
+    lim = ExplorationLimits(max_schedules=30)
+    for bench in small_benchmarks():
+        for seed in range(3):
+            new = new_cls(bench.program, lim, seed=seed).run().to_dict()
+            ref = ref_cls(bench.program, lim, seed=seed).run().to_dict()
+            new.pop("elapsed")
+            ref.pop("elapsed")
+            assert new == ref, (bench.program.name, seed)

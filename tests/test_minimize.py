@@ -135,13 +135,17 @@ class TestTimedBugWitness:
         # policy; base.schedule is the fully-recorded schedule
         base = execute(program, schedule=result.schedule)
         signature = (base.hbr_fp, base.lazy_fp, base.state_hash)
-        configs = [{"engine": e} for e in available_backends()]
-        for kwargs in configs + [{"snapshots": True}]:
-            ex = Executor(program, **kwargs)
-            for tid in base.schedule:
+        runs = [Executor(program, engine=e) for e in available_backends()]
+        # and resumed from a snapshot: fork mid-schedule, finish the fork
+        half = Executor(program)
+        half.replay_prefix(base.schedule[:len(base.schedule) // 2])
+        runs.append(half.fork())
+        for ex in runs:
+            config = (ex.engine_name, len(ex.schedule))
+            for tid in base.schedule[len(ex.schedule):]:
                 ex.step(tid)
             r = ex.finish()
-            assert (r.hbr_fp, r.lazy_fp, r.state_hash) == signature, kwargs
+            assert (r.hbr_fp, r.lazy_fp, r.state_hash) == signature, config
             assert type(r.error).__name__ == "GuestAssertionError"
 
     def test_campaign_cell_finds_the_same_bug(self):

@@ -118,7 +118,7 @@ def test_twin_mid_schedule_snapshot_round_trip(pair, engine, monkeypatch):
     sched = list(full.schedule)
     cut = len(sched) // 2
 
-    ex = Executor(pair.shim, snapshots=True)
+    ex = Executor(pair.shim)
     ex.replay_prefix(sched[:cut])
     restored = Executor.from_snapshot(ex.snapshot())
     assert restored.engine.backend == ex.engine.backend

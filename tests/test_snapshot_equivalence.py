@@ -16,7 +16,7 @@ The property is exercised three ways:
   (graceful degradation to plain replay);
 * multi-restore: one snapshot restored several times yields
   independent, identical executors, and forking never perturbs the
-  original.
+  original — on any executor, since every one records its tapes.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.explore import ExplorationLimits
 from repro.explore.controller import make_explorer
 from repro.runtime.executor import Executor
 from repro.suite import REGISTRY
+from repro.suite.shim_twins import make_twins
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ PROGRAMS = {
 
 
 def _random_schedule(program: Program, seed: int):
-    ex = Executor(program, snapshots=True)
+    ex = Executor(program)
     rng = random.Random(seed)
     while not ex.is_done():
         ex.step(rng.choice(ex.enabled()))
@@ -227,7 +228,7 @@ def test_fork_resume_identical_to_fresh_replay(name, seed, cut_frac):
     sched = full.schedule
     cut = int(cut_frac * len(sched))
 
-    fresh = Executor(program, snapshots=True)
+    fresh = Executor(program)
     fresh.replay_prefix(sched[:cut])
     snap = fresh.snapshot()
     resumed = Executor.from_snapshot(snap)
@@ -244,7 +245,7 @@ def test_multi_restore_and_fork_independence(name):
     sched = full.schedule
     cut = len(sched) // 2
 
-    base = Executor(program, snapshots=True)
+    base = Executor(program)
     base.replay_prefix(sched[:cut])
     snap = base.snapshot()
 
@@ -255,7 +256,7 @@ def test_multi_restore_and_fork_independence(name):
     _assert_runs_identical(r1, r2, sched[cut:])
     # forking r1 before it ran must not have perturbed it, and the fork
     # itself continues identically
-    r4 = Executor(program, snapshots=True)
+    r4 = Executor(program)
     r4.replay_prefix(sched[:cut])
     _assert_runs_identical(r3, r4, sched[cut:])
 
@@ -272,7 +273,7 @@ def test_trace_mode_snapshot_preserves_events():
     full = _random_schedule(program, 99)
     sched = full.schedule
     cut = len(sched) // 2
-    a = Executor(program, fast_replay=False, snapshots=True)
+    a = Executor(program, fast_replay=False)
     a.replay_prefix(sched[:cut])
     b = Executor.from_snapshot(a.snapshot())
     for tid in sched[cut:]:
@@ -287,10 +288,41 @@ def test_trace_mode_snapshot_preserves_events():
                 eb.clock, eb.lazy_clock, eb.released_mutex_oid)
 
 
-def test_snapshot_requires_recording():
-    ex = Executor(PROGRAMS["omnibus"])
-    with pytest.raises(Exception):
-        ex.snapshot()
+#: PROGRAMS plus a suite program and a shim program (whose guests keep
+#: host-side state, so restores re-feed every thread's tape)
+FORK_PROGRAMS = {
+    **PROGRAMS,
+    "racy_counter_t3_k1": REGISTRY[4].program,
+    "shim_locked_counter": next(
+        pair.shim for pair in make_twins() if pair.name == "locked_counter"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORK_PROGRAMS))
+def test_default_executor_forks(name):
+    """Every executor records its send tapes, so one built with no
+    flags snapshots and forks mid-schedule; the fork continues exactly
+    like a fresh executor replaying the same schedule."""
+    program = FORK_PROGRAMS[name]
+    sched = _random_schedule(program, 7).schedule
+    cut = len(sched) // 2
+    ex = Executor(program)
+    ex.replay_prefix(sched[:cut])
+    forked = ex.fork()
+    fresh = Executor(program)
+    fresh.replay_prefix(sched[:cut])
+    for tid in sched[cut:]:
+        assert forked.enabled() == fresh.enabled()
+        assert (forked.engine.hbr_fingerprint(),
+                forked.engine.lazy_fingerprint()) == \
+               (fresh.engine.hbr_fingerprint(),
+                fresh.engine.lazy_fingerprint())
+        forked.step(tid)
+        fresh.step(tid)
+    rf, rr = forked.finish(), fresh.finish()
+    assert (rf.hbr_fp, rf.lazy_fp, rf.state_hash) == \
+           (rr.hbr_fp, rr.lazy_fp, rr.state_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +385,7 @@ def test_snapshot_of_thread_crashed_by_injected_error():
     program = REGISTRY[87].program  # chan_close_race_eager
     # schedule: producer send(1); controller recv, close; producer
     # send(2) -> crash injected, EXIT pending
-    ex = Executor(program, snapshots=True)
+    ex = Executor(program)
     for tid in (0, 1, 1, 0):
         ex.step(tid)
     t0 = ex.threads[0]

@@ -59,7 +59,7 @@ class TestScheduleDeterminism:
 
         # a snapshot cut mid-schedule restores the virtual clock exactly
         cut = len(base.schedule) // 2
-        ex = Executor(prog, snapshots=True)
+        ex = Executor(prog)
         for tid in base.schedule[:cut]:
             ex.step(tid)
         resumed = Executor.from_snapshot(ex.snapshot())
