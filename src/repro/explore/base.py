@@ -104,6 +104,7 @@ class ExplorationStats:
     num_schedules: int = 0          #: executions performed (incl. pruned)
     num_complete: int = 0           #: executions that ran to a terminal state
     num_pruned: int = 0             #: executions cut short by caching/sleep sets
+    num_truncated: int = 0          #: executions cut at max_events_per_schedule
     num_hbrs: int = 0               #: distinct terminal (regular) HBRs
     num_lazy_hbrs: int = 0          #: distinct terminal lazy HBRs
     num_states: int = 0             #: distinct terminal program states
@@ -156,6 +157,7 @@ class ExplorationStats:
             "num_schedules": self.num_schedules,
             "num_complete": self.num_complete,
             "num_pruned": self.num_pruned,
+            "num_truncated": self.num_truncated,
             "num_hbrs": self.num_hbrs,
             "num_lazy_hbrs": self.num_lazy_hbrs,
             "num_states": self.num_states,
@@ -185,6 +187,7 @@ class ExplorationStats:
             num_schedules=payload.get("num_schedules", 0),
             num_complete=payload.get("num_complete", 0),
             num_pruned=payload.get("num_pruned", 0),
+            num_truncated=payload.get("num_truncated", 0),
             num_hbrs=payload.get("num_hbrs", 0),
             num_lazy_hbrs=payload.get("num_lazy_hbrs", 0),
             num_states=payload.get("num_states", 0),
@@ -230,6 +233,7 @@ class ExplorationStats:
         self.num_schedules += other.num_schedules
         self.num_complete += other.num_complete
         self.num_pruned += other.num_pruned
+        self.num_truncated += other.num_truncated
         self.num_events += other.num_events
         self.hbr_fps |= other.hbr_fps
         self.lazy_fps |= other.lazy_fps
@@ -377,15 +381,20 @@ class Explorer:
         self._spare = ex.release_instance()
 
     def _record_terminal(self, result: TraceResult) -> None:
-        """Account for one completed (terminal) execution."""
+        """Account for one finished execution.  A run cut at
+        ``max_events_per_schedule`` counts in ``num_truncated`` only:
+        its partial state is not a terminal state."""
         st = self.stats
-        st.num_complete += 1
-        st.hbr_fps.add(result.hbr_fp)
-        st.lazy_fps.add(result.lazy_fp)
-        st.state_hashes.add(result.state_hash)
-        st.num_hbrs = len(st.hbr_fps)
-        st.num_lazy_hbrs = len(st.lazy_fps)
-        st.num_states = len(st.state_hashes)
+        if result.truncated:
+            st.num_truncated += 1
+        else:
+            st.num_complete += 1
+            st.hbr_fps.add(result.hbr_fp)
+            st.lazy_fps.add(result.lazy_fp)
+            st.state_hashes.add(result.state_hash)
+            st.num_hbrs = len(st.hbr_fps)
+            st.num_lazy_hbrs = len(st.lazy_fps)
+            st.num_states = len(st.state_hashes)
         if result.error is not None:
             self._record_error(result.error, result.schedule)
 

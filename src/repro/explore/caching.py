@@ -20,9 +20,11 @@ Figure 3.
 
 On the unified kernel this is the DFS strategy plus an ``on_step``
 pruning hook.  The fingerprint cache is *global strategy state*, not
-part of any work item: a prefix reached by replay was fingerprinted
-when its steps were first executed, so replays skip the cache exactly
-as the pre-kernel implementation did.  Checkpoints serialize the cache
+part of any work item.  Every prefix is probed exactly once.  The
+replayed ancestors of a work item were probed when first executed; the
+item's own last step, a sibling alternative no schedule has run
+before, is probed right after its replay, so a hit prunes it before
+any of its siblings is expanded.  Checkpoints serialize the cache
 contents (so a resumed run prunes identically); split shards each
 start from the seed run's cache and prune independently — sound, since
 HBR pruning only ever removes branches whose states are reached from

@@ -245,7 +245,10 @@ class DPORExplorer(Explorer):
 
     def _prune_after_step(self, ex: Executor) -> bool:
         """Post-step hook: True abandons the run as pruned (plain DPOR
-        never does; lazy-DPOR probes its fingerprint cache here)."""
+        never does; lazy-DPOR probes its fingerprint cache here).  Not
+        called for the steps :meth:`_replay_stack` replays, the step a
+        backtrack newly chose included (see
+        :mod:`repro.explore.lazy_dpor`)."""
         return False
 
     # ------------------------------------------------------------------

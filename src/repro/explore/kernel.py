@@ -12,16 +12,18 @@ only the scheduling policy, expressed through three hooks:
 * ``expand(enabled, ann)`` — at one scheduling point, pick the default
   choice and enumerate the sibling alternatives (each a serializable
   :class:`~repro.explore.frontier.WorkItem` annotation);
-* ``on_step(ex)`` — optional pruning after an executed step (HBR
-  caching returns True on a fingerprint-cache hit).
+* ``on_step(ex)`` — optional pruning once per prefix, after its last
+  step (HBR caching returns True on a fingerprint-cache hit).
 
 The kernel drives an explicit :class:`~repro.explore.frontier.Frontier`
 instead of an implicit Python-local stack of frames.  Popping an item,
 replaying its prefix, extending greedily with the strategy's default
 choices, and pushing each scheduling point's alternatives in reverse
-order reproduces *byte-for-byte* the schedule sequence of the old
-frame-based depth-first loops (golden-equivalence-tested over the
-``small`` suite) — while making the in-progress state serializable:
+order reproduces *byte-for-byte* the schedule sequence of a plain
+recursive depth-first search (golden-equivalence-tested over the
+``small`` suite against the old frame-based loops, and for HBR caching
+against a recursive oracle) — while making the in-progress state
+serializable:
 ``snapshot()``/``restore()`` checkpoint and resume an exploration, and
 ``Frontier.split(k)`` shards one cell across workers.
 
@@ -86,9 +88,12 @@ class Strategy:
         raise NotImplementedError
 
     def on_step(self, ex) -> bool:
-        """Called after each *newly chosen* executed step (replayed
-        prefix steps were accounted when first executed).  Return True
-        to prune the schedule here."""
+        """Called once per prefix, right after the prefix's last step
+        first executes: after each newly chosen step, and after the
+        replay of a non-root work item, whose last step is a sibling
+        alternative no schedule has run before.  The replayed steps
+        before it were seen when first executed.  Return True to prune
+        the schedule here."""
         return False
 
     def on_schedule_start(self, item: WorkItem) -> None:
@@ -185,7 +190,6 @@ class KernelExplorer(Explorer):
             ex, depth = self._executor_at(item.prefix)
             ex.replay_prefix(prefix[depth:])
             ann = item.annotation
-            pruned = False
             aborted = False
             # alternatives discovered along this schedule: (depth,
             # alts) collected locally and only published to the
@@ -213,7 +217,11 @@ class KernelExplorer(Explorer):
                 or "_deadline_exceeded_midschedule" in self.__dict__
                 else None
             )
-            while not ex_is_done():
+            # a non-root item's last step is a sibling alternative no
+            # schedule has run before: probe it like any new step, so
+            # a hit prunes before its siblings are expanded
+            pruned = bool(prefix) and on_step is not None and on_step(ex)
+            while not pruned and not ex_is_done():
                 if probe_deadline is not None and probe_deadline():
                     aborted = True
                     break

@@ -10,6 +10,11 @@ for terminal runs, the executed prefix for pruned runs).
 against its reference here and asserts byte-identical schedule
 sequences, fingerprint sets and statistics.
 
+(Lazy) HBR caching is the exception: its old frame loop skipped the
+cache probe on each branch's first event, so it is held instead to
+``OracleHBRCaching``, an independent recursive search written from the
+specification (probe after every event), not a copy of any loop.
+
 The DPOR pair freezes the race analysis as it was before it became
 incremental (a full per-location scan of every pending op at every
 state, no early exit) and lazy-DPOR's former copy of the DPOR loop;
@@ -297,10 +302,22 @@ class ReferenceDelayBounded(_LogMixin, Explorer):
 
 
 # ---------------------------------------------------------------------------
-# (Lazy) HBR caching (pre-kernel repro/explore/caching.py)
+# (Lazy) HBR caching: a paper-literal oracle, not a frozen loop
 # ---------------------------------------------------------------------------
 
-class ReferenceHBRCaching(_LogMixin, Explorer):
+class _BudgetStop(Exception):
+    """Unwinds the recursive oracle when the schedule budget runs out."""
+
+
+class OracleHBRCaching(_LogMixin, Explorer):
+    """HBR caching as Musuvathi & Qadeer (MSR-TR-2007-12) specify it: a
+    recursive depth-first ``explore(prefix)`` that probes the
+    fingerprint cache after every executed event, each branch's first
+    included.  Every node builds a fresh executor and replays its
+    prefix: no snapshots, no frontier.  A schedule starts at the root
+    and at every non-first enabled thread; terminal schedules are
+    logged in full, pruned ones as the executed prefix."""
+
     name = "hbr-caching"
 
     def __init__(
@@ -316,46 +333,40 @@ class ReferenceHBRCaching(_LogMixin, Explorer):
             self.stats.explorer_name = self.name = "lazy-hbr-caching"
         self.cache = FingerprintCache(cache_capacity)
 
-    def _prefix_fp(self, ex) -> int:
-        return (ex.engine.lazy_fingerprint() if self.lazy
-                else ex.engine.hbr_fingerprint())
+    def _start_schedule(self) -> None:
+        if self._budget_exceeded():
+            raise _BudgetStop
+        self._schedule_started()
 
     def _explore(self) -> None:
-        path: List[_DFSFrame] = []
-        first = True
-        while first or path:
-            first = False
-            if self._budget_exceeded():
-                return
-            self._schedule_started()
-            ex = self._new_executor()
-            ex.replay_prefix([frame.chosen for frame in path])
-            pruned = False
-            while not ex.is_done():
-                frame = _DFSFrame(ex.enabled())
-                path.append(frame)
-                ex.step(frame.chosen)
-                if not self.cache.insert(self._prefix_fp(ex)):
-                    pruned = True
-                    break
-            if pruned:
-                self.schedule_log.append(
-                    [frame.chosen for frame in path]
-                )
+        try:
+            self._start_schedule()
+            self._visit([])
+        except _BudgetStop:
+            return
+        self.stats.exhausted = not self.stats.limit_hit
+
+    def _visit(self, prefix: List[int]) -> None:
+        ex = self._new_executor()
+        ex.replay_prefix(prefix)
+        if prefix:
+            fp = (ex.engine.lazy_fingerprint() if self.lazy
+                  else ex.engine.hbr_fingerprint())
+            if not self.cache.insert(fp):
+                self.schedule_log.append(list(prefix))
                 self.stats.num_pruned += 1
                 self.stats.num_events += ex.num_events
-            else:
-                result = ex.finish()
-                self.schedule_log.append(list(result.schedule))
-                self.stats.num_events += result.num_events
-                self._record_terminal(result)
-            while path and path[-1].idx + 1 >= len(path[-1].enabled):
-                path.pop()
-            if path:
-                path[-1].idx += 1
-            else:
-                self.stats.exhausted = not self.stats.limit_hit
                 return
+        if ex.is_done():
+            result = ex.finish()
+            self.schedule_log.append(list(result.schedule))
+            self.stats.num_events += result.num_events
+            self._record_terminal(result)
+            return
+        for i, tid in enumerate(ex.enabled()):
+            if i:
+                self._start_schedule()
+            self._visit(prefix + [tid])
 
     def run(self):
         stats = super().run()

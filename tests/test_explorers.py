@@ -1,5 +1,7 @@
 """Tests for the exploration strategies on small hand-built programs."""
 
+import json
+
 import pytest
 
 from repro import Program
@@ -13,6 +15,7 @@ from repro.explore import (
     PreemptionBoundedExplorer,
     RandomWalkExplorer,
 )
+from repro.explore.base import ExplorationStats
 
 LIM = ExplorationLimits(max_schedules=50_000)
 
@@ -98,6 +101,10 @@ class TestCaching:
         # both must find the single state; the lazy variant prunes harder
         assert reg.num_states == lazy.num_states == 1
         assert lazy.num_schedules <= reg.num_schedules
+        # exact counts pin the probe rule: every prefix is probed, each
+        # work item's own first step included
+        assert reg.num_schedules == 20
+        assert lazy.num_schedules == 18
         assert lazy.extra["cache_size"] <= reg.extra["cache_size"]
 
     def test_cache_stats_exposed(self, figure1_program):
@@ -191,6 +198,64 @@ class TestPreemptionBounded:
         s0 = PreemptionBoundedExplorer(prog, LIM, bound=0).run()
         s2 = PreemptionBoundedExplorer(prog, LIM, bound=2).run()
         assert s0.num_states < s2.num_states
+
+
+def build_spin(p):
+    # one thread waits for a flag the other never writes: every run is
+    # cut at max_events_per_schedule
+    flag = p.var("flag", 0)
+    other = p.var("other", 0)
+
+    def spinner(api):
+        while not (yield api.read(flag)):
+            pass
+
+    def idle(api):
+        yield api.write(other, 1)
+
+    p.thread(spinner)
+    p.thread(idle)
+
+
+SPIN_LIM = ExplorationLimits(max_schedules=20, max_events_per_schedule=200)
+
+
+class TestTruncatedRuns:
+    @pytest.mark.parametrize("explorer_cls,truncated", [
+        (DFSExplorer, 20),
+        (HBRCachingExplorer, 3),
+        (DPORExplorer, 1),
+    ])
+    def test_truncated_runs_are_not_terminal(self, explorer_cls,
+                                             truncated):
+        stats = explorer_cls(Program("spin", build_spin), SPIN_LIM).run()
+        assert stats.num_truncated == truncated
+        assert stats.num_complete == 0
+        assert stats.num_states == stats.num_lazy_hbrs == \
+            stats.num_hbrs == 0
+        assert not stats.state_hashes
+        assert (stats.num_complete + stats.num_pruned
+                + stats.num_truncated) == stats.num_schedules
+
+    def test_shards_sum_truncated_runs(self):
+        seed = DFSExplorer(Program("spin", build_spin), SPIN_LIM)
+        merged = seed.run_seed(min_items=2, max_schedules=4)
+        assert merged.num_truncated == merged.num_schedules == 1
+        for shard in seed.frontier.split(2):
+            worker = DFSExplorer(
+                Program("spin", build_spin),
+                ExplorationLimits(max_schedules=5,
+                                  max_events_per_schedule=200),
+            )
+            worker.frontier = shard
+            merged.merge(ExplorationStats.from_dict(
+                json.loads(json.dumps(worker.run().to_dict()))
+            ))
+        assert merged.num_truncated == merged.num_schedules == 11
+        assert merged.num_complete == merged.num_states == 0
+        legacy = merged.to_dict()
+        del legacy["num_truncated"]
+        assert ExplorationStats.from_dict(legacy).num_truncated == 0
 
 
 class TestStatsInvariants:

@@ -262,9 +262,15 @@ class TestSplitShards:
         assert supports_split(explorer_name)
         unsplit = _fresh(explorer_name, bench_id).run()
 
-        seed = _fresh(explorer_name, bench_id)
-        seed_stats = seed.run_seed(min_items=k * 4, max_schedules=32)
-        if not seed.frontier:
+        # a cell whose whole space is too small for a k*4-item seed
+        # falls back to a k-item seed, which still deals every shard
+        for min_items in (k * 4, k):
+            seed = _fresh(explorer_name, bench_id)
+            seed_stats = seed.run_seed(min_items=min_items,
+                                       max_schedules=32)
+            if seed.frontier:
+                break
+        else:
             pytest.skip("cell exhausted during seeding")
         strategy_state = seed.strategy.state_to_dict()
         merged = ExplorationStats.from_dict(seed_stats.to_dict())

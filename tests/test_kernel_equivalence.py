@@ -1,5 +1,6 @@
 """Golden equivalence: kernel-ported explorers vs the pre-refactor
-frame-based implementations (frozen in ``reference_explorers.py``).
+frame-based implementations (frozen in ``reference_explorers.py``),
+and the HBR caching pair vs the recursive oracle defined there.
 
 For every ported DFS-family strategy, over a behaviour-spanning subset
 of the ``small`` suite, the kernel port must produce **byte-identical**
@@ -35,9 +36,9 @@ from repro.explore.random_walk import RandomWalkExplorer
 from repro.suite import REGISTRY, small_benchmarks
 
 from reference_explorers import (
+    OracleHBRCaching,
     ReferenceDFS,
     ReferenceDelayBounded,
-    ReferenceHBRCaching,
     ReferenceIterativeCB,
     ReferencePCT,
     ReferencePreemptionBounded,
@@ -67,10 +68,10 @@ STRATEGIES = [
      lambda p, lim: ReferenceDelayBounded(p, lim, bound=2)),
     ("hbr-caching",
      lambda p, lim: HBRCachingExplorer(p, lim, lazy=False),
-     lambda p, lim: ReferenceHBRCaching(p, lim, lazy=False)),
+     lambda p, lim: OracleHBRCaching(p, lim, lazy=False)),
     ("lazy-hbr-caching",
      lambda p, lim: HBRCachingExplorer(p, lim, lazy=True),
-     lambda p, lim: ReferenceHBRCaching(p, lim, lazy=True)),
+     lambda p, lim: OracleHBRCaching(p, lim, lazy=True)),
 ]
 
 

@@ -15,6 +15,8 @@ from repro.explore import (
     LazyDPORExplorer,
 )
 
+from reference_explorers import OracleHBRCaching
+
 LIM = ExplorationLimits(max_schedules=60_000)
 
 # Program shapes kept tiny so DFS always exhausts: 2 threads, each up
@@ -245,6 +247,28 @@ def test_channel_reducers_match_dfs_states(spec):
         f"lazy-dpor reported unreachable states; spec={spec!r}"
     )
     assert lazy_found, f"lazy-dpor found no states; spec={spec!r}"
+
+
+@soundness_settings
+@given(program_spec, st.sampled_from([None, 7]))
+@example(spec=LAZY_DPOR_GAP_SPEC, budget=None)
+@example(spec=LAZY_DPOR_GAP_SPEC, budget=7)
+def test_caching_matches_recursive_oracle(spec, budget):
+    """(Lazy) HBR caching is the paper's recursive search: the same
+    schedule sequence and statistics as ``OracleHBRCaching``, whether
+    exhaustive or cut by a binding budget."""
+    program = build_program(spec)
+    lim = LIM if budget is None else ExplorationLimits(max_schedules=budget)
+    for lazy in (False, True):
+        kernel = HBRCachingExplorer(program, lim, lazy=lazy)
+        kernel.schedule_sink = []
+        got = kernel.run().to_dict()
+        oracle = OracleHBRCaching(program, lim, lazy=lazy)
+        want = oracle.run().to_dict()
+        assert kernel.schedule_sink == oracle.schedule_log, spec
+        got.pop("elapsed")
+        want.pop("elapsed")
+        assert got == want, spec
 
 
 @soundness_settings
