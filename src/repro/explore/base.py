@@ -5,9 +5,12 @@ explorers are *stateless* in the SCT sense: each schedule replays the
 prefix of thread choices that leads to its branch point (the standard
 architecture of Verisoft/CHESS-style tools).  The executor it replays
 on comes from one acquire/retire path (:meth:`Explorer._executor_at`,
-:meth:`Explorer._retire`): a restored snapshot of the deepest cached
-ancestor state, or of the exploration's initial state, observably
-identical to a freshly built program instance.
+:meth:`Explorer._retire`): the executor the previous schedule left
+standing at exactly the requested prefix (held when a cache probe
+pruned that schedule's last choice before it ran), else a restored
+snapshot of the deepest cached ancestor state, or of the exploration's
+initial state, observably identical to a freshly built program
+instance.
 
 Statistics mirror the quantities of the paper's evaluation: the number
 of schedules executed, and the numbers of distinct terminal HBRs,
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import GuestError
 from ..runtime.executor import Executor
@@ -304,6 +307,10 @@ class Explorer:
         #: the last retired executor's instance and threads, handed to
         #: the next restore (see Executor.release_instance)
         self._spare = None
+        #: ``(prefix, executor)``: an executor :meth:`_retire` held
+        #: because it still stands at ``prefix``, served as-is by the
+        #: next :meth:`_executor_at` for exactly that prefix
+        self._held: Optional[Tuple[Tuple[int, ...], Executor]] = None
         self._deadline: Optional[float] = None
         #: wall-clock already consumed by a restored run; counted
         #: against ``max_seconds`` and added to the final ``elapsed``
@@ -346,23 +353,36 @@ class Explorer:
         )
 
     # -- the acquire/retire path ----------------------------------------------
-    def _executor_at(self, prefix: Sequence[int]) -> Tuple[Executor, int]:
+    def _executor_at(
+        self, prefix: Tuple[int, ...]
+    ) -> Tuple[Executor, int]:
         """An executor placed at ``prefix[:depth]``, and ``depth``; the
         caller replays ``prefix[depth:]``.
 
-        A snapshot-tree hit restores the deepest cached ancestor of
-        ``prefix``; a miss restores the boot snapshot (depth 0).  Only
-        the exploration's first schedule builds a fresh executor, whose
-        depth-0 state becomes the boot snapshot.  Every restore
-        recycles the spare instance :meth:`_retire` banked, and the
-        tree counts the resumed and the to-be-replayed prefix events.
-        Restores are observably identical to replaying from a fresh
-        executor (the snapshot equivalence guarantee)."""
+        The executor :meth:`_retire` held is served as-is when it
+        stands at exactly ``prefix`` (depth ``len(prefix)``), and
+        otherwise recycled as the spare.  A snapshot-tree hit restores
+        the deepest cached ancestor of ``prefix``; a miss restores the
+        boot snapshot (depth 0).  Only the exploration's first schedule
+        builds a fresh executor, whose depth-0 state becomes the boot
+        snapshot.  Every restore recycles the spare instance, and the
+        tree counts the resumed (held or restored) and the
+        to-be-replayed prefix events.  Restores are observably
+        identical to replaying from a fresh executor (the snapshot
+        equivalence guarantee)."""
+        tree = self.snapshot_tree
+        held = self._held
+        if held is not None:
+            self._held = None
+            if held[0] == prefix:
+                if tree is not None:
+                    tree.resumed_events += len(prefix)
+                return held[1], len(prefix)
+            self._spare = held[1].release_instance()
         snap = self._boot
         depth = 0
-        tree = self.snapshot_tree
         if tree is not None and prefix:
-            cached = tree.lookup(tuple(prefix))
+            cached = tree.lookup(prefix)
             if cached is not None:
                 depth, snap = cached
                 tree.resumed_events += depth
@@ -374,11 +394,19 @@ class Explorer:
         spare, self._spare = self._spare, None
         return Executor.from_snapshot(snap, reuse=spare), depth
 
-    def _retire(self, ex: Executor) -> None:
+    def _retire(self, ex: Executor,
+                at: Optional[Tuple[int, ...]] = None) -> None:
         """Hand a finished schedule's executor back: its instance and
         threads become the spare for the next restore (``None`` for
-        programs that cannot be pooled).  ``ex`` is dead afterwards."""
-        self._spare = ex.release_instance()
+        programs that cannot be pooled).  ``at`` holds ``ex`` instead,
+        for an executor still standing at that prefix (a schedule
+        pruned before its last choice ran), so the next acquire at the
+        same prefix needs no restore.  The caller must not use ``ex``
+        afterwards."""
+        if at is not None:
+            self._held = (at, ex)
+        else:
+            self._spare = ex.release_instance()
 
     def _record_terminal(self, result: TraceResult) -> None:
         """Account for one finished execution.  A run cut at

@@ -19,16 +19,23 @@ Within the same schedule budget, the lazy variant therefore reaches
 Figure 3.
 
 On the unified kernel this is the DFS strategy plus an ``on_step``
-pruning hook.  The fingerprint cache is *global strategy state*, not
-part of any work item.  Every prefix is probed exactly once.  The
-replayed ancestors of a work item were probed when first executed; the
-item's own last step, a sibling alternative no schedule has run
-before, is probed right after its replay, so a hit prunes it before
-any of its siblings is expanded.  Checkpoints serialize the cache
-contents (so a resumed run prunes identically); split shards each
-start from the seed run's cache and prune independently — sound, since
-HBR pruning only ever removes branches whose states are reached from
-an equivalent retained prefix *within the same shard*.
+pruning hook, which reads the fingerprint off whichever clock engine
+the kernel hands it.  The fingerprint cache is *global strategy
+state*, not part of any work item.  Every prefix is probed exactly
+once.  The replayed ancestors of a work item were probed when first
+executed; the item's own last step, a sibling alternative no schedule
+has run before, is probed like any new step, so a hit prunes it before
+any of its siblings is expanded.  The fingerprint is a function of the
+clock state and the next event's label, so it is known before the
+event runs: where a step leaves a state that still roots pending
+siblings, the kernel probes a forked engine first and a hit never
+executes the step, keeping the executor at the branch point for the
+next sibling.  The cache sees the same inserts in the same order
+either way.  Checkpoints serialize the cache contents (so a resumed
+run prunes identically); split shards each start from the seed run's
+cache and prune independently — sound, since HBR pruning only ever
+removes branches whose states are reached from an equivalent retained
+prefix *within the same shard*.
 """
 
 from __future__ import annotations
@@ -65,9 +72,9 @@ class HBRCachingStrategy(Strategy):
     def on_schedule_start(self, item) -> None:
         self._schedule_fps = []
 
-    def on_step(self, ex) -> bool:
-        fp = (ex.engine.lazy_fingerprint() if self.lazy
-              else ex.engine.hbr_fingerprint())
+    def on_step(self, engine) -> bool:
+        fp = (engine.lazy_fingerprint() if self.lazy
+              else engine.hbr_fingerprint())
         if self.cache.insert(fp):
             self._schedule_fps.append(fp)
             return False

@@ -12,20 +12,33 @@ only the scheduling policy, expressed through three hooks:
 * ``expand(enabled, ann)`` — at one scheduling point, pick the default
   choice and enumerate the sibling alternatives (each a serializable
   :class:`~repro.explore.frontier.WorkItem` annotation);
-* ``on_step(ex)`` — optional pruning once per prefix, after its last
-  step (HBR caching returns True on a fingerprint-cache hit).
+* ``on_step(engine)`` — optional pruning once per prefix, on the clock
+  engine after its last step (HBR caching returns True on a
+  fingerprint-cache hit).
 
 The kernel drives an explicit :class:`~repro.explore.frontier.Frontier`
 instead of an implicit Python-local stack of frames.  Popping an item,
-replaying its prefix, extending greedily with the strategy's default
-choices, and pushing each scheduling point's alternatives in reverse
-order reproduces *byte-for-byte* the schedule sequence of a plain
-recursive depth-first search (golden-equivalence-tested over the
-``small`` suite against the old frame-based loops, and for HBR caching
-against a recursive oracle) — while making the in-progress state
-serializable:
+placing an executor at its parent and taking its last step, extending
+greedily with the strategy's default choices, and pushing each
+scheduling point's alternatives in reverse order reproduces
+*byte-for-byte* the schedule sequence of a plain recursive depth-first
+search (golden-equivalence-tested over the ``small`` suite against the
+old frame-based loops, and for HBR caching against a recursive oracle)
+— while making the in-progress state serializable:
 ``snapshot()``/``restore()`` checkpoint and resume an exploration, and
 ``Frontier.split(k)`` shards one cell across workers.
+
+A step that leaves a state still rooting pending siblings (the default
+choice at a point with alternatives, or an item's own step while its
+next sibling tops the frontier) is probed *before* it runs, on the
+engine fork :meth:`~repro.runtime.executor.Executor.engine_after`
+returns.  A hit ends the schedule as pruned with the executor still at
+the branch point, held for the next sibling
+(:meth:`~repro.explore.base.Explorer._retire`); a miss snapshots the
+state on departure, then steps without probing again.  Every other
+step is probed after it runs.  Either way the strategy sees the same
+engines in the same order, so schedules and statistics do not depend
+on where the probe ran.
 
 See DESIGN.md §3.
 """
@@ -38,6 +51,11 @@ from .base import ExplorationStats, Explorer
 from .frontier import Annotation, Frontier, WorkItem
 
 SNAPSHOT_VERSION = 1
+
+
+def _child_of(prefix: Tuple[int, ...], parent: Tuple[int, ...]) -> bool:
+    """Is ``prefix`` one step below ``parent``?"""
+    return len(prefix) == len(parent) + 1 and prefix[:-1] == parent
 
 
 class Expansion:
@@ -87,13 +105,16 @@ class Strategy:
     def expand(self, enabled: List[int], ann: Annotation) -> Expansion:
         raise NotImplementedError
 
-    def on_step(self, ex) -> bool:
-        """Called once per prefix, right after the prefix's last step
-        first executes: after each newly chosen step, and after the
-        replay of a non-root work item, whose last step is a sibling
+    def on_step(self, engine) -> bool:
+        """Called once per prefix, with the clock engine as it stands
+        after the prefix's last step first executes: each newly chosen
+        step, and a non-root work item's own last step, a sibling
         alternative no schedule has run before.  The replayed steps
-        before it were seen when first executed.  Return True to prune
-        the schedule here."""
+        before it were seen when first executed.  ``engine`` is the
+        executor's own after a real step, or a fork advanced by the
+        pending event when the kernel probes before stepping (see the
+        module docstring); read only its fingerprints.  Return True to
+        prune the schedule here."""
         return False
 
     def on_schedule_start(self, item: WorkItem) -> None:
@@ -136,8 +157,9 @@ class KernelExplorer(Explorer):
       disjoint subtree roots (or the seed budget runs out), leaving
       ``self.frontier`` ready for ``Frontier.split(k)``;
     * ``schedule_sink`` — optional list receiving every executed
-      schedule (terminal runs in full, pruned runs as the executed
-      prefix), used by the golden-equivalence tests.
+      schedule (terminal runs in full, pruned runs through their pruned
+      step, which may have been probed without ever executing), used
+      by the golden-equivalence tests.
     """
 
     def __init__(self, program, limits=None, strategy: Strategy = None
@@ -160,6 +182,13 @@ class KernelExplorer(Explorer):
         frontier = self.frontier
         strategy = self.strategy
         sink = self.schedule_sink
+        tree = self.snapshot_tree
+        # the default (no-op) on_step hook is compiled out
+        on_step = (
+            strategy.on_step
+            if type(strategy).on_step is not Strategy.on_step
+            else None
+        )
         while frontier:
             # the budget probe runs the control callback first: it may
             # request a stop (honoured by the same probe) or steal
@@ -171,7 +200,8 @@ class KernelExplorer(Explorer):
             # complete remaining frontier, including the item about to
             # be explored (resuming re-executes it)
             self._maybe_checkpoint()
-            if self._seed_target is not None:
+            seeding = self._seed_target is not None
+            if seeding:
                 if len(frontier) >= self._seed_target:
                     return
                 # seed-for-split mode: expand breadth-first so the
@@ -183,64 +213,85 @@ class KernelExplorer(Explorer):
                 item = frontier.pop()
             strategy.on_schedule_start(item)
             self._schedule_started()
-            # resume from the deepest cached ancestor state (or the
-            # initial state) and replay only the rest of the prefix
-            prefix: List[int] = list(item.prefix)
-            tree = self.snapshot_tree
-            ex, depth = self._executor_at(item.prefix)
-            ex.replay_prefix(prefix[depth:])
+            # place the executor at the item's parent: the held one, or
+            # the deepest cached ancestor state plus a replay of the
+            # rest.  The item's own last step is a sibling alternative
+            # no schedule has run, taken below like any new step.
+            parent = item.prefix[:-1]
+            ex, depth = self._executor_at(parent)
+            ex.replay_prefix(parent[depth:])
+            prefix: List[int] = list(parent)
             ann = item.annotation
-            aborted = False
+            pruned = held = aborted = False
             # alternatives discovered along this schedule: (depth,
             # alts) collected locally and only published to the
             # frontier once the schedule completes, so a mid-schedule
             # deadline abort leaves the frontier exactly as popped
             discovered: List[Tuple[int, Sequence[Tuple[int, Annotation]]]] \
                 = []
-            # per-schedule hot loop: bound methods hoisted, the default
-            # (no-op) on_step hook and the deadline probe compiled out
-            # when inert — this loop runs once per scheduling point of
-            # every schedule in a campaign
+            # per-schedule hot loop: bound methods hoisted and the
+            # deadline probe compiled out when inert — this loop runs
+            # once per scheduling point of every schedule in a campaign
+            engine = ex.engine
+            engine_after = ex.engine_after
             ex_is_done = ex.is_done
             ex_enabled = ex.enabled
             ex_step = ex.step
             expand = strategy.expand
             prefix_append = prefix.append
-            on_step = (
-                strategy.on_step
-                if type(strategy).on_step is not Strategy.on_step
-                else None
-            )
             probe_deadline = (
                 self._deadline_exceeded_midschedule
                 if self._deadline is not None
                 or "_deadline_exceeded_midschedule" in self.__dict__
                 else None
             )
-            # a non-root item's last step is a sibling alternative no
-            # schedule has run before: probe it like any new step, so
-            # a hit prunes before its siblings are expanded
-            pruned = bool(prefix) and on_step is not None and on_step(ex)
-            while not pruned and not ex_is_done():
+            # a step leaving a state that roots pending siblings is
+            # probed before it runs, on a forked engine: a hit keeps
+            # the executor here for the next sibling.  Seed-for-split
+            # mode pops breadth-first, so its next item is no sibling.
+            peek = on_step is not None and not seeding
+            if item.prefix:
+                tid = item.prefix[-1]
+                # the parent roots pending work while a sibling is next
+                # (Frontier.peek would compact the seeding index)
+                roots = not seeding and bool(frontier) and _child_of(
+                    frontier.peek().prefix, parent
+                )
+            else:
+                tid = None
+            while True:
+                if tid is not None:
+                    probed = False
+                    if roots and peek:
+                        after = engine_after(tid)
+                        if after is not None:
+                            probed = True
+                            if on_step(after):
+                                prefix_append(tid)
+                                pruned = held = True
+                                break
+                    # snapshot on departure: siblings will resume here
+                    if roots and tree is not None:
+                        key = tuple(prefix)
+                        if tree.wants(key):
+                            tree.insert(key, ex.snapshot())
+                    prefix_append(tid)
+                    ex_step(tid)
+                    if on_step is not None and not probed \
+                            and on_step(engine):
+                        pruned = True
+                        break
+                if ex_is_done():
+                    break
                 if probe_deadline is not None and probe_deadline():
                     aborted = True
                     break
                 exp = expand(ex_enabled(), ann)
-                if exp.alternatives:
-                    discovered.append((len(prefix), exp.alternatives))
-                    # the state here roots sibling subtrees: cache it so
-                    # their work items resume instead of replaying
-                    if tree is not None:
-                        key = tuple(prefix)
-                        if tree.wants(key):
-                            tree.insert(key, ex.snapshot())
                 ann = exp.ann_after
-                chosen = exp.chosen
-                prefix_append(chosen)
-                ex_step(chosen)
-                if on_step is not None and on_step(ex):
-                    pruned = True
-                    break
+                tid = exp.chosen
+                roots = bool(exp.alternatives)
+                if roots:
+                    discovered.append((len(prefix), exp.alternatives))
             if aborted:
                 # the deadline fired mid-schedule: discard the partial
                 # run (it is re-executed on resume), roll back any
@@ -252,11 +303,13 @@ class KernelExplorer(Explorer):
                 return
             for depth, alts in discovered:
                 base = tuple(prefix[:depth])
-                for tid, alt_ann in reversed(list(alts)):
-                    frontier.push(WorkItem(base + (tid,), alt_ann))
+                for alt, alt_ann in reversed(list(alts)):
+                    frontier.push(WorkItem(base + (alt,), alt_ann))
             if pruned:
+                # the pruned step counts as executed, whether it ran or
+                # was only probed
                 self.stats.num_pruned += 1
-                self.stats.num_events += ex.num_events
+                self.stats.num_events += len(prefix)
                 if sink is not None:
                     sink.append(list(prefix))
             else:
@@ -265,7 +318,7 @@ class KernelExplorer(Explorer):
                 self._record_terminal(result)
                 if sink is not None:
                     sink.append(list(result.schedule))
-            self._retire(ex)
+            self._retire(ex, tuple(prefix[:-1]) if held else None)
         self.stats.exhausted = not self.stats.limit_hit
 
     def run(self) -> ExplorationStats:

@@ -7,8 +7,12 @@ even though depth-first neighbours share almost their whole prefix.  The
 (and DPOR's bespoke loop) snapshot the executor at scheduling points
 that root unexplored siblings, keyed by the schedule prefix reaching
 them; when a work item is popped, ``lookup`` finds the deepest cached
-ancestor of its prefix and the explorer resumes from there, replaying
-only the (usually one-step) remainder.
+ancestor of the prefix the explorer needs and it resumes from there,
+replaying only the remainder.  The kernel takes a snapshot only when
+its executor departs such a point: where a cache probe prunes the step
+before it runs, the executor stays put and is handed to the next
+sibling as-is (``Explorer._executor_at``), so a point whose children
+all hit is never captured.
 
 Keys are pure schedule prefixes — *not* strategy annotations — because
 the guest program is deterministic: the executor state at a prefix is a
@@ -59,9 +63,12 @@ class SnapshotTree:
         self.inserts = 0
         self.evictions = 0
         self.rejected = 0            #: inserts refused (snapshot > budget)
-        #: prefix events *not* re-executed thanks to snapshot resumes,
-        #: vs prefix events replayed the hard way (both maintained by
-        #: the explorers; newly executed events are neither)
+        #: prefix events *not* re-executed because the explorer
+        #: resumed from a snapshot or was handed an executor already
+        #: standing there, vs prefix events replayed the hard way (both
+        #: maintained by ``Explorer._executor_at``).  Events no
+        #: schedule ran before — the kernel's work items place at their
+        #: parent, so their own last step is one — are neither.
         self.resumed_events = 0
         self.replayed_events = 0
         self._entries: "OrderedDict[Prefix, ExecutorSnapshot]" = OrderedDict()
@@ -79,7 +86,8 @@ class SnapshotTree:
         """Deepest cached ancestor of ``prefix`` (the prefix itself
         included), as ``(depth, snapshot)``; None on a complete miss.
         Probes deepest-first — in the depth-first common case the
-        parent branch point sits at ``len(prefix) - 1`` and the first
+        prefix itself is the cached branch point (the kernel asks for
+        a work item's parent) or sits one step below it, so the first
         or second probe hits."""
         entries = self._entries
         if entries:

@@ -13,9 +13,11 @@ its guest generators one visible operation at a time:
   recorded :class:`~repro.errors.DeadlockError`.
 
 Explorers build one Executor per exploration and place every later
-schedule's executor by restoring a snapshot
+schedule's executor by restoring a snapshot, or by reusing one that a
+pruned schedule left standing at the right prefix
 (:meth:`repro.explore.base.Explorer._executor_at`), so this class has
-no reset logic.
+no reset logic.  :meth:`engine_after` lets them probe a step's
+fingerprints before deciding to pay for it.
 
 Hot-path machinery (this class runs millions of steps per campaign):
 
@@ -702,6 +704,35 @@ class Executor:
         if kind is _JOIN:
             return -2, op.arg  # resolved to the handle oid at execution
         return op.target.oid, None
+
+    def engine_after(self, tid: int):
+        """A fork of the clock engine advanced by ``tid``'s pending
+        event, without executing anything: its fingerprints are those
+        ``step(tid)`` would leave behind, so a caller that only needs
+        them can decide before paying for the step.
+
+        None where the event's label is not a pure function of the
+        pending op: SPAWN (the child handle's oid is allocated at
+        execution), JOIN (the joined handle is resolved at execution),
+        a timed op or a parked timed waiter (the step may fire a
+        TIME_FIRE instead), and a step that would hit ``max_events``.
+        """
+        t = self.threads[tid]
+        op = t.pending
+        if (op is None or op.timeout is not None
+                or self._num_events >= self.max_events):
+            return None
+        kind = op.kind
+        if kind is _SPAWN or kind is _JOIN:
+            return None
+        oid, key = self._op_location(t, op)
+        target = op.target
+        engine = self.engine.fork()
+        engine.observe(
+            tid, kind, oid, key,
+            target.op_released_oid(op) if target is not None else None,
+        )
+        return engine
 
     # ------------------------------------------------------------------
     # Stepping

@@ -199,15 +199,19 @@ class TestIncrementalAnalysis:
 def test_one_fresh_executor_per_run(name, monkeypatch):
     # every explorer gets its executors through one acquire/retire
     # path: only the first schedule builds an executor, every later
-    # one is a snapshot restore, and each restore recycles the
-    # instance the previous schedule retired
+    # one is a snapshot restore or is served the executor the previous
+    # schedule left standing at its parent (the caching explorers hold
+    # one whenever a cache probe prunes a step before it runs), and
+    # each restore recycles the instance the previous schedule retired
     from repro.explore import ExplorationLimits
+    from repro.explore.base import Explorer
     from repro.explore.controller import make_explorer
     from repro.suite import REGISTRY
 
     init = Executor.__init__
     restore = Executor.from_snapshot.__func__
-    counts = {"new": 0, "restores": 0, "pooled": 0}
+    acquire = Explorer._executor_at
+    counts = {"new": 0, "restores": 0, "pooled": 0, "held": 0}
 
     def counting_init(self, *args, **kwargs):
         counts["new"] += 1
@@ -218,12 +222,22 @@ def test_one_fresh_executor_per_run(name, monkeypatch):
         counts["pooled"] += reuse is not None
         return restore(cls, snap, reuse=reuse)
 
+    def counting_acquire(self, prefix):
+        held = self._held
+        ex, depth = acquire(self, prefix)
+        counts["held"] += held is not None and ex is held[1]
+        return ex, depth
+
     monkeypatch.setattr(Executor, "__init__", counting_init)
     monkeypatch.setattr(Executor, "from_snapshot",
                         classmethod(counting_restore))
+    monkeypatch.setattr(Explorer, "_executor_at", counting_acquire)
     explorer = make_explorer(name, REGISTRY[3].program,
                              ExplorationLimits(max_schedules=200))
     stats = explorer.run()
     assert counts["new"] == 1
-    assert counts["restores"] == stats.num_schedules - 1 > 0
+    assert counts["restores"] + counts["held"] \
+        == stats.num_schedules - 1 > 0
     assert counts["pooled"] == counts["restores"]
+    if name in ("hbr-caching", "lazy-hbr-caching"):
+        assert counts["held"] > 0
