@@ -402,7 +402,8 @@ def _cmd_campaign(args) -> int:
             print(f"error: --snapshot-budget-mb must be >= 0, got "
                   f"{args.snapshot_budget_mb}", file=sys.stderr)
             return 2
-        limits.snapshot_budget_bytes = int(args.snapshot_budget_mb * 2**20)
+        if args.snapshot_budget_mb == 0:
+            limits.snapshot_budget_bytes = 0
     store = None
     if args.resume:
         store = ResultStore(args.resume, limits)
@@ -590,10 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-cell wall-clock timeout")
     p_camp.add_argument("--snapshot-budget-mb", type=float, default=None,
                         dest="snapshot_budget_mb", metavar="MB",
-                        help="per-cell memory budget of the prefix "
-                             "snapshot tree (default 4; 0 disables "
-                             "snapshot resume — results are identical "
-                             "either way, only slower)")
+                        help="branch-point snapshots: 0 turns them "
+                             "off, any positive value leaves them on "
+                             "(the default; memory is bounded by the "
+                             "search depth, not by this value) — "
+                             "results are identical either way, only "
+                             "slower when off")
     p_camp.add_argument("--engine",
                         choices=("ref", "native"),
                         default=None,
@@ -686,9 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="micro: replay-loop throughput cases; "
                               "split: frontier split speedup + "
                               "snapshot/resume overhead; "
-                              "prefix: snapshot-tree prefix sharing "
-                              "(off-vs-on speedup, replayed/fresh event "
-                              "fractions, hit rate, memory high water)")
+                              "prefix: branch-point snapshot prefix "
+                              "sharing (off-vs-on speedup, replayed/fresh "
+                              "event fractions, hit rate)")
     p_bench.add_argument("--shards", type=int, default=4,
                          help="shard count for --scenario split")
     p_bench.add_argument("--cases",

@@ -346,9 +346,9 @@ class DualClockEngine:
 
     # ------------------------------------------------------------------
     def table_stats(self) -> Tuple[int, int]:
-        """(published table entries, thread count) — the backend-neutral
-        sizing hook snapshot memory estimation uses (the compiled
-        kernel exposes the same signature over its own layout)."""
+        """(published table entries, thread count) — a backend-neutral
+        size probe (the compiled kernel exposes the same signature over
+        its own layout), which the backend-agreement tests compare."""
         r, z = self.regular, self.lazy
         entries = (
             len(r.access) + len(r.modify) + len(z.access) + len(z.modify)

@@ -34,7 +34,6 @@ from .lazy_dpor import LazyDPORExplorer
 from .minimize import MinimizationResult, minimize_schedule
 from .pct import PCTExplorer
 from .random_walk import RandomWalkExplorer
-from .snapshots import SnapshotTree
 
 __all__ = [
     "MinimizationResult",
@@ -67,7 +66,6 @@ __all__ = [
     "PCTExplorer",
     "PreemptionBoundedExplorer",
     "RandomWalkExplorer",
-    "SnapshotTree",
     "run_matrix",
     "states_found",
 ]

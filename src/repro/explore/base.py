@@ -8,9 +8,10 @@ on comes from one acquire/retire path (:meth:`Explorer._executor_at`,
 :meth:`Explorer._retire`): the executor the previous schedule left
 standing at exactly the requested prefix (held when a cache probe
 pruned that schedule's last choice before it ran), else a restored
-snapshot of the deepest cached ancestor state, or of the exploration's
-initial state, observably identical to a freshly built program
-instance.
+snapshot from the *spine*: the exploration's initial state followed by
+the branch points of the current search path that pending work will
+resume from.  Restores are observably identical to a freshly built
+program instance replaying the prefix.
 
 Statistics mirror the quantities of the paper's evaluation: the number
 of schedules executed, and the numbers of distinct terminal HBRs,
@@ -41,17 +42,13 @@ from ..runtime.executor import Executor
 from ..runtime.program import Program
 from ..runtime.snapshot import ExecutorSnapshot
 from ..runtime.trace import TraceResult
-from .snapshots import SnapshotTree
 
 DEFAULT_SCHEDULE_LIMIT = 100_000
 
-#: Default memory budget of the prefix snapshot tree (see
-#: :mod:`repro.explore.snapshots`).  Deliberately small: depth-first
-#: exploration only ever resumes from the branch points of the current
-#: search spine (LIFO locality), so a few MiB keep the hit rate at
-#: ~100% while bounding both resident memory and the weight the
-#: cached snapshots add to full GC passes — larger budgets measured
-#: *slower* on the bench suite.
+#: Default of :attr:`ExplorationLimits.snapshot_budget_bytes`.  Only
+#: zero versus positive matters here; it stays 4 MiB because a campaign
+#: coordinator hands the value to its workers, and a worker of an older
+#: version reads it as a byte budget.
 DEFAULT_SNAPSHOT_BUDGET_BYTES = 4 << 20
 
 #: A mid-schedule wall-clock deadline check every scheduling point would
@@ -68,10 +65,13 @@ class ExplorationLimits:
     max_schedules: int = DEFAULT_SCHEDULE_LIMIT
     max_seconds: Optional[float] = None
     max_events_per_schedule: int = 20_000
-    #: byte budget of the prefix snapshot tree (0 disables snapshot
-    #: resume entirely).  Purely a performance knob: results are
-    #: byte-identical under any budget, so — unlike the fields above —
-    #: it does not participate in checkpoint-compatibility stamps.
+    #: branch-point snapshots: 0 switches their capture off (every
+    #: restore then starts from the initial state), any positive value
+    #: on; negative values are rejected when the explorer is built.
+    #: The spine's size is bounded by the search depth, not by this
+    #: value.  Purely a performance knob: results are byte-identical
+    #: either way, so — unlike the fields above — it does not
+    #: participate in checkpoint-compatibility stamps.
     snapshot_budget_bytes: int = DEFAULT_SNAPSHOT_BUDGET_BYTES
 
 
@@ -265,6 +265,42 @@ class ExplorationStats:
                 self.extra[key] = value
 
 
+class SnapshotCounters:
+    """What prefix sharing did in one exploration, for perf reports
+    (``bench --scenario prefix``, the repository benchmark).
+
+    ``resumed_events`` counts prefix events *not* re-executed because
+    the explorer restored a spine snapshot or was handed an executor
+    already standing there; ``replayed_events`` counts prefix events
+    replayed the hard way.  Events no schedule ran before (the kernel's
+    work items place at their parent, so their own last step is one)
+    are neither.  A restore for a non-empty prefix is a hit when it
+    starts past the initial state, else a miss."""
+
+    __slots__ = ("hits", "misses", "inserts", "resumed_events",
+                 "replayed_events")
+
+    def __init__(self) -> None:
+        self.hits = self.misses = self.inserts = 0
+        self.resumed_events = self.replayed_events = 0
+
+    def stats(self) -> Dict[str, Any]:
+        probes = self.hits + self.misses
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": (self.hits / probes) if probes else 0.0,
+            "inserts": self.inserts,
+            "resumed_events": self.resumed_events,
+            "replayed_events": self.replayed_events,
+            # the spine never evicts, rejects or budgets bytes; the
+            # keys stay for readers of the former snapshot cache
+            "evictions": 0,
+            "rejected": 0,
+            "bytes_high_water": 0,
+        }
+
+
 class Explorer:
     """Base class: bookkeeping shared by every strategy."""
 
@@ -293,17 +329,20 @@ class Explorer:
         self.limits = limits or ExplorationLimits()
         self._error_kinds: Set[Tuple[str, str]] = set()
         self.stats = ExplorationStats(program.name, self.name)
-        #: prefix snapshot cache (see :mod:`repro.explore.snapshots`),
-        #: present when the limits grant a budget; only explorers that
-        #: replay non-empty prefixes (the kernel family and DPOR) fill it
-        self.snapshot_tree: Optional[SnapshotTree] = None
-        if self.limits.snapshot_budget_bytes > 0:
-            self.snapshot_tree = SnapshotTree(
-                self.limits.snapshot_budget_bytes
-            )
-        #: depth-0 snapshot of the exploration's first executor: every
-        #: later schedule a tree lookup cannot serve restores it
-        self._boot: Optional[ExecutorSnapshot] = None
+        budget = self.limits.snapshot_budget_bytes
+        if budget < 0:
+            raise ValueError(f"snapshot budget must be >= 0, got {budget}")
+        #: prefix-sharing counters, None when branch-point capture is
+        #: off; only explorers that replay non-empty prefixes (the
+        #: kernel family and DPOR) move them
+        self.snapshot_tree: Optional[SnapshotCounters] = (
+            SnapshotCounters() if budget else None
+        )
+        #: the spine: the depth-0 snapshot of the exploration's first
+        #: executor, then snapshots of branch points on the current
+        #: search path, strictly deeper each, every one a prefix of the
+        #: next (see :meth:`_executor_at` and :meth:`_capture`)
+        self._spine: List[ExecutorSnapshot] = []
         #: the last retired executor's instance and threads, handed to
         #: the next restore (see Executor.release_instance)
         self._spare = None
@@ -361,38 +400,64 @@ class Explorer:
 
         The executor :meth:`_retire` held is served as-is when it
         stands at exactly ``prefix`` (depth ``len(prefix)``), and
-        otherwise recycled as the spare.  A snapshot-tree hit restores
-        the deepest cached ancestor of ``prefix``; a miss restores the
-        boot snapshot (depth 0).  Only the exploration's first schedule
-        builds a fresh executor, whose depth-0 state becomes the boot
-        snapshot.  Every restore recycles the spare instance, and the
-        tree counts the resumed (held or restored) and the
+        otherwise recycled as the spare.  Else the spine gives up the
+        branch points the search has left: entries are popped until the
+        top's schedule is a prefix of ``prefix``, and the top is
+        restored.  The initial state at the bottom is a prefix of
+        everything, so it is never popped.  This one check serves
+        depth-first pops (the top is usually the parent itself), DPOR's
+        re-chosen top node, breadth-first seeding and restored, split
+        or stolen frontiers alike.  Only the exploration's first
+        schedule builds a fresh executor, whose depth-0 state starts
+        the spine.  Every restore recycles the spare instance, and the
+        counters record the resumed (held or restored) and the
         to-be-replayed prefix events.  Restores are observably
         identical to replaying from a fresh executor (the snapshot
         equivalence guarantee)."""
-        tree = self.snapshot_tree
+        counters = self.snapshot_tree
         held = self._held
         if held is not None:
             self._held = None
             if held[0] == prefix:
-                if tree is not None:
-                    tree.resumed_events += len(prefix)
+                if counters is not None:
+                    counters.resumed_events += len(prefix)
                 return held[1], len(prefix)
             self._spare = held[1].release_instance()
-        snap = self._boot
-        depth = 0
-        if tree is not None and prefix:
-            cached = tree.lookup(prefix)
-            if cached is not None:
-                depth, snap = cached
-                tree.resumed_events += depth
-            tree.replayed_events += len(prefix) - depth
+        spine = self._spine
+        if spine:
+            snap = spine[-1]
+            depth = len(snap.schedule)
+            while snap.schedule != prefix[:depth]:
+                spine.pop()
+                snap = spine[-1]
+                depth = len(snap.schedule)
+        else:
+            snap, depth = None, 0
+        if counters is not None and prefix:
+            if depth:
+                counters.hits += 1
+            else:
+                counters.misses += 1
+            counters.resumed_events += depth
+            counters.replayed_events += len(prefix) - depth
         if snap is None:
             ex = self._new_executor()
-            self._boot = ex.snapshot()
+            spine.append(ex.snapshot())
             return ex, 0
         spare, self._spare = self._spare, None
         return Executor.from_snapshot(snap, reuse=spare), depth
+
+    def _capture(self, ex: Executor) -> None:
+        """Push ``ex``'s state onto the spine: a branch point that
+        pending work will resume from.  ``ex`` descends from the last
+        :meth:`_executor_at`, so every entry is a prefix of its
+        schedule, and a top as deep as ``ex`` already holds this very
+        state.  No-op when capture is off."""
+        counters = self.snapshot_tree
+        if counters is not None and \
+                len(self._spine[-1].schedule) != len(ex.schedule):
+            self._spine.append(ex.snapshot())
+            counters.inserts += 1
 
     def _retire(self, ex: Executor,
                 at: Optional[Tuple[int, ...]] = None) -> None:

@@ -160,16 +160,16 @@ class DPORExplorer(Explorer):
         """Reconstruct the state after the stack's chosen prefix, plus
         the per-location index of trace positions for fast race lookup.
 
-        Resumes from the deepest cached snapshot of the prefix when the
-        snapshot tree has one, else from the boot snapshot (see
+        Resumes from the deepest spine snapshot on the stack's prefix,
+        which is the initial state when capture is off (see
         :meth:`Explorer._executor_at`); the per-location index is
         rebuilt from the restored trace (cheap dict appends, no
         re-execution), and the rest of the prefix is replayed stepwise.
-        Snapshot keys are prefixes of *already-executed* choices, so
-        re-choosing a node's ``chosen`` during backtracking never
-        invalidates the snapshots below it."""
+        A node's snapshot is its *pre*-state, the choices of the nodes
+        above it, so re-choosing a node's ``chosen`` during
+        backtracking keeps its own snapshot and drops only the deeper
+        ones, which no longer lie on the prefix."""
         loc_index: Dict[Tuple[int, object], List[int]] = {}
-        tree = self.snapshot_tree
         ex, start = self._executor_at(tuple(node.chosen for node in stack))
         setdefault = loc_index.setdefault
         for event in ex.trace:
@@ -179,18 +179,16 @@ class DPORExplorer(Explorer):
                 setdefault((event.released_mutex_oid, None),
                            []).append(event.index)
         for node in stack[start:]:
-            if node.want_snap and tree is not None:
+            if node.want_snap:
                 # this node holds a pending backtrack candidate, so its
-                # pre-state roots a future re-exploration: cache it now
+                # pre-state roots a future re-exploration: snapshot it now
                 # that a replay is passing through anyway.  Snapshots
                 # are taken on demand rather than at node creation —
                 # DPOR's backtrack sets are sparse, so most scheduling
                 # points are never revisited and eager snapshots were
                 # measured to cost more than the replays they save.
                 node.want_snap = False
-                key = tuple(ex.schedule)
-                if tree.wants(key):
-                    tree.insert(key, ex.snapshot())
+                self._capture(ex)
             self._index_event(loc_index, ex.trace, ex.step(node.chosen))
         return ex, loc_index
 

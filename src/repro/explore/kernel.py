@@ -34,13 +34,14 @@ next sibling tops the frontier) is probed *before* it runs, on the
 engine fork :meth:`~repro.runtime.executor.Executor.engine_after`
 returns.  A hit ends the schedule as pruned with the executor still at
 the branch point, held for the next sibling
-(:meth:`~repro.explore.base.Explorer._retire`); a miss snapshots the
-state on departure, then steps without probing again.  Every other
-step is probed after it runs.  Either way the strategy sees the same
-engines in the same order, so schedules and statistics do not depend
-on where the probe ran.
+(:meth:`~repro.explore.base.Explorer._retire`); a miss pushes the
+state onto the spine on departure
+(:meth:`~repro.explore.base.Explorer._capture`), then steps without
+probing again.  Every other step is probed after it runs.  Either way
+the strategy sees the same engines in the same order, so schedules
+and statistics do not depend on where the probe ran.
 
-See DESIGN.md §3.
+See DESIGN.md §3 and §7.3.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class KernelExplorer(Explorer):
         frontier = self.frontier
         strategy = self.strategy
         sink = self.schedule_sink
-        tree = self.snapshot_tree
+        capture = self._capture
         # the default (no-op) on_step hook is compiled out
         on_step = (
             strategy.on_step
@@ -214,7 +215,7 @@ class KernelExplorer(Explorer):
             strategy.on_schedule_start(item)
             self._schedule_started()
             # place the executor at the item's parent: the held one, or
-            # the deepest cached ancestor state plus a replay of the
+            # the deepest spine snapshot on its path plus a replay of the
             # rest.  The item's own last step is a sibling alternative
             # no schedule has run, taken below like any new step.
             parent = item.prefix[:-1]
@@ -271,10 +272,8 @@ class KernelExplorer(Explorer):
                                 pruned = held = True
                                 break
                     # snapshot on departure: siblings will resume here
-                    if roots and tree is not None:
-                        key = tuple(prefix)
-                        if tree.wants(key):
-                            tree.insert(key, ex.snapshot())
+                    if roots:
+                        capture(ex)
                     prefix_append(tid)
                     ex_step(tid)
                     if on_step is not None and not probed \

@@ -52,7 +52,7 @@ AB_REPORT_KIND = "repro-bench-ab"
 #: Schema marker of the frontier split/resume scenario reports.
 SPLIT_REPORT_KIND = "repro-bench-split"
 
-#: Schema marker of the prefix-sharing (snapshot tree) scenario reports.
+#: Schema marker of the prefix-sharing (spine snapshot) scenario reports.
 PREFIX_REPORT_KIND = "repro-bench-prefix"
 
 #: Calibration-normalised slowdown beyond which the comparison fails.
@@ -111,7 +111,7 @@ CASES: List[BenchCase] = [
 
 #: The prefix-sharing scenario cases (``bench --scenario prefix``):
 #: deep DFS-family cells where schedules share long prefixes, measured
-#: with the snapshot tree off vs on.  ``dfs/racy_counter`` rides along
+#: with branch-point snapshots off vs on.  ``dfs/racy_counter`` rides along
 #: as the shallow control — 9-event schedules have almost no prefix to
 #: share, so it documents the break-even floor rather than a win.
 PREFIX_CASES: List[BenchCase] = [
@@ -538,11 +538,12 @@ def run_prefix_bench(
     """The prefix-sharing scenario (``bench --scenario prefix``).
 
     For each deep DFS-family case in :data:`PREFIX_CASES`, measures
-    schedules/sec with the snapshot tree **off** (``snapshot_budget=0``,
-    i.e. the plain ``replay_prefix`` path) and **on** (default budget),
-    and reports the speedup plus what the tree actually did: the
-    fraction of events resumed from snapshots vs replayed fresh vs newly
-    executed, the snapshot hit rate, and the memory high-water mark.
+    schedules/sec with branch-point snapshots **off**
+    (``snapshot_budget_bytes=0``: every restore starts from the initial
+    state and replays the prefix) and **on** (the default), and reports
+    the speedup plus what the spine actually did: the fraction of
+    events resumed from snapshots vs replayed vs newly executed, and
+    the snapshot hit rate.
 
     Hard-fails if the two modes diverge in any statistic other than
     wall clock — the same in-harness equivalence enforcement the split
@@ -588,12 +589,7 @@ def run_prefix_bench(
         resumed = snap["resumed_events"]
         replayed = snap["replayed_events"]
         fresh = total_events - resumed - replayed
-        # the equivalence explorers hold several MiB of live snapshot
-        # graph; drop them (and sweep) so full-GC passes during the
-        # timed rounds do not scan a heap the measured runs never built
         del on_explorer, off_stats, on_stats
-        import gc
-        gc.collect()
 
         # off/on rounds interleaved (and the best kept) so machine
         # noise and thermal drift hit both modes evenly instead of
@@ -631,8 +627,7 @@ def run_prefix_bench(
                 f"{case.name:<34} {entry['speedup']:>5.2f}x  "
                 f"resumed {entry['resumed_fraction']:>5.1%} of "
                 f"{total_events} events, hit rate "
-                f"{snap['hit_rate']:.1%}, "
-                f"{snap['bytes_high_water'] / 1024:,.0f} KiB high water"
+                f"{snap['hit_rate']:.1%}"
             )
     return report
 

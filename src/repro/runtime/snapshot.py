@@ -33,9 +33,10 @@ hashes, schedules and statistics — which the equivalence suite
 enforces over every sync primitive.
 
 Snapshots are in-memory values (they hold live object references and
-generator tapes); they are deliberately *not* serializable.  The
-exploration-level cache that holds them is
-:class:`repro.explore.snapshots.SnapshotTree`.
+generator tapes); they are deliberately *not* serializable.  An
+exploration holds them on its spine, one per branch point of the
+current search path that pending work will resume from (see
+:meth:`repro.explore.base.Explorer._executor_at`).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class ExecutorSnapshot:
     __slots__ = (
         "program", "schedule", "guest_failures", "trace", "exit_events",
         "thread_records", "spawn_origin", "object_states", "engine",
-        "runnable", "static_threads", "restore_fields", "_approx_bytes",
+        "runnable", "static_threads", "restore_fields",
     )
 
     def __init__(
@@ -128,33 +129,3 @@ class ExecutorSnapshot:
         #: of per-restore values (instance, engine fork,
         #: mutable-container copies)
         self.restore_fields = restore_fields
-        self._approx_bytes: Optional[int] = None
-
-    @property
-    def approx_bytes(self) -> int:
-        """Rough resident size, computed lazily: only the snapshot
-        tree's budget accounting reads it, and transient snapshots
-        (:meth:`Executor.fork`) never pay for the estimate."""
-        n = self._approx_bytes
-        if n is None:
-            n = self._approx_bytes = self._estimate_bytes()
-        return n
-
-    def _estimate_bytes(self) -> int:
-        """Rough resident size, for the snapshot tree's memory budget.
-
-        Deliberately approximate (CPython object overheads, shared
-        tapes/events counted as owned): the budget bounds the order of
-        magnitude of cache memory, it is not an allocator.
-        """
-        n = 400 + 8 * len(self.schedule)
-        for rec in self.thread_records:
-            n += 160 + 24 * rec.tape_len
-        n += 72 * len(self.object_states)
-        t = len(self.thread_records)
-        entries, clocks = self.engine.table_stats()
-        n += entries * (96 + 8 * t)
-        n += 2 * clocks * (64 + 8 * t)
-        n += 96 * len(self.trace)  # empty in fast-replay mode
-        n += 88 * len(self.exit_events)
-        return n

@@ -81,7 +81,6 @@ class TestPrefixScenario:
             )
             snap = case["snapshot"]
             assert 0.0 <= snap["hit_rate"] <= 1.0
-            assert snap["bytes_high_water"] <= snap["budget_bytes"]
             # deep cases actually resume most of their prefix events
             if name != "dfs/racy_counter":
                 assert case["resumed_fraction"] > 0.5, name

@@ -3,17 +3,24 @@ programs, every reduction strategy must find exactly the terminal
 states exhaustive DFS finds — the strongest evidence the explorers are
 correct beyond the hand-picked suite."""
 
+import json
+
 from hypothesis import HealthCheck, example, given, settings, \
     strategies as st
 
 from repro import Program
 from repro.explore import (
+    DelayBoundedExplorer,
     DFSExplorer,
     DPORExplorer,
     ExplorationLimits,
     HBRCachingExplorer,
+    IterativeContextBoundingExplorer,
     LazyDPORExplorer,
+    PreemptionBoundedExplorer,
+    make_explorer,
 )
+from repro.explore.kernel import SNAPSHOT_VERSION
 
 from reference_explorers import OracleHBRCaching
 
@@ -290,3 +297,102 @@ def test_dpor_schedule_count_never_exceeds_dfs(spec):
     dfs = DFSExplorer(program, LIM).run()
     dpor = DPORExplorer(program, LIM).run()
     assert dpor.num_schedules <= dfs.num_schedules
+
+
+def _fp_sets(stats):
+    return stats.state_hashes, stats.hbr_fps, stats.lazy_fps
+
+
+#: Lazy-HBR caching reaches one member of each lazy HBR, and which one
+#: depends on the exploration order: split and serial runs of this
+#: program reach different regular HBRs (same states and lazy HBRs).
+LAZY_CACHING_ORDER_SPEC = [
+    [(0, [("read", 0)]), (None, [("write", 1)])],
+    [(0, [("read", 1)])],
+]
+
+
+@soundness_settings
+@given(program_spec,
+       st.sampled_from(["dfs", "hbr-caching", "lazy-hbr-caching",
+                        "iterative-cb"]),
+       st.sampled_from([2, 3]))
+@example(spec=LAZY_CACHING_ORDER_SPEC, explorer_name="lazy-hbr-caching",
+         k=2)
+def test_split_shards_merge_to_serial_run(spec, explorer_name, k):
+    """Seed breadth-first, split the frontier, and resume every shard
+    from a JSON round-trip of its work items, which carry no live
+    snapshot: the first shard on the seeding explorer, whose spine
+    still holds snapshots from the breadth-first seed, the others on
+    fresh explorers.  Neither acquisition order is depth-first, so
+    every resume must find its ancestor on the spine by prefix.  The
+    merged state, HBR and lazy-HBR sets equal the serial run's, except
+    lazy-HBR caching's regular HBRs (see LAZY_CACHING_ORDER_SPEC)."""
+    program = build_program(spec)
+    serial = make_explorer(explorer_name, program, LIM).run()
+    seed = make_explorer(explorer_name, program, LIM)
+    merged = seed.run_seed(min_items=2 * k, max_schedules=8)
+    if seed.frontier:
+        strategy_state = seed.strategy.state_to_dict()
+        for i, shard in enumerate(seed.frontier.split(k)):
+            worker = seed if i == 0 else make_explorer(explorer_name,
+                                                       program, LIM)
+            worker.restore(json.loads(json.dumps({
+                "version": SNAPSHOT_VERSION,
+                "explorer": worker.name,
+                "program": program.name,
+                "frontier": shard.to_dict(),
+                # the seeding explorer keeps counting from its seed
+                # stats; fresh workers start from zero
+                "stats": None,
+                "strategy": strategy_state,
+            })))
+            stats = worker.run()
+            if i == 0:
+                merged = stats
+            else:
+                merged.merge(stats)
+    got, want = _fp_sets(merged), _fp_sets(serial)
+    if explorer_name == "lazy-hbr-caching":
+        got, want = (got[0], got[2]), (want[0], want[2])
+    assert got == want, (explorer_name, spec)
+
+
+@soundness_settings
+@given(program_spec)
+def test_bounded_explorers_against_dfs(spec):
+    """Unbounded preemption bounding is DFS in another order; bounded
+    runs find a subset of DFS's states."""
+    program = build_program(spec)
+    dfs = DFSExplorer(program, LIM)
+    dfs.schedule_sink = []
+    base = dfs.run()
+    assert base.exhausted
+
+    unbounded = PreemptionBoundedExplorer(program, LIM, bound=None)
+    unbounded.schedule_sink = []
+    stats = unbounded.run()
+    assert sorted(unbounded.schedule_sink) == sorted(dfs.schedule_sink)
+    assert _fp_sets(stats) == _fp_sets(base), spec
+
+    for explorer in (
+        PreemptionBoundedExplorer(program, LIM, bound=2),
+        DelayBoundedExplorer(program, LIM),
+        IterativeContextBoundingExplorer(program, LIM),
+    ):
+        found = explorer.run().state_hashes
+        assert found <= base.state_hashes, (explorer.name, spec)
+
+
+# every round at or past a program's largest preemption count re-runs
+# the whole DFS, so this property runs fewer, costlier examples
+@settings(soundness_settings, max_examples=6)
+@given(program_spec)
+def test_iterative_bounding_converges_to_dfs(spec):
+    """Iterative bounding up to a bound no schedule of these programs
+    can exceed (at most 14 events, so at most 13 preemptions) finds
+    exactly DFS's states, HBRs and lazy HBRs."""
+    program = build_program(spec)
+    base = DFSExplorer(program, LIM).run()
+    full = IterativeContextBoundingExplorer(program, LIM, max_bound=14)
+    assert _fp_sets(full.run()) == _fp_sets(base), spec

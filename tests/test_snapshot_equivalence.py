@@ -11,9 +11,9 @@ The property is exercised three ways:
   vars/arrays/dicts, await_value, spawn/join, yield, guest assertions,
   deadlocks);
 * explorer-level equivalence: kernel strategies and DPOR must produce
-  byte-identical statistics whatever the snapshot budget — including a
-  budget so tiny that almost every insert is rejected or evicted
-  (graceful degradation to plain replay);
+  byte-identical statistics with branch-point capture on and off,
+  while the live snapshots never outnumber the depths of the search
+  path (one per depth, plus the initial state);
 * multi-restore: one snapshot restored several times yields
   independent, identical executors, and forking never perturbs the
   original — on any executor, since every one records its tapes.
@@ -21,6 +21,7 @@ The property is exercised three ways:
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -29,8 +30,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Program
 from repro.core.events import OpKind
 from repro.explore import ExplorationLimits
+from repro.explore.base import DEFAULT_SNAPSHOT_BUDGET_BYTES
 from repro.explore.controller import make_explorer
 from repro.runtime.executor import Executor
+from repro.runtime.snapshot import ExecutorSnapshot
 from repro.suite import REGISTRY
 from repro.suite.shim_twins import make_twins
 
@@ -343,30 +346,12 @@ def _stats_dict(explorer_name, bench_id, budget):
 ])
 @pytest.mark.parametrize("bench_id", [4, 24, 36, 47])
 def test_explorer_budget_invariance(explorer_name, bench_id):
-    """Statistics are byte-identical whether the snapshot tree is off,
-    default-sized, or starved down to eviction thrash."""
+    """Statistics are byte-identical whether branch-point capture is
+    off or on."""
     base, _ = _stats_dict(explorer_name, bench_id, 0)
-    for budget in (4 << 20, 6000):
-        other, _ = _stats_dict(explorer_name, bench_id, budget)
-        assert other == base, (explorer_name, bench_id, budget)
-
-
-def test_tiny_budget_degrades_gracefully():
-    """Under a starvation budget the tree must actually reject/evict
-    (proving the budget binds) while results stay identical — the
-    eviction path falls back to plain replay, it never corrupts."""
-    base, _ = _stats_dict("dfs", 24, 0)
-    tiny, ex = _stats_dict("dfs", 24, 6000)
-    assert tiny == base
-    stats = ex.snapshot_tree.stats()
-    assert stats["bytes_high_water"] <= 6000
-    assert stats["evictions"] > 0 or stats["rejected"] > 0
-    # and with everything rejected outright (budget smaller than any
-    # snapshot), every lookup is a miss
-    micro, ex2 = _stats_dict("dfs", 24, 1)
-    assert micro == base
-    assert len(ex2.snapshot_tree) == 0
-    assert ex2.snapshot_tree.stats()["hits"] == 0
+    other, _ = _stats_dict(explorer_name, bench_id,
+                           DEFAULT_SNAPSHOT_BUDGET_BYTES)
+    assert other == base, (explorer_name, bench_id)
 
 
 def test_snapshot_budget_zero_disables_tree():
@@ -375,6 +360,52 @@ def test_snapshot_budget_zero_disables_tree():
     explorer = make_explorer("dfs", REGISTRY[4].program, limits)
     explorer.run()
     assert explorer.snapshot_tree is None
+
+
+@pytest.mark.parametrize("explorer_name", ["dfs", "dpor"])
+def test_negative_snapshot_budget_rejected(explorer_name):
+    with pytest.raises(ValueError, match="snapshot budget"):
+        make_explorer(explorer_name, REGISTRY[4].program,
+                      ExplorationLimits(snapshot_budget_bytes=-1))
+
+
+@pytest.mark.parametrize("explorer_name", [
+    "dfs", "hbr-caching", "iterative-cb", "dpor",
+])
+@pytest.mark.parametrize("bench_id", [4, 24])
+def test_live_snapshots_bounded_by_search_depth(explorer_name, bench_id):
+    """The structural memory bound: an exploration holds at most one
+    snapshot per depth of the deepest schedule so far, plus the
+    initial state.  Live ``ExecutorSnapshot`` objects of the program
+    are counted every few schedule boundaries."""
+    program = REGISTRY[bench_id].program
+    explorer = make_explorer(explorer_name, program,
+                             ExplorationLimits(max_schedules=120))
+    deepest = 0
+    retire = explorer._retire
+
+    def tracking_retire(ex, at=None):
+        nonlocal deepest
+        deepest = max(deepest, len(ex.schedule))
+        retire(ex, at)
+
+    samples = []
+
+    def sample(exp):
+        if exp.stats.num_schedules % 3 == 0:
+            live = sum(1 for o in gc.get_objects()
+                       if type(o) is ExecutorSnapshot
+                       and o.program is program)
+            samples.append((live, deepest))
+
+    explorer._retire = tracking_retire
+    explorer.set_control(sample)
+    gc.collect()  # earlier tests' garbage holds snapshots of program too
+    explorer.run()
+    assert len(samples) >= 3, samples
+    assert max(live for live, _ in samples) > 1, samples
+    for live, depth in samples:
+        assert live <= depth + 1, (explorer_name, bench_id, samples)
 
 
 def test_snapshot_of_thread_crashed_by_injected_error():
