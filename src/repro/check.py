@@ -173,7 +173,8 @@ def check(
 
     ``explorer`` is any registered explorer name (``dpor`` default, see
     ``python -m repro list``); for the seeded explorers (``random``,
-    ``pct``) each seed in ``seeds`` is run and the stats are merged.
+    ``pct``) each seed in ``seeds`` is run and the stats are merged
+    (an empty ``seeds`` raises ``ValueError``); the others run once.
     ``max_schedules``/``max_seconds`` are shorthand overrides applied on
     top of ``limits``.
 
@@ -203,13 +204,21 @@ def check(
             snapshot_budget_bytes=lim.snapshot_budget_bytes,
         )
 
-    seed_list = tuple(seeds) if explorer in SEEDED_EXPLORERS else (tuple(seeds)[:1] or (0,))
+    if explorer in SEEDED_EXPLORERS:
+        seed_list = tuple(seeds)
+        if not seed_list:
+            raise ValueError(f"explorer {explorer!r} needs at least one seed")
+    else:
+        seed_list = tuple(seeds)[:1] or (0,)
     start = time.monotonic()
     stats: Optional[ExplorationStats] = None
     for seed in seed_list:
         run = run_single(program, explorer, lim, seed=seed, verify=verify,
                          engine=engine)
-        stats = run if stats is None else stats.merge(run)
+        if stats is None:
+            stats = run
+        else:
+            stats.merge(run)  # merges in place and returns None
 
     finding = stats.errors[0] if stats.errors else None
     result = CheckResult(

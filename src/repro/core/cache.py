@@ -11,29 +11,18 @@ pruned.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Set
 
 
 class FingerprintCache:
-    """A set of fingerprints with hit/miss statistics.
+    """A set of fingerprints with hit/miss statistics."""
 
-    Parameters
-    ----------
-    capacity:
-        Optional upper bound on the number of stored fingerprints.  When
-        the bound is reached, further *new* fingerprints are reported as
-        misses but not stored (pruning then under-approximates, which is
-        sound: fewer prunes, never wrong ones).
-    """
+    __slots__ = ("_set", "hits", "misses")
 
-    __slots__ = ("_set", "hits", "misses", "capacity", "overflowed")
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._set: Set[int] = set()
         self.hits = 0
         self.misses = 0
-        self.capacity = capacity
-        self.overflowed = False
 
     def insert(self, fingerprint: int) -> bool:
         """Record ``fingerprint``; return True when it was not seen before."""
@@ -42,9 +31,6 @@ class FingerprintCache:
             self.hits += 1
             return False
         self.misses += 1
-        if self.capacity is not None and len(s) >= self.capacity:
-            self.overflowed = True
-            return True
         s.add(fingerprint)
         return True
 
@@ -66,7 +52,6 @@ class FingerprintCache:
         self._set.clear()
         self.hits = 0
         self.misses = 0
-        self.overflowed = False
 
     # -- serialization (explorer snapshot/restore) -------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -76,15 +61,15 @@ class FingerprintCache:
             "fingerprints": sorted(self._set),
             "hits": self.hits,
             "misses": self.misses,
-            "overflowed": self.overflowed,
-            "capacity": self.capacity,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FingerprintCache":
-        cache = cls(payload.get("capacity"))
+        """Inverse of :meth:`to_dict`.  Keys are read with ``.get`` and
+        unknown keys are ignored, so checkpoints written by other
+        versions still load."""
+        cache = cls()
         cache._set = set(payload.get("fingerprints", ()))
         cache.hits = payload.get("hits", 0)
         cache.misses = payload.get("misses", 0)
-        cache.overflowed = payload.get("overflowed", False)
         return cache

@@ -40,7 +40,7 @@ prefix *within the same shard*.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..core.cache import FingerprintCache
 from .base import ExplorationStats
@@ -53,11 +53,10 @@ _EMPTY: Annotation = {}
 class HBRCachingStrategy(Strategy):
     """DFS with prefix-HBR pruning; ``lazy`` selects the relation."""
 
-    def __init__(self, lazy: bool = False,
-                 cache_capacity: Optional[int] = None) -> None:
+    def __init__(self, lazy: bool = False) -> None:
         self.lazy = lazy
         self.name = "lazy-hbr-caching" if lazy else "hbr-caching"
-        self.cache = FingerprintCache(cache_capacity)
+        self.cache = FingerprintCache()
         #: fingerprints freshly inserted by the in-flight schedule —
         #: rolled back if the kernel abandons it mid-way
         self._schedule_fps: List[int] = []
@@ -106,17 +105,8 @@ class HBRCachingExplorer(KernelExplorer):
 
     name = "hbr-caching"
 
-    def __init__(
-        self,
-        program,
-        limits=None,
-        lazy: bool = False,
-        cache_capacity: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            program, limits,
-            strategy=HBRCachingStrategy(lazy, cache_capacity),
-        )
+    def __init__(self, program, limits=None, lazy: bool = False) -> None:
+        super().__init__(program, limits, strategy=HBRCachingStrategy(lazy))
         self.lazy = lazy
 
     @property

@@ -47,7 +47,7 @@ unprobed until the combination is made exact.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..core.cache import FingerprintCache
 from .dpor import DPORExplorer
@@ -58,16 +58,11 @@ class LazyDPORExplorer(DPORExplorer):
 
     name = "lazy-dpor"
 
-    def __init__(
-        self,
-        program,
-        limits=None,
-        sleep_sets: bool = True,
-        cache_capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, program, limits=None,
+                 sleep_sets: bool = True) -> None:
         super().__init__(program, limits, sleep_sets=sleep_sets)
         self.stats.explorer_name = self.name = "lazy-dpor"
-        self.cache = FingerprintCache(cache_capacity)
+        self.cache = FingerprintCache()
 
     def _aux_state_to_dict(self) -> Dict[str, Any]:
         return self.cache.to_dict()

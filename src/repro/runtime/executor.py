@@ -46,9 +46,11 @@ Hot-path machinery (this class runs millions of steps per campaign):
 * every thread's *send tape* (the values its generator has received)
   is recorded, enabling :meth:`snapshot`/:meth:`fork`/
   :meth:`from_snapshot` — copy-on-write executor snapshots that let
-  explorers resume from a cached branch point instead of replaying the
+  explorers resume from a branch point instead of replaying the
   whole prefix (see :mod:`repro.runtime.snapshot` for the design and
-  its guarantees).
+  its guarantees).  A restore rebuilds every thread: along the
+  recycled instance's op-trie (:mod:`repro.runtime.optrie`) where the
+  tape is on it, else by fast-forwarding a fresh generator.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def _thread_api(tid: int) -> ThreadAPI:
 class _GuestThread:
     __slots__ = (
         "tid", "name", "gen", "pending", "status", "tindex",
-        "handle", "wait_mutex", "resuming", "exit_recorded", "crashed",
+        "handle", "wait_mutex", "resuming", "crashed",
         "tape", "spawn_count", "throw_exc",
         "deadline", "wake_value", "parked_on", "trie_node", "pinfo",
     )
@@ -168,7 +170,6 @@ class _GuestThread:
         self.handle = handle
         self.wait_mutex = None        # mutex to re-acquire after a wait
         self.resuming = False         # pending op is the implicit re-lock
-        self.exit_recorded = False
         self.crashed = False          # terminated by a guest assertion
         self.tape: List[Any] = []     # send-value record (snapshots)
         self.spawn_count = 0          # executed SPAWNs (snapshot bookkeeping)
@@ -235,10 +236,7 @@ class Executor:
         self.schedule: List[int] = []
         self.threads: List[_GuestThread] = []
         self.error: Optional[GuestError] = None  # deadlock / fatal errors
-        self.guest_failures: List[GuestError] = []  # per-thread crashes
         self.truncated = False
-        self._exit_events: Dict[int, Event] = {}
-        self._num_events = 0
         # incremental scheduling state (see module docstring)
         self._runnable: Set[int] = set()       # tids with status RUNNABLE
         self._runnable_sorted: Optional[List[int]] = None
@@ -275,7 +273,7 @@ class Executor:
     @property
     def num_events(self) -> int:
         """Events executed so far (= ``len(trace)`` in default mode)."""
-        return self._num_events
+        return len(self.schedule)
 
     # ------------------------------------------------------------------
     # Thread management
@@ -720,7 +718,7 @@ class Executor:
         t = self.threads[tid]
         op = t.pending
         if (op is None or op.timeout is not None
-                or self._num_events >= self.max_events):
+                or len(self.schedule) >= self.max_events):
             return None
         kind = op.kind
         if kind is _SPAWN or kind is _JOIN:
@@ -778,7 +776,8 @@ class Executor:
                 raise DisabledThreadError(
                     tid, self.enabled(), self._blocked_reason(t)
                 )
-        if self._num_events >= self.max_events:
+        schedule = self.schedule
+        if len(schedule) >= self.max_events:
             self.truncated = True
             self._enabled_cache = None
             raise SchedulerError(
@@ -840,7 +839,6 @@ class Executor:
                 if op.arg is not None:  # thread died on a guest error
                     t.crashed = True
                     t.throw_exc = op.arg  # per-thread record (state hash)
-                    self.guest_failures.append(op.arg)
                     value = op.arg  # surfaced by trace renderers
             # else YIELD: a pure scheduling point, nothing to execute
         except GuestError as exc:  # pragma: no cover - defensive
@@ -875,13 +873,12 @@ class Executor:
         if not self.fast_replay:
             # positional: the per-event record is built on the hot path
             event = Event(
-                self._num_events, tid, t.tindex, kind, oid, key, value,
+                len(schedule), tid, t.tindex, kind, oid, key, value,
                 clock, lazy_clock, released_mutex_oid,
             )
             self.trace.append(event)
         t.tindex += 1
-        self._num_events += 1
-        self.schedule.append(tid)
+        schedule.append(tid)
 
         # Post-event bookkeeping that needs the stamped clocks.
         if spawned is not None:
@@ -910,12 +907,9 @@ class Executor:
         elif kind is _EXIT:
             t.status = _Status.FINISHED
             t.pending = None
-            t.exit_recorded = True
             self._runnable.discard(tid)
             self._runnable_sorted = None
             self._unfinished -= 1
-            if event is not None:
-                self._exit_events[tid] = event
         elif t.resuming and kind is _LOCK:
             # the implicit re-acquire after a wait: now the guest's
             # `yield api.wait(...)` finally returns — with None for
@@ -983,7 +977,7 @@ class Executor:
         """A timed condvar waiter's deadline fires while parked: it is
         withdrawn from the wait queue and re-acquires its mutex, after
         which the guest's wait returns False."""
-        if self._num_events >= self.max_events:
+        if len(self.schedule) >= self.max_events:
             self.truncated = True
             self._enabled_cache = None
             raise SchedulerError(
@@ -1016,12 +1010,11 @@ class Executor:
         event = None
         if not self.fast_replay:
             event = Event(
-                self._num_events, tid, t.tindex, _TIME_FIRE, oid, None,
+                len(self.schedule), tid, t.tindex, _TIME_FIRE, oid, None,
                 value, clock, lazy_clock, released_oid,
             )
             self.trace.append(event)
         t.tindex += 1
-        self._num_events += 1
         self.schedule.append(tid)
         return event
 
@@ -1030,10 +1023,12 @@ class Executor:
     def snapshot(self) -> ExecutorSnapshot:
         """Capture the complete executor state between steps.
 
-        O(threads + objects + clock-table entries): thread tapes are
-        shared (append-only copy-on-write), the clock engine forks by
-        sharing its published tuples, and each shared object contributes
-        a few scalars.
+        Per thread, object and clock-table entry the cost is constant:
+        thread tapes are shared (append-only copy-on-write), the clock
+        engine forks by sharing its published tuples, and each shared
+        object contributes a few scalars.  The schedule and the trace
+        are copied, so a snapshot also costs time and memory linear in
+        its depth.
         """
         finished = _Status.FINISHED
         records = [
@@ -1042,7 +1037,6 @@ class Executor:
                 t.status,
                 t.tindex,
                 t.resuming,
-                t.exit_recorded,
                 t.crashed,
                 t.wait_mutex.oid if t.wait_mutex is not None else None,
                 t.tape,
@@ -1066,27 +1060,21 @@ class Executor:
         return ExecutorSnapshot(
             self.program,
             tuple(self.schedule),
-            tuple(self.guest_failures),
             tuple(self.trace),
-            dict(self._exit_events),
             records,
             dict(self._spawn_origin),
             [o.snapshot_state() for o in self.instance.registry.objects],
             self.engine.fork(),
-            frozenset(self._runnable),
-            self._static_threads,
             # restore template: every scalar/immutable executor
             # attribute, blitted into a restored executor's __dict__ in
             # one C-level dict update (from_snapshot overwrites the
             # per-restore values on top)
             {
-                "program": self.program,
                 "_replay_all_tapes": self._replay_all_tapes,
                 "max_events": self.max_events,
                 "fast_replay": self.fast_replay,
                 "error": self.error,
                 "truncated": self.truncated,
-                "_num_events": self._num_events,
                 "_unfinished": self._unfinished,
                 "_barrier_pending": self._barrier_pending,
                 "_pred_watch": self._pred_watch,
@@ -1157,9 +1145,10 @@ class Executor:
             return Op(OpKind.EXIT, handle, exc), spawns, new_tape
 
     def release_instance(self):
-        """Hand back this executor's program instance — and its live
-        threads — for reuse by a later :meth:`from_snapshot` (the
-        executor must not be used afterwards).
+        """Hand back this executor's program, instance and thread
+        handles for reuse by a later :meth:`from_snapshot` (the
+        executor must not be used afterwards).  The instance's op-trie
+        comes along, warm.
 
         Sound only when all cross-thread mutable state lives in
         registry objects — ``restore_state`` then resets everything a
@@ -1172,21 +1161,16 @@ class Executor:
         runtime is re-created when the creating thread's tape is
         fast-forwarded, so handing such a registry to
         :meth:`from_snapshot` would register duplicates on top of the
-        survivors from the previous life.
-
-        The threads ride along for *differential restore*: when the
-        recycled executor shares lineage with the snapshot being
-        restored (DFS pops siblings, so it almost always does), any
-        thread that provably has not advanced since the snapshot —
-        same shared tape object at the same length, same
-        tindex/status/flags — is moved into the new executor as-is,
-        generator and all, skipping its fast-forward entirely.
+        survivors from the previous life.  An executed SPAWN registers
+        the child's handle, so an executor that ran one returns
+        ``None`` too.
         """
         if self._replay_all_tapes:
             return None
         if len(self.instance.registry.objects) != self._boot_objects:
             return None
-        return (self.program, self.instance, self.threads)
+        return (self.program, self.instance,
+                [t.handle for t in self.threads])
 
     @classmethod
     def from_snapshot(cls, snap: ExecutorSnapshot, reuse=None) -> "Executor":
@@ -1195,128 +1179,89 @@ class Executor:
         Observably identical to constructing a fresh executor and
         calling ``replay_prefix(snap.schedule)`` — same enabled sets,
         fingerprints, state hashes and subsequent behaviour — but pays
-        only one generator resume per recorded send instead of the full
-        per-event scheduling/clock pipeline.  A snapshot can be
+        at most one generator resume per recorded send instead of the
+        full per-event scheduling/clock pipeline.  A snapshot can be
         restored any number of times.
 
-        ``reuse`` optionally recycles a compatible retired executor's
-        instance and threads (from :meth:`release_instance`):
-        ``program.instantiate()`` and the per-thread handle
-        registrations are skipped, ``restore_state`` resets every
-        object, and threads that provably have not advanced since the
-        snapshot was taken — the recycled thread still holds the
-        *identical* tape list at exactly the recorded length, with
-        matching position and status flags — are adopted wholesale,
-        live generator included, instead of being fast-forwarded from
-        scratch.  Tape-object identity pins the shared lineage: a
-        thread that advanced past the snapshot grew the shared list
-        (every resume appends), and a wake/park/crash that advances no
-        tape still flips status/resuming/throw_exc, so a stale adopt
-        is impossible; anything unverifiable rebuilds as before.  An
-        incompatible handoff (different program, or a thread/object
-        count mismatch from dynamic spawns past the snapshot depth) is
-        silently discarded and the fresh-instance path runs instead.
+        ``reuse`` optionally recycles a retired executor's program,
+        instance and thread handles (from :meth:`release_instance`):
+        ``program.instantiate()`` and the handle registrations are
+        skipped and ``restore_state`` resets every object.  A handoff
+        that does not fit the snapshot (a different program, or a
+        thread or object count that differs because the snapshot has
+        executed a SPAWN) is discarded for a fresh instance.
+
+        Every thread is rebuilt, in one of two ways.  A thread whose
+        recorded send history is on the instance's op-trie is served
+        from the trie (one dict hop per send, no generator); any other
+        thread gets a fresh generator fast-forwarded along its tape.
+        A fresh instance's trie is empty, so the trie walk only runs
+        on a recycled instance, that is, for a snapshot in which no
+        SPAWN has executed.  Dynamically spawned threads are therefore
+        always fast-forwarded, from the SPAWN ops their parents'
+        fast-forwards collect.
         """
-        r_threads = None
+        handles = None
         if reuse is not None:
-            r_program, r_instance, r_threads_cand = reuse
+            program, instance, handles = reuse
             if (
-                r_program is snap.program
-                and len(r_threads_cand) == len(snap.thread_records)
-                and len(r_instance.registry.objects)
-                == len(snap.object_states)
+                program is not snap.program
+                or len(handles) != len(snap.thread_records)
+                or len(instance.registry.objects) != len(snap.object_states)
             ):
-                r_threads = r_threads_cand
+                handles = None
         ex = cls.__new__(cls)
-        engine = snap.engine.fork()  # fork preserves the backend type
-        if r_threads is not None:
-            # release_instance guarantees the recycled registry is at
-            # its boot size (runtime-creating programs are never pooled)
-            instance = r_instance
+        d = ex.__dict__
+        d.update(snap.restore_fields)
+        static_threads = d["_static_threads"]
+        if handles is not None:
             boot_objects = len(instance.registry.objects)
         else:
             instance = snap.program.instantiate()
             # build-time objects are present already; the static thread
             # handles are registered in the rebuild loop below
-            boot_objects = (
-                len(instance.registry.objects) + snap.static_threads
-            )
-        d = ex.__dict__
-        d.update(snap.restore_fields)
-        replay_all_tapes = d["_replay_all_tapes"]
+            boot_objects = len(instance.registry.objects) + static_threads
         optrie = None
-        if _OPCACHE_ON and not replay_all_tapes:
+        if _OPCACHE_ON and not d["_replay_all_tapes"]:
             optrie = instance.optrie
             if optrie is None:
                 optrie = instance.optrie = OpTrie()
+        d["program"] = snap.program
         d["_optrie"] = optrie
         d["instance"] = instance
         d["_boot_objects"] = boot_objects
-        d["engine"] = engine
+        d["engine"] = snap.engine.fork()  # fork preserves the backend type
         d["_clock"] = instance.clock
-        d["threads"] = []
+        own_threads = d["threads"] = []
         d["schedule"] = list(snap.schedule)
         d["trace"] = list(snap.trace)
-        d["_spawn_origin"] = dict(snap.spawn_origin)
-        d["guest_failures"] = list(snap.guest_failures)
-        d["_exit_events"] = dict(snap.exit_events)
-        d["_runnable"] = set(snap.runnable)
-        d["_timed_parked"] = set()
-        registry = ex.instance.registry
-        static = ex.instance.threads
+        spawn_origin = snap.spawn_origin
+        d["_spawn_origin"] = dict(spawn_origin)
+        runnable_status = _Status.RUNNABLE
+        d["_runnable"] = {
+            tid for tid, rec in enumerate(snap.thread_records)
+            if rec.status == runnable_status
+        }
+        timed_parked = d["_timed_parked"] = set()
+        registry = instance.registry
+        static = instance.threads
         # executed SPAWN ops per fast-forwarded parent, to hand fresh
         # (fn, args) closures to dynamically spawned children (parents
-        # always have smaller tids, so one tid-ordered pass suffices).
-        # Thread adoption is off for snapshots with dynamic spawns: an
-        # adopted parent's live generator cannot re-surrender its SPAWN
-        # ops, and a rebuilt child would need them.
-        spawn_origin = snap.spawn_origin
+        # always have smaller tids, so one tid-ordered pass suffices)
         spawn_ops: Dict[int, List[Op]] = {}
-        adopt = r_threads if not spawn_origin else None
-        runnable_status = _Status.RUNNABLE
         waiting_status = _Status.WAITING
-        own_threads = ex.threads
-        own_append = own_threads.append
         fast_forward = cls._fast_forward
         objects = registry.objects
-        timed_parked = ex._timed_parked
         guest_new = _GuestThread.__new__
-        trie_roots = optrie.roots if optrie is not None else None
+        trie_roots = optrie.roots if optrie is not None else {}
         for tid, rec in enumerate(snap.thread_records):
-            if r_threads is not None:
-                rt = r_threads[tid]
-                if (
-                    adopt is not None
-                    and rt.tape is rec.tape
-                    and len(rt.tape) == rec.tape_len
-                    and rt.tindex == rec.tindex
-                    and rt.status == rec.status
-                    and rt.resuming == rec.resuming
-                    and rt.crashed == rec.crashed
-                    and rt.exit_recorded == rec.exit_recorded
-                    and rt.throw_exc is rec.throw_exc
-                    and rt.deadline == rec.deadline
-                    and rt.wake_value == rec.wake_value
-                    and (
-                        rt.parked_on.oid
-                        if rt.parked_on is not None else None
-                    ) == rec.parked_on_oid
-                    and (
-                        rt.wait_mutex.oid
-                        if rt.wait_mutex is not None else None
-                    ) == rec.wait_mutex_oid
-                ):
-                    own_append(rt)
-                    if rec.deadline is not None and \
-                            rec.status == waiting_status:
-                        timed_parked.add(tid)
-                    continue
-                handle = rt.handle
-            else:
-                # handles registered in tid order reproduce the
-                # original oid assignment (spawn order is tid order); a
-                # reused instance already carries them at the same oids
-                handle = ThreadHandle(registry, tid)
+            # handles registered in tid order reproduce the original
+            # oid assignment (spawn order is tid order); a reused
+            # instance already carries them at the same oids
+            handle = (
+                handles[tid] if handles is not None
+                else ThreadHandle(registry, tid)
+            )
             t = guest_new(_GuestThread)
             t.tid = tid
             t.name = rec.name
@@ -1325,7 +1270,6 @@ class Executor:
             status = t.status = rec.status
             t.tindex = rec.tindex
             resuming = t.resuming = rec.resuming
-            t.exit_recorded = rec.exit_recorded
             t.crashed = rec.crashed
             t.spawn_count = rec.spawn_count
             throw_exc = t.throw_exc = rec.throw_exc
@@ -1335,22 +1279,12 @@ class Executor:
             t.pinfo = None
             pending: Optional[Op] = None
             if rec.needs_replay:
-                node = (
-                    trie_roots.get(tid)
-                    if trie_roots is not None
-                    and tid < snap.static_threads else None
-                )
+                node = trie_roots.get(tid)
                 if node is not None:
-                    # op-cache walk: one dict hop per recorded send
-                    # instead of a generator resume; collects executed
-                    # SPAWN ops exactly like fast-forward does (each
-                    # node's op precedes the send that follows it)
+                    # op-trie walk: one dict hop per recorded send
+                    # instead of a generator resume
                     tape = rec.tape
-                    collect = rec.spawn_count > 0
-                    spawns = []
                     for i in range(rec.tape_len):
-                        if collect and node[0].kind is _SPAWN:
-                            spawns.append(node[0])
                         children = node[1]
                         child = None
                         if children is not None:
@@ -1365,10 +1299,8 @@ class Executor:
                     pending = node[0]
                     t.tape = rec.tape[:rec.tape_len]
                     t.trie_node = node
-                    if spawn_origin:
-                        spawn_ops[tid] = spawns
                 else:
-                    if tid < snap.static_threads:
+                    if tid < static_threads:
                         body, args, _name = static[tid]
                     else:
                         ptid, ordinal = spawn_origin[tid]
@@ -1378,7 +1310,7 @@ class Executor:
                         t.gen, rec.tape, rec.tape_len, handle,
                         rec.spawn_count > 0,
                     )
-                    if spawn_origin:
+                    if spawns:
                         spawn_ops[tid] = spawns
             else:
                 # finished, spawned nothing: the generator is dead
@@ -1423,7 +1355,7 @@ class Executor:
                     # clock (the deadline is restored from the record)
                     pending.target = instance.clock
                 t.pending = pending
-            own_append(t)
+            own_threads.append(t)
         if len(objects) != len(snap.object_states):
             raise SchedulerError(
                 f"snapshot/registry mismatch: {len(snap.object_states)} "
@@ -1442,7 +1374,7 @@ class Executor:
             return True
         if not self._unfinished:
             return True
-        if self._num_events >= self.max_events:
+        if len(self.schedule) >= self.max_events:
             self.truncated = True
             return True
         if not self.enabled():
@@ -1469,8 +1401,10 @@ class Executor:
         # per equivalence class: executor-level errors (deadlock) win,
         # then the lowest-tid crashed thread's guest error.
         error = self.error
-        if error is None and self.guest_failures:
-            error = next(t.throw_exc for t in self.threads if t.crashed)
+        if error is None:
+            error = next(
+                (t.throw_exc for t in self.threads if t.crashed), None
+            )
         state_hash = compute_state_hash(
             self.instance.registry, progress, self.error, self.truncated
         )
@@ -1487,7 +1421,7 @@ class Executor:
                 else describe_state(self.instance.registry)
             ),
             truncated=self.truncated,
-            event_count=self._num_events,
+            event_count=len(self.schedule),
         )
 
     def close(self) -> None:

@@ -11,11 +11,14 @@ what it does **not** copy:
   sequence of values the executor has ``send()``-ed into it.  The
   executor records that sequence per thread (the *tape*); a snapshot
   shares the live, append-only tape list and remembers only its
-  current length (copy-on-write by append-only discipline).  Restoring
-  builds fresh generators from a fresh
-  :class:`~repro.runtime.program.ProgramInstance` and fast-forwards
-  them by re-feeding the tape — no scheduling, no clock updates, no
-  object operations, just C-level generator resumption.
+  current length (copy-on-write by append-only discipline).  A
+  restore rebuilds every thread from that tape, in one of two ways.
+  On a recycled :class:`~repro.runtime.program.ProgramInstance` it
+  walks the instance's op-trie (:mod:`repro.runtime.optrie`) along
+  the tape, one dict hop per send and no generator at all; a thread
+  whose history leaves the trie, and every thread on a fresh
+  instance, gets a fresh generator fast-forwarded by re-feeding the
+  tape.  Neither runs scheduling, clock updates or object operations.
 * The :class:`~repro.core.hb.DualClockEngine` forks by sharing its
   published (immutable) clock snapshot tuples and copying only the two
   location tables and the short mutable working clocks — the engine's
@@ -23,8 +26,9 @@ what it does **not** copy:
 * Shared objects snapshot their mutable state through
   ``snapshot_state()`` — a handful of scalars/short containers per
   object (see each primitive's implementation for its rule).
-* The trace (when materialised) is a shallow list copy; events are
-  immutable once stamped and stay shared.
+* The schedule and the trace (when materialised) are shallow copies;
+  events are immutable once stamped and stay shared.  These two are
+  the part of a snapshot that grows with its depth.
 
 ``Executor.from_snapshot`` rebuilds a live executor from a snapshot;
 the result is observably identical to replaying the snapshot's
@@ -69,7 +73,6 @@ class ThreadRecord(NamedTuple):
     status: int
     tindex: int
     resuming: bool
-    exit_recorded: bool
     crashed: bool
     wait_mutex_oid: Optional[int]
     tape: List[Any]
@@ -88,44 +91,39 @@ class ExecutorSnapshot:
 
     Passive data: building one never runs guest code.  A snapshot can
     be restored any number of times (each restore forks the engine and
-    re-feeds the tapes into fresh generators).
+    rebuilds every thread from the op-trie or its tape).  What a
+    restore can derive is not stored: the runnable set is the records
+    whose status is RUNNABLE, a crashed run's reported error is the
+    lowest crashed tid's ``throw_exc``, and the event count is the
+    schedule's length.
     """
 
     __slots__ = (
-        "program", "schedule", "guest_failures", "trace", "exit_events",
-        "thread_records", "spawn_origin", "object_states", "engine",
-        "runnable", "static_threads", "restore_fields",
+        "program", "schedule", "trace", "thread_records", "spawn_origin",
+        "object_states", "engine", "restore_fields",
     )
 
     def __init__(
         self,
         program,
         schedule: Tuple[int, ...],
-        guest_failures: Tuple,
         trace: Tuple,
-        exit_events: Dict,
         thread_records: List[ThreadRecord],
         spawn_origin: Dict[int, Tuple[int, int]],
         object_states: List[Any],
         engine: DualClockEngine,
-        runnable: frozenset,
-        static_threads: int,
         restore_fields: Dict[str, Any],
     ) -> None:
         self.program = program
         self.schedule = schedule
-        self.guest_failures = guest_failures
         self.trace = trace
-        self.exit_events = exit_events
         self.thread_records = thread_records
         self.spawn_origin = spawn_origin
         self.object_states = object_states
         self.engine = engine
-        self.runnable = runnable
-        self.static_threads = static_threads
-        #: every scalar/shared executor attribute this snapshot pins
-        #: (limits, flags, counters, error), prebuilt as a dict so a
-        #: restore is one C-level ``__dict__.update`` plus the handful
-        #: of per-restore values (instance, engine fork,
-        #: mutable-container copies)
+        #: every scalar executor attribute this snapshot pins (limits,
+        #: flags, counters, error, the static thread count), prebuilt
+        #: as a dict so a restore is one C-level ``__dict__.update``
+        #: plus the handful of per-restore values (program, instance,
+        #: engine fork, mutable-container copies)
         self.restore_fields = restore_fields

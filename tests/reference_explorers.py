@@ -325,13 +325,12 @@ class OracleHBRCaching(_LogMixin, Explorer):
         program,
         limits=None,
         lazy: bool = False,
-        cache_capacity: Optional[int] = None,
     ) -> None:
         super().__init__(program, limits)
         self.lazy = lazy
         if lazy:
             self.stats.explorer_name = self.name = "lazy-hbr-caching"
-        self.cache = FingerprintCache(cache_capacity)
+        self.cache = FingerprintCache()
 
     def _start_schedule(self) -> None:
         if self._budget_exceeded():

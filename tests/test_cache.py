@@ -25,17 +25,6 @@ class TestFingerprintCache:
         assert c.hits == 2
         assert len(c) == 3
 
-    def test_capacity_bound_stops_growth_but_stays_sound(self):
-        c = FingerprintCache(capacity=2)
-        assert c.insert(1)
-        assert c.insert(2)
-        # new fingerprint beyond capacity: reported new, not stored
-        assert c.insert(3)
-        assert 3 not in c
-        assert c.overflowed
-        # previously stored fingerprints still hit
-        assert not c.insert(1)
-
     def test_clear(self):
         c = FingerprintCache()
         c.insert(1)

@@ -43,8 +43,9 @@ CTX = multiprocessing.get_context("fork")
 #: bench 3 under dfs explores 252 schedules to exhaustion — big enough
 #: that faults land mid-cell, small enough to re-run many times
 SMALL_CELL = (3, "dfs", 0)
-#: bench 75 under dfs explores 2660 schedules — long enough for a
-#: steal command to land while the victim is still working
+#: bench 75 under dfs explores 2660 schedules; the steal test holds
+#: its victim open with chaos hangs, since the cell alone can finish
+#: within one heartbeat interval
 BIG_CELL = (75, "dfs", 0)
 
 
@@ -314,14 +315,25 @@ class TestWorkStealingIntegration:
         expected = serial_canonical(cells, limits)
         queue = tmp_path / "q"
         server = FileCoordinatorServer(queue)
+        lease_timeout = 0.8
         coord = Coordinator(
             [CampaignCell(*c) for c in cells], limits,
-            server=server, lease_timeout=0.8,
+            server=server, lease_timeout=lease_timeout,
         )
         coord.steal_min_age = 0.05  # don't wait long in a test
+        # the cell can finish within one heartbeat interval (a quarter
+        # of the lease), before any steal command reaches its holder.
+        # Two hangs at schedule 100, each shorter than the lease and
+        # each followed by a heartbeat that renews it, give the idle
+        # workers time to ask and the holder two replies to carry the
+        # steal.  Thieves run shards of the same cell and may hang too.
+        chaos = ChaosPlan([ChaosRule(
+            "hang", cell=CampaignCell(*BIG_CELL).key, after_schedules=100,
+            times=2, seconds=lease_timeout / 2)])
         box = {}
         pump = coordinator_thread(coord, box, max_seconds=120)
-        workers = [spawn_worker(queue, f"w{i}") for i in range(3)]
+        workers = [spawn_worker(queue, f"w{i}", chaos=chaos)
+                   for i in range(3)]
         try:
             pump.join(timeout=120)
             assert not pump.is_alive(), "campaign never finished"

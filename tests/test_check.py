@@ -113,12 +113,46 @@ class TestCheck:
         result = check(bench, explorer="dpor", max_schedules=200)
         assert result.program_name == bench.program.name
 
+    @staticmethod
+    def _merged_single_seed_stats(explorer, seeds, max_schedules):
+        merged = None
+        for seed in seeds:
+            stats = check(racy_main, explorer=explorer, seeds=(seed,),
+                          max_schedules=max_schedules).stats
+            if merged is None:
+                merged = stats
+            else:
+                merged.merge(stats)
+        return merged
+
+    @staticmethod
+    def _stats_dict(stats):
+        d = stats.to_dict()
+        d.pop("elapsed")
+        return d
+
     def test_seeded_explorer_fans_out(self):
         result = check(racy_main, explorer="pct", seeds=(0, 1, 2),
                        max_schedules=30)
         assert result.seeds == (0, 1, 2)
-        # merged stats cover all three seeded runs
-        assert result.stats.num_schedules > 30 - 1
+        # the stats are the merge of all three seeded runs, not the
+        # last seed's alone
+        expected = self._merged_single_seed_stats("pct", (0, 1, 2), 30)
+        assert self._stats_dict(result.stats) == self._stats_dict(expected)
+        assert result.stats.num_schedules == 3 * 30
+
+    def test_two_seeds_merge(self):
+        result = check(racy_main, explorer="random", seeds=(0, 1),
+                       max_schedules=20)
+        assert result.seeds == (0, 1)
+        expected = self._merged_single_seed_stats("random", (0, 1), 20)
+        assert self._stats_dict(result.stats) == self._stats_dict(expected)
+        assert result.stats.num_schedules == 2 * 20
+
+    @pytest.mark.parametrize("explorer", ["random", "pct"])
+    def test_seeded_explorer_rejects_empty_seeds(self, explorer):
+        with pytest.raises(ValueError, match="at least one seed"):
+            check(racy_main, explorer=explorer, seeds=())
 
     def test_unseeded_explorer_uses_single_seed(self):
         result = check(racy_main, explorer="dpor", seeds=(0, 1, 2))

@@ -55,6 +55,17 @@ class TestCheck:
     def test_unknown_explorer_exits_2(self, capsys):
         assert main(["check", "1", "--explorer", "nope"]) == 2
 
+    def test_seeded_explorer_several_seeds(self, capsys):
+        assert main(["check", "4", "--explorer", "random", "--seeds", "2",
+                     "--limit", "50"]) == 0
+        assert "100 schedules" in capsys.readouterr().out
+
+    def test_zero_seeds_exits_2(self, capsys):
+        assert main(["check", "4", "--explorer", "random",
+                     "--seeds", "0"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
 
 class TestShimEquivalence:
     def test_report_and_artifact(self, capsys, tmp_path):

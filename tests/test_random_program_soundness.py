@@ -28,6 +28,10 @@ LIM = ExplorationLimits(max_schedules=60_000)
 
 # Program shapes kept tiny so DFS always exhausts: 2 threads, each up
 # to 3 segments of up to 2 ops over 2 variables and up to 2 mutexes.
+# A segment is ``(lock, ops)``: ``lock`` is None (bare ops), a mutex
+# index (ops in a critical section) or SPAWN, which starts a child
+# thread running ``ops`` and joins it after the parent's last segment.
+SPAWN = "spawn"
 data_op = st.tuples(
     st.sampled_from(["read", "write", "incr"]),
     st.integers(min_value=0, max_value=1),
@@ -40,6 +44,22 @@ segment = st.one_of(
     ),
 )
 thread_body = st.lists(segment, min_size=1, max_size=3)
+#: a child doing one or two data ops, and where it is spawned: the
+#: parent thread and the segment position
+spawn_site = st.tuples(
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=3),
+    st.lists(data_op, min_size=1, max_size=2),
+)
+
+
+def _with_spawn(drawn):
+    spec, site = drawn
+    spec = [list(body) for body in spec]
+    if site is not None:
+        parent, pos, ops = site
+        spec[parent].insert(min(pos, len(spec[parent])), (SPAWN, ops))
+    return spec
 
 
 def _event_count(spec) -> int:
@@ -47,16 +67,31 @@ def _event_count(spec) -> int:
     total = 0
     for body in spec:
         for lock_idx, ops in body:
-            total += (2 if lock_idx is not None else 0)
+            # a critical section's lock and unlock; a spawn's SPAWN,
+            # JOIN and the child's exit
+            total += {None: 0, SPAWN: 3}.get(lock_idx, 2)
             total += sum(2 if op == "incr" else 1 for op, _ in ops)
         total += 1  # exit event
     return total
 
 
-# keep the interleaving count DFS-exhaustible: <= 14 events over 2 threads
-program_spec = st.lists(thread_body, min_size=2, max_size=2).filter(
-    lambda spec: _event_count(spec) <= 14
-)
+def _exhaustible(spec) -> bool:
+    """Keep the interleaving count DFS-exhaustible: <= 14 events over
+    2 threads (at most 3,432 interleavings), <= 12 over 3 (34,650)."""
+    spawns = sum(lock_idx == SPAWN for body in spec for lock_idx, _ in body)
+    return _event_count(spec) <= (14 if not spawns else 12)
+
+
+def _program_spec(site):
+    return st.tuples(
+        st.lists(thread_body, min_size=2, max_size=2), site,
+    ).map(_with_spawn).filter(_exhaustible)
+
+
+#: about half the programs spawn a child
+program_spec = _program_spec(st.none() | spawn_site)
+#: every program spawns a child
+spawn_program_spec = _program_spec(spawn_site)
 
 
 def build_program(spec):
@@ -67,7 +102,13 @@ def build_program(spec):
         def make_thread(segments, seed):
             def body(api):
                 token = seed
+                children = []
                 for lock_idx, ops in segments:
+                    if lock_idx == SPAWN:
+                        child = make_thread([(None, ops)],
+                                            seed + 50 + 10 * len(children))
+                        children.append((yield api.spawn(child)))
+                        continue
                     if lock_idx is not None:
                         yield api.lock(mutexes[lock_idx])
                     for op, var in ops:
@@ -81,6 +122,8 @@ def build_program(spec):
                             yield api.write(cells, v + 1, key=var)
                     if lock_idx is not None:
                         yield api.unlock(mutexes[lock_idx])
+                for child in children:
+                    yield api.join(child)
             return body
 
         for i, segments in enumerate(spec):
@@ -108,9 +151,18 @@ LAZY_DPOR_GAP_SPEC = [
 ]
 
 
+#: a child spawned first, racing its parent's and the other thread's
+#: critical sections on the same cell
+SPAWN_SPEC = [
+    [(SPAWN, [("write", 0)]), (0, [("write", 0)])],
+    [(0, [("read", 0)])],
+]
+
+
 @soundness_settings
 @given(program_spec)
 @example(spec=LAZY_DPOR_GAP_SPEC)
+@example(spec=SPAWN_SPEC)
 def test_all_reducers_match_dfs_states(spec):
     program = build_program(spec)
     dfs = DFSExplorer(program, LIM)
@@ -141,6 +193,25 @@ def test_all_reducers_match_dfs_states(spec):
         f"lazy-dpor reported unreachable states; spec={spec!r}"
     )
     assert lazy_found, f"lazy-dpor found no states; spec={spec!r}"
+
+
+@soundness_settings
+@given(spawn_program_spec)
+@example(spec=SPAWN_SPEC)
+def test_snapshot_capture_invisible_with_spawns(spec):
+    """Branch-point capture changes no statistic on programs that spawn
+    and join a child.  With capture on, a snapshot taken after the
+    SPAWN is restored onto a fresh instance, where the parent's
+    fast-forward collects the SPAWN op the child is rebuilt from."""
+    program = build_program(spec)
+    off = ExplorationLimits(max_schedules=LIM.max_schedules,
+                            snapshot_budget_bytes=0)
+    for name in ("dfs", "hbr-caching", "dpor"):
+        on_stats = make_explorer(name, program, LIM).run().to_dict()
+        off_stats = make_explorer(name, program, off).run().to_dict()
+        on_stats.pop("elapsed")
+        off_stats.pop("elapsed")
+        assert on_stats == off_stats, (name, spec)
 
 
 def test_lazy_dpor_gap_counterexample_still_gapped():

@@ -269,6 +269,40 @@ def test_multi_restore_and_fork_independence(name):
     assert base.finish().state_hash == full.state_hash
 
 
+def test_spawn_keeps_snapshots_off_recycled_instances():
+    """An executed SPAWN registers the child's handle, so the executor
+    that ran it hands back no instance, and a snapshot taken after a
+    SPAWN is restored onto a fresh instance even when a spare is
+    offered.  The op-trie walk runs only on recycled instances, so it
+    never meets a snapshot with an executed SPAWN: dynamically spawned
+    threads are always rebuilt by fast-forward."""
+    program = _spawner()
+    ex = Executor(program)
+    pre = ex.snapshot()
+    ex.step(0)  # main spawns the child
+    post = ex.snapshot()
+    assert len(post.thread_records) == 2
+    assert ex.release_instance() is None
+
+    # a spawn-free executor's spare serves a spawn-free snapshot...
+    spare = Executor.from_snapshot(pre).release_instance()
+    assert spare is not None
+    assert Executor.from_snapshot(pre, reuse=spare).instance is spare[1]
+    # ...but not a post-spawn one
+    spare = Executor.from_snapshot(pre).release_instance()
+    restored = Executor.from_snapshot(post, reuse=spare)
+    assert restored.instance is not spare[1]
+
+    fresh = Executor(program)
+    fresh.replay_prefix(post.schedule)
+    while not restored.is_done():
+        assert restored.enabled() == fresh.enabled()
+        tid = restored.enabled()[0]
+        restored.step(tid)
+        fresh.step(tid)
+    _assert_runs_identical(restored, fresh, tail=[])
+
+
 def test_trace_mode_snapshot_preserves_events():
     # DPOR runs executors with materialised traces; a resumed executor
     # must carry the full stamped event list
