@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..explore.base import ExplorationLimits, ExplorationStats
-from ..explore.controller import run_single
+from ..explore.controller import APPROXIMATE_EXPLORERS, run_single
 from ..suite import REGISTRY
 from .cells import CampaignCell
 from .partial import write_partial
@@ -84,6 +84,9 @@ class CellResult:
             payload["num_shards"] = self.num_shards
         if self.diagnostics is not None:
             payload["diagnostics"] = dict(self.diagnostics)
+        if self.cell.explorer in APPROXIMATE_EXPLORERS:
+            # absent for exact explorers: their documents are unchanged
+            payload["approximate"] = True
         return payload
 
     @classmethod

@@ -31,7 +31,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ReproError
 from .explore.base import ExplorationLimits, ExplorationStats
-from .explore.controller import SEEDED_EXPLORERS, STANDARD_EXPLORERS, run_single
+from .explore.controller import (
+    APPROXIMATE_EXPLORERS,
+    SEEDED_EXPLORERS,
+    STANDARD_EXPLORERS,
+    run_single,
+)
 from .explore.minimize import minimize_schedule
 from .runtime.program import Program
 
@@ -54,6 +59,9 @@ class CheckResult:
     stats: Optional[ExplorationStats] = None
     trace: List[str] = field(default_factory=list)  #: rendered timeline
     elapsed: float = 0.0
+    #: the explorer can miss states (lazy-dpor), so "no bug found" and
+    #: the counts are not exhaustive
+    approximate: bool = False
 
     @property
     def repro_schedule(self) -> Optional[List[int]]:
@@ -74,6 +82,11 @@ class CheckResult:
                 f"  explorer {self.explorer}: {s.num_schedules} schedules, "
                 f"{s.num_states} states, {s.num_events} events"
                 + (" (limit hit)" if s.limit_hit else "")
+            )
+        if self.approximate:
+            lines.append(
+                f"  approximate: {self.explorer} can miss states, so the "
+                "counts and a clean verdict are not exhaustive"
             )
         if self.bug_found:
             lines.append(f"  error: {self.error_message}")
@@ -106,6 +119,7 @@ class CheckResult:
             "stats": self.stats.to_dict() if self.stats is not None else None,
             "trace": list(self.trace),
             "elapsed": self.elapsed,
+            "approximate": self.approximate,
         }
 
     @classmethod
@@ -130,6 +144,7 @@ class CheckResult:
             stats=ExplorationStats.from_dict(stats) if stats else None,
             trace=list(d.get("trace", ())),
             elapsed=d.get("elapsed", 0.0),
+            approximate=d.get("approximate", False),
         )
 
 
@@ -227,6 +242,7 @@ def check(
         seeds=seed_list,
         bug_found=finding is not None,
         stats=stats,
+        approximate=explorer in APPROXIMATE_EXPLORERS,
     )
     if finding is not None:
         result.error_kind = finding.kind

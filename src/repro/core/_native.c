@@ -26,6 +26,9 @@
  * - fork() is a handful of memcpys plus table copies that bump Snap
  *   refcounts — the copy-on-publish discipline of the reference
  *   engine at the machine level.
+ * - fingerprint_after() runs observe()'s join, tick and hash for one
+ *   relation on a scratch copy of one row and writes nothing: the
+ *   lookahead HBR caching probes before a step, with no fork.
  *
  * The Python-visible class (hb_native.NativeClockEngine) subclasses
  * EngineCore to add the thin conveniences (register_thread from a
@@ -409,20 +412,13 @@ engine_ensure(EngineCore *self, int32_t tid)
     return 0;
 }
 
-/* Join a Python snapshot tuple into a row; returns new logical length
- * or -1 on error.  Grows cap first if the tuple is wider.           */
+/* Join a Python snapshot tuple into a row at least as wide as the
+ * tuple; returns the new logical length or -1 on error.             */
 static int32_t
-join_pytuple_row(EngineCore *self, int side_lazy, int32_t tid, PyObject *tup,
-                 int32_t tlen)
+join_tuple_into_row(int64_t *row, int32_t tlen, PyObject *tup)
 {
     Py_ssize_t n = PyTuple_GET_SIZE(tup);
-    int64_t *row;
     Py_ssize_t i;
-    if ((int32_t)n > self->cap) {
-        if (engine_grow_cap(self, (int32_t)n) < 0)
-            return -1;
-    }
-    row = (side_lazy ? self->lbuf : self->rbuf) + (size_t)tid * self->cap;
     for (i = 0; i < n; i++) {
         int64_t v = PyLong_AsLongLong(PyTuple_GET_ITEM(tup, i));
         if (v == -1 && PyErr_Occurred())
@@ -431,6 +427,22 @@ join_pytuple_row(EngineCore *self, int side_lazy, int32_t tid, PyObject *tup,
             row[i] = v;
     }
     return (int32_t)n > tlen ? (int32_t)n : tlen;
+}
+
+/* Join a Python snapshot tuple into a thread's row; returns new logical
+ * length or -1 on error.  Grows cap first if the tuple is wider.    */
+static int32_t
+join_pytuple_row(EngineCore *self, int side_lazy, int32_t tid, PyObject *tup,
+                 int32_t tlen)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(tup);
+    if ((int32_t)n > self->cap) {
+        if (engine_grow_cap(self, (int32_t)n) < 0)
+            return -1;
+    }
+    return join_tuple_into_row(
+        (side_lazy ? self->lbuf : self->rbuf) + (size_t)tid * self->cap,
+        tlen, tup);
 }
 
 static inline int32_t
@@ -508,6 +520,67 @@ keyed_publish(PyObject *access, PyObject *modify, PyObject *loc,
             }
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Fingerprint arithmetic (FingerprintChain's formulas)               */
+
+/* The tuple-hash lane of an event key, None hashed as -1 like the
+ * reference engine's normalisation.  -1 on error.                    */
+static int
+key_lane(PyObject *key, uint64_t *lane)
+{
+    Py_hash_t kh;
+    if (key == Py_None) {
+        *lane = (uint64_t)(Py_hash_t)-2; /* hash(-1) == -2 */
+        return 0;
+    }
+    if (PyLong_CheckExact(key)) {
+        int overflow;
+        long long kv = PyLong_AsLongLongAndOverflow(key, &overflow);
+        if (overflow == 0) {
+            if (kv == -1 && PyErr_Occurred())
+                return -1;
+            *lane = (uint64_t)i64_hash((int64_t)kv);
+            return 0;
+        }
+    }
+    kh = PyObject_Hash(key);
+    if (kh == -1 && PyErr_Occurred())
+        return -1;
+    *lane = (uint64_t)kh;
+    return 0;
+}
+
+/* hash((chain, kind, oid, key, snapshot)): one event folded into its
+ * thread's chain.                                                    */
+static inline Py_hash_t
+chain_step(int64_t chain, long kind, long oid, uint64_t keylane,
+           Py_hash_t snap_h)
+{
+    uint64_t acc = XXPRIME_5;
+    acc = tup_lane(acc, (uint64_t)i64_hash(chain));
+    acc = tup_lane(acc, (uint64_t)i64_hash(kind));
+    acc = tup_lane(acc, (uint64_t)i64_hash(oid));
+    acc = tup_lane(acc, keylane);
+    acc = tup_lane(acc, (uint64_t)snap_h);
+    return tup_fini(acc, 5);
+}
+
+/* hash((count, tuple(chains))), with thread `tid`'s chain read as
+ * `tchain` (tid -1 substitutes nothing).                             */
+static Py_hash_t
+prefix_fingerprint(const int64_t *chains, int32_t n, int64_t count,
+                   int32_t tid, int64_t tchain)
+{
+    uint64_t inner = XXPRIME_5, outer = XXPRIME_5;
+    int32_t i;
+    for (i = 0; i < n; i++)
+        inner = tup_lane(inner,
+                         (uint64_t)i64_hash(i == tid ? tchain : chains[i]));
+    outer = tup_lane(outer, (uint64_t)i64_hash(count));
+    outer = tup_lane(outer, (uint64_t)tup_fini(inner, (Py_ssize_t)n));
+    return tup_fini(outer, 2);
 }
 
 /* ------------------------------------------------------------------ */
@@ -822,49 +895,15 @@ engine_observe(EngineCore *self, PyObject *const *args, Py_ssize_t nargs,
             goto error;
     }
 
-    /* -- fingerprints (the chained-hash formula of FingerprintChain,
-     * key None hashed as -1) -------------------------------------- */
-    if (keyless)
-        keylane = (uint64_t)(Py_hash_t)-2; /* hash(-1) == -2 */
-    else if (PyLong_CheckExact(key)) {
-        int overflow;
-        long long kv = PyLong_AsLongLongAndOverflow(key, &overflow);
-        if (overflow == 0) {
-            if (kv == -1 && PyErr_Occurred())
-                goto error;
-            keylane = (uint64_t)i64_hash((int64_t)kv);
-        }
-        else {
-            Py_hash_t kh = PyObject_Hash(key);
-            if (kh == -1 && PyErr_Occurred())
-                goto error;
-            keylane = (uint64_t)kh;
-        }
-    }
-    else {
-        Py_hash_t kh = PyObject_Hash(key);
-        if (kh == -1 && PyErr_Occurred())
-            goto error;
-        keylane = (uint64_t)kh;
-    }
-    {
-        uint64_t acc = XXPRIME_5;
-        acc = tup_lane(acc, (uint64_t)i64_hash(self->rchains[tid]));
-        acc = tup_lane(acc, (uint64_t)i64_hash(kind));
-        acc = tup_lane(acc, (uint64_t)i64_hash(oid));
-        acc = tup_lane(acc, keylane);
-        acc = tup_lane(acc, (uint64_t)snap_h);
-        self->rchains[tid] = tup_fini(acc, 5);
-        self->rcount++;
-        acc = XXPRIME_5;
-        acc = tup_lane(acc, (uint64_t)i64_hash(self->lchains[tid]));
-        acc = tup_lane(acc, (uint64_t)i64_hash(kind));
-        acc = tup_lane(acc, (uint64_t)i64_hash(oid));
-        acc = tup_lane(acc, keylane);
-        acc = tup_lane(acc, (uint64_t)lazy_h);
-        self->lchains[tid] = tup_fini(acc, 5);
-        self->lcount++;
-    }
+    /* -- fingerprints ---------------------------------------------- */
+    if (key_lane(key, &keylane) < 0)
+        goto error;
+    self->rchains[tid] = chain_step(self->rchains[tid], kind, oid, keylane,
+                                    snap_h);
+    self->rcount++;
+    self->lchains[tid] = chain_step(self->lchains[tid], kind, oid, keylane,
+                                    lazy_h);
+    self->lcount++;
 
     {
         PyObject *out = PyTuple_Pack(2, snap_t, lazy_t);
@@ -879,6 +918,159 @@ error:
     Py_XDECREF(lazy_t);
     snap_decref(snap_s);
     return NULL;
+}
+
+/* ------------------------------------------------------------------ */
+/* fingerprint_after: observe's arithmetic on a scratch row           */
+
+#define SCRATCH_CELLS 64
+
+static PyObject *
+engine_fingerprint_after(EngineCore *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    long tid, kind, oid;
+    long rmo = -1;
+    int lazy, modifying;
+    PyObject *key;
+    PyObject *edges = NULL, *prev_k = NULL; /* held while joining    */
+    const Snap *prev_s = NULL, *prev_m = NULL;
+    int64_t stack_row[SCRATCH_CELLS];
+    int64_t *row = stack_row;
+    const int64_t *chains;
+    int32_t tlen, width;
+    Py_ssize_t i, n;
+    uint64_t keylane;
+    PyObject *result = NULL;
+
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fingerprint_after(tid, kind, oid, key, "
+                        "released_mutex_oid, lazy)");
+        return NULL;
+    }
+    tid = PyLong_AsLong(args[0]);
+    kind = PyLong_AsLong(args[1]);
+    oid = PyLong_AsLong(args[2]);
+    if ((tid == -1 || kind == -1 || oid == -1) && PyErr_Occurred())
+        return NULL;
+    key = args[3];
+    if (args[4] != Py_None) {
+        rmo = PyLong_AsLong(args[4]);
+        if (rmo == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    lazy = PyObject_IsTrue(args[5]);
+    if (lazy < 0)
+        return NULL;
+    if (kind < 0 || kind >= NKINDS) {
+        PyErr_Format(PyExc_ValueError, "unknown kind %ld", kind);
+        return NULL;
+    }
+    /* read-only: no registration (the reference engine's list index
+     * raises the same way for an unknown thread) */
+    if (tid < 0 || tid >= self->nthreads) {
+        PyErr_Format(PyExc_IndexError, "thread %ld is not registered", tid);
+        return NULL;
+    }
+    if (key_lane(key, &keylane) < 0)
+        return NULL;
+    modifying = IS_MOD[kind];
+
+    /* the rows observe would join, and the scratch width they need */
+    width = self->cap;
+    if (self->pending_n > 0) {
+        PyObject *tk = PyLong_FromLong(tid);
+        if (tk == NULL)
+            return NULL;
+        edges = PyDict_GetItemWithError(self->pending, tk);
+        Py_DECREF(tk);
+        if (edges == NULL && PyErr_Occurred())
+            return NULL;
+        Py_XINCREF(edges);
+    }
+    if (edges != NULL) {
+        n = PyList_GET_SIZE(edges);
+        for (i = 0; i < n; i++) {
+            Py_ssize_t w = PyTuple_GET_SIZE(
+                PyTuple_GET_ITEM(PyList_GET_ITEM(edges, i), lazy));
+            if (w > width)
+                width = (int32_t)w;
+        }
+    }
+    if (oid >= 0 && !(lazy && IS_MUT[kind])) {
+        if (key == Py_None) {
+            if (oid < self->locap)
+                prev_s = (lazy ? (modifying ? self->laccess_o
+                                            : self->lmodify_o)
+                               : (modifying ? self->raccess_o
+                                            : self->rmodify_o))[oid];
+        }
+        else {
+            PyObject *loc = PyTuple_Pack(2, args[2], key);
+            if (loc == NULL)
+                goto done;
+            prev_k = PyDict_GetItemWithError(
+                lazy ? (modifying ? self->laccess_k : self->lmodify_k)
+                     : (modifying ? self->raccess_k : self->rmodify_k),
+                loc);
+            Py_DECREF(loc);
+            if (prev_k == NULL && PyErr_Occurred())
+                goto done;
+            Py_XINCREF(prev_k);
+            if (prev_k != NULL && PyTuple_GET_SIZE(prev_k) > width)
+                width = (int32_t)PyTuple_GET_SIZE(prev_k);
+        }
+    }
+    /* a WAIT's released mutex: regular side only */
+    if (!lazy && rmo >= 0 && rmo < self->locap)
+        prev_m = self->raccess_o[rmo];
+
+    /* scratch copy of the working row; cells past tlen are zero */
+    if (width > SCRATCH_CELLS) {
+        row = (int64_t *)PyMem_Calloc((size_t)width, sizeof(int64_t));
+        if (row == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    else
+        memset(row, 0, sizeof(stack_row));
+    tlen = (lazy ? self->llens : self->rlens)[tid];
+    memcpy(row, (lazy ? self->lbuf : self->rbuf) + (size_t)tid * self->cap,
+           (size_t)tlen * sizeof(int64_t));
+    if (edges != NULL) {
+        n = PyList_GET_SIZE(edges);
+        for (i = 0; i < n; i++) {
+            tlen = join_tuple_into_row(
+                row, tlen, PyTuple_GET_ITEM(PyList_GET_ITEM(edges, i), lazy));
+            if (tlen < 0)
+                goto done;
+        }
+    }
+    if (prev_s != NULL)
+        tlen = join_snap_row(row, tlen, prev_s);
+    if (prev_k != NULL) {
+        tlen = join_tuple_into_row(row, tlen, prev_k);
+        if (tlen < 0)
+            goto done;
+    }
+    if (prev_m != NULL)
+        tlen = join_snap_row(row, tlen, prev_m);
+    row[tid] += 1;
+
+    chains = lazy ? self->lchains : self->rchains;
+    result = PyLong_FromSsize_t((Py_ssize_t)prefix_fingerprint(
+        chains, self->nthreads, (lazy ? self->lcount : self->rcount) + 1,
+        (int32_t)tid,
+        chain_step(chains[tid], kind, oid, keylane, row_hash(row, tlen))));
+
+done:
+    if (row != stack_row)
+        PyMem_Free(row);
+    Py_XDECREF(edges);
+    Py_XDECREF(prev_k);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -939,6 +1131,11 @@ engine_add_release_edge_clocks(EngineCore *self, PyObject *const *args,
             "add_release_edge_clocks(clock, lazy_clock, released_tid)");
         return NULL;
     }
+    /* observe() and fingerprint_after() read the edges as tuples */
+    if (!PyTuple_Check(args[0]) || !PyTuple_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "clock snapshots must be tuples");
+        return NULL;
+    }
     tk = args[2];
     lst = PyDict_GetItemWithError(self->pending, tk);
     if (lst == NULL) {
@@ -971,31 +1168,17 @@ engine_add_release_edge_clocks(EngineCore *self, PyObject *const *args,
 static PyObject *
 engine_hbr_fingerprint(EngineCore *self, PyObject *noarg)
 {
-    uint64_t inner = XXPRIME_5, outer = XXPRIME_5;
-    int32_t i;
-    Py_hash_t ih;
     (void)noarg;
-    for (i = 0; i < self->nthreads; i++)
-        inner = tup_lane(inner, (uint64_t)i64_hash(self->rchains[i]));
-    ih = tup_fini(inner, (Py_ssize_t)self->nthreads);
-    outer = tup_lane(outer, (uint64_t)i64_hash(self->rcount));
-    outer = tup_lane(outer, (uint64_t)ih);
-    return PyLong_FromSsize_t((Py_ssize_t)tup_fini(outer, 2));
+    return PyLong_FromSsize_t((Py_ssize_t)prefix_fingerprint(
+        self->rchains, self->nthreads, self->rcount, -1, 0));
 }
 
 static PyObject *
 engine_lazy_fingerprint(EngineCore *self, PyObject *noarg)
 {
-    uint64_t inner = XXPRIME_5, outer = XXPRIME_5;
-    int32_t i;
-    Py_hash_t ih;
     (void)noarg;
-    for (i = 0; i < self->nthreads; i++)
-        inner = tup_lane(inner, (uint64_t)i64_hash(self->lchains[i]));
-    ih = tup_fini(inner, (Py_ssize_t)self->nthreads);
-    outer = tup_lane(outer, (uint64_t)i64_hash(self->lcount));
-    outer = tup_lane(outer, (uint64_t)ih);
-    return PyLong_FromSsize_t((Py_ssize_t)tup_fini(outer, 2));
+    return PyLong_FromSsize_t((Py_ssize_t)prefix_fingerprint(
+        self->lchains, self->nthreads, self->lcount, -1, 0));
 }
 
 static PyObject *
@@ -1120,6 +1303,11 @@ static PyMethodDef engine_methods[] = {
      METH_FASTCALL | METH_KEYWORDS,
      "Fold one executed operation into both relations; returns the "
      "published (regular, lazy) snapshot tuples."},
+    {"fingerprint_after",
+     (PyCFunction)(void (*)(void))engine_fingerprint_after, METH_FASTCALL,
+     "The fingerprint of one relation that observe() with the same "
+     "arguments would leave behind, computed without changing the "
+     "engine."},
     {"reserve", (PyCFunction)engine_reserve, METH_O,
      "Pre-size both relations for n statically known threads."},
     {"register_thread_clocks",

@@ -38,6 +38,10 @@ event, thousands of times per schedule):
   ``A[o]`` update of a non-modifying access (concurrent readers) can
   need a real join.
 
+:meth:`DualClockEngine.fingerprint_after` runs the same arithmetic
+for one relation on a scratch copy of one working clock and writes
+nothing: HBR caching's lookahead before a step.
+
 Edge classification is driven by the per-kind happens-before classes
 (:class:`~repro.core.events.HBClass`, declared in
 :data:`~repro.core.events.KIND_SPEC`): the ``IS_MODIFYING``/
@@ -302,6 +306,47 @@ class DualClockEngine:
             regular.canonical.update(tid, label, snap)
             lazy.canonical.update(tid, label, lazy_snap)
         return snap, lazy_snap
+
+    def fingerprint_after(
+        self,
+        tid: int,
+        kind: int,
+        oid: int,
+        key: object,
+        released_mutex_oid: Optional[int],
+        lazy: bool,
+    ) -> int:
+        """The fingerprint of one relation (``lazy`` picks which) that
+        :meth:`observe` with the same arguments would leave behind.
+
+        Read-only: the join and tick run on a scratch copy of ``tid``'s
+        working clock, and no table, chain, count or pending release
+        edge changes.  This is how HBR caching probes a step before
+        paying for it (:meth:`~repro.runtime.executor.Executor
+        .lookahead`)."""
+        side = self.lazy if lazy else self.regular
+        tc = list(side.thread_clocks[tid])
+        pending = self._pending_sync.get(tid)
+        if pending:
+            for edge in pending:
+                join_tuple_into(tc, edge[1] if lazy else edge[0])
+        if oid >= 0 and not (lazy and IS_MUTEX[kind]):
+            prev = (side.access if IS_MODIFYING[kind] else side.modify).get(
+                (oid, key)
+            )
+            if prev is not None:
+                join_tuple_into(tc, prev)
+        if released_mutex_oid is not None and not lazy:
+            prev = side.access.get((released_mutex_oid, None))
+            if prev is not None:
+                join_tuple_into(tc, prev)
+        tc[tid] += 1
+        if key is None:
+            key = -1
+        chain = side.chain
+        chains = list(chain._chains)
+        chains[tid] = hash((chains[tid], kind, oid, key, tuple(tc)))
+        return hash((chain._count + 1, tuple(chains)))
 
     # ------------------------------------------------------------------
     # Fingerprint accessors

@@ -19,8 +19,9 @@ Within the same schedule budget, the lazy variant therefore reaches
 Figure 3.
 
 On the unified kernel this is the DFS strategy plus an ``on_step``
-pruning hook, which reads the fingerprint off whichever clock engine
-the kernel hands it.  The fingerprint cache is *global strategy
+pruning hook, which reads the fingerprint off whatever the kernel
+hands it: the executor's clock engine after a step, or a step's
+lookahead before it.  The fingerprint cache is *global strategy
 state*, not part of any work item.  Every prefix is probed exactly
 once.  The replayed ancestors of a work item were probed when first
 executed; the item's own last step, a sibling alternative no schedule
@@ -28,7 +29,8 @@ has run before, is probed like any new step, so a hit prunes it before
 any of its siblings is expanded.  The fingerprint is a function of the
 clock state and the next event's label, so it is known before the
 event runs: where a step leaves a state that still roots pending
-siblings, the kernel probes a forked engine first and a hit never
+siblings, the kernel probes the step's lookahead first (the clock
+engine's ``fingerprint_after``, a read of its tables) and a hit never
 executes the step, keeping the executor at the branch point for the
 next sibling.  The cache sees the same inserts in the same order
 either way.  Checkpoints serialize the cache contents (so a resumed

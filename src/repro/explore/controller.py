@@ -47,6 +47,12 @@ STANDARD_EXPLORERS: Dict[str, ExplorerFactory] = {
 #: into multiple cells when a campaign requests ``seeds > 1``.
 SEEDED_EXPLORERS = frozenset({"random", "pct"})
 
+#: strategies whose results are approximate: a lazy-fingerprint cache
+#: hit prunes race analysis a suffix still needed, so a run can miss
+#: states (see ``repro.explore.lazy_dpor``).  Check results and
+#: campaign cells of these strategies say so.
+APPROXIMATE_EXPLORERS = frozenset({"lazy-dpor"})
+
 #: kernel-based strategies whose frontier can be sharded with
 #: ``Frontier.split`` (see ``repro.explore.kernel``).  DPOR variants are
 #: excluded: their backtrack sets grow dynamically, so a static split of

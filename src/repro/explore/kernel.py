@@ -12,9 +12,9 @@ only the scheduling policy, expressed through three hooks:
 * ``expand(enabled, ann)`` — at one scheduling point, pick the default
   choice and enumerate the sibling alternatives (each a serializable
   :class:`~repro.explore.frontier.WorkItem` annotation);
-* ``on_step(engine)`` — optional pruning once per prefix, on the clock
-  engine after its last step (HBR caching returns True on a
-  fingerprint-cache hit).
+* ``on_step(engine)`` — optional pruning once per prefix, on the
+  fingerprints of the prefix's last step (HBR caching returns True on
+  a fingerprint-cache hit).
 
 The kernel drives an explicit :class:`~repro.explore.frontier.Frontier`
 instead of an implicit Python-local stack of frames.  Popping an item,
@@ -31,15 +31,17 @@ old frame-based loops, and for HBR caching against a recursive oracle)
 A step that leaves a state still rooting pending siblings (the default
 choice at a point with alternatives, or an item's own step while its
 next sibling tops the frontier) is probed *before* it runs, on the
-engine fork :meth:`~repro.runtime.executor.Executor.engine_after`
-returns.  A hit ends the schedule as pruned with the executor still at
-the branch point, held for the next sibling
+:class:`~repro.runtime.executor.Lookahead` that
+:meth:`~repro.runtime.executor.Executor.lookahead` returns: the clock
+engine computes the fingerprints the step would leave from its tables,
+without forking or stepping.  A hit ends the schedule as pruned with
+the executor still at the branch point, held for the next sibling
 (:meth:`~repro.explore.base.Explorer._retire`); a miss pushes the
 state onto the spine on departure
 (:meth:`~repro.explore.base.Explorer._capture`), then steps without
 probing again.  Every other step is probed after it runs.  Either way
-the strategy sees the same engines in the same order, so schedules
-and statistics do not depend on where the probe ran.
+the strategy sees the same fingerprints in the same order, so
+schedules and statistics do not depend on where the probe ran.
 
 See DESIGN.md §3 and §7.3.
 """
@@ -107,15 +109,16 @@ class Strategy:
         raise NotImplementedError
 
     def on_step(self, engine) -> bool:
-        """Called once per prefix, with the clock engine as it stands
-        after the prefix's last step first executes: each newly chosen
-        step, and a non-root work item's own last step, a sibling
-        alternative no schedule has run before.  The replayed steps
-        before it were seen when first executed.  ``engine`` is the
-        executor's own after a real step, or a fork advanced by the
-        pending event when the kernel probes before stepping (see the
-        module docstring); read only its fingerprints.  Return True to
-        prune the schedule here."""
+        """Called once per prefix, with the fingerprints the prefix's
+        last step leaves behind when it first executes: each newly
+        chosen step, and a non-root work item's own last step, a
+        sibling alternative no schedule has run before.  The replayed
+        steps before it were seen when first executed.  ``engine`` is
+        the executor's clock engine after a real step, or the
+        step's :class:`~repro.runtime.executor.Lookahead` when the
+        kernel probes before stepping (see the module docstring);
+        read only ``hbr_fingerprint()`` and ``lazy_fingerprint()``.
+        Return True to prune the schedule here."""
         return False
 
     def on_schedule_start(self, item: WorkItem) -> None:
@@ -234,7 +237,7 @@ class KernelExplorer(Explorer):
             # deadline probe compiled out when inert — this loop runs
             # once per scheduling point of every schedule in a campaign
             engine = ex.engine
-            engine_after = ex.engine_after
+            lookahead = ex.lookahead
             ex_is_done = ex.is_done
             ex_enabled = ex.enabled
             ex_step = ex.step
@@ -247,9 +250,9 @@ class KernelExplorer(Explorer):
                 else None
             )
             # a step leaving a state that roots pending siblings is
-            # probed before it runs, on a forked engine: a hit keeps
-            # the executor here for the next sibling.  Seed-for-split
-            # mode pops breadth-first, so its next item is no sibling.
+            # probed before it runs, on its lookahead: a hit keeps the
+            # executor here for the next sibling.  Seed-for-split mode
+            # pops breadth-first, so its next item is no sibling.
             peek = on_step is not None and not seeding
             if item.prefix:
                 tid = item.prefix[-1]
@@ -264,7 +267,7 @@ class KernelExplorer(Explorer):
                 if tid is not None:
                     probed = False
                     if roots and peek:
-                        after = engine_after(tid)
+                        after = lookahead(tid)
                         if after is not None:
                             probed = True
                             if on_step(after):

@@ -16,8 +16,10 @@ Explorers build one Executor per exploration and place every later
 schedule's executor by restoring a snapshot, or by reusing one that a
 pruned schedule left standing at the right prefix
 (:meth:`repro.explore.base.Explorer._executor_at`), so this class has
-no reset logic.  :meth:`engine_after` lets them probe a step's
-fingerprints before deciding to pay for it.
+no reset logic.  :meth:`lookahead` lets them probe a step's
+fingerprints before deciding to pay for it: the clock engine computes
+them from its tables with ``fingerprint_after``, with no fork and no
+step.
 
 Hot-path machinery (this class runs millions of steps per campaign):
 
@@ -48,9 +50,10 @@ Hot-path machinery (this class runs millions of steps per campaign):
   :meth:`from_snapshot` — copy-on-write executor snapshots that let
   explorers resume from a branch point instead of replaying the
   whole prefix (see :mod:`repro.runtime.snapshot` for the design and
-  its guarantees).  A restore rebuilds every thread: along the
-  recycled instance's op-trie (:mod:`repro.runtime.optrie`) where the
-  tape is on it, else by fast-forwarding a fresh generator.
+  its guarantees).  A restore rebuilds every thread: at the op-trie
+  node (:mod:`repro.runtime.optrie`) the snapshot recorded for it,
+  when restoring onto the recycled instance that owns that trie, else
+  by fast-forwarding a fresh generator.
 """
 
 from __future__ import annotations
@@ -189,6 +192,26 @@ class _GuestThread:
         #: valid while ``pending``/``status`` are unchanged (DPOR asks
         #: for the whole lookahead at every scheduling point)
         self.pinfo = None
+
+
+class Lookahead:
+    """One pending event's fingerprints, before it runs
+    (:meth:`Executor.lookahead`).  Each accessor asks the clock engine
+    for ``fingerprint_after`` the event in one relation: a read of the
+    tables, with no fork and no change to the engine."""
+
+    __slots__ = ("_fingerprint_after", "_event")
+
+    def __init__(self, engine, tid: int, kind: int, oid: int, key: Any,
+                 released_mutex_oid: Optional[int]) -> None:
+        self._fingerprint_after = engine.fingerprint_after
+        self._event = (tid, kind, oid, key, released_mutex_oid)
+
+    def hbr_fingerprint(self) -> int:
+        return self._fingerprint_after(*self._event, False)
+
+    def lazy_fingerprint(self) -> int:
+        return self._fingerprint_after(*self._event, True)
 
 
 class Executor:
@@ -703,11 +726,12 @@ class Executor:
             return -2, op.arg  # resolved to the handle oid at execution
         return op.target.oid, None
 
-    def engine_after(self, tid: int):
-        """A fork of the clock engine advanced by ``tid``'s pending
-        event, without executing anything: its fingerprints are those
-        ``step(tid)`` would leave behind, so a caller that only needs
-        them can decide before paying for the step.
+    def lookahead(self, tid: int) -> Optional[Lookahead]:
+        """The fingerprints ``step(tid)`` would leave behind, without
+        executing anything: a caller that only needs them can decide
+        before paying for the step.  The returned :class:`Lookahead`
+        reads them from the clock tables as they stand, so it is valid
+        until the next step.
 
         None where the event's label is not a pure function of the
         pending op: SPAWN (the child handle's oid is allocated at
@@ -725,12 +749,10 @@ class Executor:
             return None
         oid, key = self._op_location(t, op)
         target = op.target
-        engine = self.engine.fork()
-        engine.observe(
-            tid, kind, oid, key,
+        return Lookahead(
+            self.engine, tid, kind, oid, key,
             target.op_released_oid(op) if target is not None else None,
         )
-        return engine
 
     # ------------------------------------------------------------------
     # Stepping
@@ -1054,6 +1076,7 @@ class Executor:
                 t.deadline,
                 t.wake_value,
                 t.parked_on.oid if t.parked_on is not None else None,
+                t.trie_node,
             )
             for t in self.threads
         ]
@@ -1088,6 +1111,7 @@ class Executor:
                 "_fx_released": None,
                 "_fx_throw": None,
             },
+            self._optrie,
         )
 
     def fork(self) -> "Executor":
@@ -1191,14 +1215,15 @@ class Executor:
         thread or object count that differs because the snapshot has
         executed a SPAWN) is discarded for a fresh instance.
 
-        Every thread is rebuilt, in one of two ways.  A thread whose
-        recorded send history is on the instance's op-trie is served
-        from the trie (one dict hop per send, no generator); any other
-        thread gets a fresh generator fast-forwarded along its tape.
-        A fresh instance's trie is empty, so the trie walk only runs
-        on a recycled instance, that is, for a snapshot in which no
-        SPAWN has executed.  Dynamically spawned threads are therefore
-        always fast-forwarded, from the SPAWN ops their parents'
+        Every thread is rebuilt, in one of two ways.  On the instance
+        whose op-trie the snapshot recorded positions in (a recycled
+        one), a thread with a recorded node is put back on it and
+        served from the trie, with no generator and no per-send work.
+        Any other thread gets a fresh generator fast-forwarded along
+        its tape.  A fresh instance has a fresh trie, so recorded
+        positions are only used for a snapshot in which no SPAWN has
+        executed.  Dynamically spawned threads are therefore always
+        fast-forwarded, from the SPAWN ops their parents'
         fast-forwards collect.
         """
         handles = None
@@ -1253,7 +1278,8 @@ class Executor:
         fast_forward = cls._fast_forward
         objects = registry.objects
         guest_new = _GuestThread.__new__
-        trie_roots = optrie.roots if optrie is not None else {}
+        # recorded nodes belong to the snapshot's trie (None when off)
+        on_trie = snap.optrie is optrie
         for tid, rec in enumerate(snap.thread_records):
             # handles registered in tid order reproduce the original
             # oid assignment (spawn order is tid order); a reused
@@ -1279,23 +1305,10 @@ class Executor:
             t.pinfo = None
             pending: Optional[Op] = None
             if rec.needs_replay:
-                node = trie_roots.get(tid)
+                node = rec.trie_node if on_trie else None
                 if node is not None:
-                    # op-trie walk: one dict hop per recorded send
-                    # instead of a generator resume
-                    tape = rec.tape
-                    for i in range(rec.tape_len):
-                        children = node[1]
-                        child = None
-                        if children is not None:
-                            k = trie_key(tape[i])
-                            if k is not UNKEYABLE:
-                                child = children.get(k)
-                        if child is None:
-                            node = None
-                            break
-                        node = child
-                if node is not None:
+                    # the recorded op-trie position: served from the
+                    # trie, no generator
                     pending = node[0]
                     t.tape = rec.tape[:rec.tape_len]
                     t.trie_node = node

@@ -26,9 +26,13 @@ Scoping rules that make this sound:
 
 * The trie is owned by one ``ProgramInstance`` and caches that
   instance's ``Op`` objects verbatim (ops close over the instance's
-  shared objects).  Instance reuse — the executor pool, snapshot
-  restores with ``reuse=`` — is what makes the cache hit; a fresh
-  instance starts a fresh trie.
+  shared objects).  Instance reuse — snapshot restores with
+  ``reuse=`` — is what makes the cache hit; a fresh instance starts a
+  fresh trie.  A snapshot records each thread's node together with the
+  trie, and a restore onto the instance that owns that trie puts the
+  thread straight back on its node.  A position is never re-derived
+  by walking the send tape from a root: a thread without a recorded
+  node is fast-forwarded instead.
 * Ops are write-once (the one mutation, re-pointing a SLEEP at the
   instance clock, is idempotent per instance), so sharing one cached
   ``Op`` across replays is safe.

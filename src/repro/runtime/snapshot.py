@@ -12,13 +12,14 @@ what it does **not** copy:
   executor records that sequence per thread (the *tape*); a snapshot
   shares the live, append-only tape list and remembers only its
   current length (copy-on-write by append-only discipline).  A
-  restore rebuilds every thread from that tape, in one of two ways.
-  On a recycled :class:`~repro.runtime.program.ProgramInstance` it
-  walks the instance's op-trie (:mod:`repro.runtime.optrie`) along
-  the tape, one dict hop per send and no generator at all; a thread
-  whose history leaves the trie, and every thread on a fresh
-  instance, gets a fresh generator fast-forwarded by re-feeding the
-  tape.  Neither runs scheduling, clock updates or object operations.
+  snapshot also records where each thread stands on the executor's
+  op-trie (:mod:`repro.runtime.optrie`), and which trie that is.  A
+  restore onto the :class:`~repro.runtime.program.ProgramInstance`
+  that owns that trie (a recycled one) puts each thread back on its
+  recorded node: no generator and no per-send work at all.  A thread
+  with no recorded node, and every thread on any other instance, gets
+  a fresh generator fast-forwarded by re-feeding the tape.  Neither
+  runs scheduling, clock updates or object operations.
 * The :class:`~repro.core.hb.DualClockEngine` forks by sharing its
   published (immutable) clock snapshot tuples and copying only the two
   location tables and the short mutable working clocks — the engine's
@@ -48,6 +49,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.hb import DualClockEngine
+from .optrie import Node, OpTrie
 
 
 class ThreadRecord(NamedTuple):
@@ -63,6 +65,8 @@ class ThreadRecord(NamedTuple):
     error (``throw_exc``): the injected error is recorded here instead
     of on the tape, and a restore resynthesizes the pending EXIT from
     it rather than re-throwing into a rebuilt generator.
+    ``trie_node`` is the thread's op-trie node (the node of the op its
+    guest last yielded), or None for a thread off the trie.
 
     A named tuple rather than a slotted class: explorers build a few
     of these per branch point on the snapshot hot path, and tuple
@@ -84,6 +88,7 @@ class ThreadRecord(NamedTuple):
     deadline: Optional[int] = None
     wake_value: Optional[bool] = None
     parked_on_oid: Optional[int] = None
+    trie_node: Optional[Node] = None
 
 
 class ExecutorSnapshot:
@@ -91,7 +96,9 @@ class ExecutorSnapshot:
 
     Passive data: building one never runs guest code.  A snapshot can
     be restored any number of times (each restore forks the engine and
-    rebuilds every thread from the op-trie or its tape).  What a
+    rebuilds every thread from its recorded trie node or its tape).
+    ``optrie`` is the trie the nodes belong to (None with the cache
+    off).  What a
     restore can derive is not stored: the runnable set is the records
     whose status is RUNNABLE, a crashed run's reported error is the
     lowest crashed tid's ``throw_exc``, and the event count is the
@@ -100,7 +107,7 @@ class ExecutorSnapshot:
 
     __slots__ = (
         "program", "schedule", "trace", "thread_records", "spawn_origin",
-        "object_states", "engine", "restore_fields",
+        "object_states", "engine", "restore_fields", "optrie",
     )
 
     def __init__(
@@ -113,6 +120,7 @@ class ExecutorSnapshot:
         object_states: List[Any],
         engine: DualClockEngine,
         restore_fields: Dict[str, Any],
+        optrie: Optional[OpTrie],
     ) -> None:
         self.program = program
         self.schedule = schedule
@@ -127,3 +135,4 @@ class ExecutorSnapshot:
         #: plus the handful of per-restore values (program, instance,
         #: engine fork, mutable-container copies)
         self.restore_fields = restore_fields
+        self.optrie = optrie

@@ -10,6 +10,7 @@ from repro.__main__ import main
 from repro.campaign import (
     CampaignCell,
     CampaignReport,
+    CellResult,
     ResultStore,
     build_cells,
     campaign_report,
@@ -122,6 +123,25 @@ class TestExecuteCell:
         clone = type(res).from_dict(json.loads(json.dumps(res.to_dict())))
         assert clone.cell == res.cell
         assert clone.stats.to_dict() == res.stats.to_dict()
+
+    def test_only_lazy_dpor_cells_are_labelled_approximate(self):
+        # the key is left out for exact explorers, so reports of the
+        # default campaign keep their shape
+        lazy = execute_cell(CampaignCell(1, "lazy-dpor"), LIMITS).to_dict()
+        assert lazy["approximate"] is True
+        for explorer in ("dpor", "hbr-caching", "lazy-hbr-caching", "dfs"):
+            d = execute_cell(CampaignCell(1, explorer), LIMITS).to_dict()
+            assert "approximate" not in d, explorer
+        report = campaign_report(
+            run_campaign(build_cells([1], ["dpor", "lazy-dpor"]), LIMITS,
+                         jobs=1),
+            LIMITS,
+        ).to_dict()
+        labels = {c["explorer"]: c.get("approximate")
+                  for c in report["cells"]}
+        assert labels == {"dpor": None, "lazy-dpor": True}
+        clone = CellResult.from_dict(json.loads(json.dumps(lazy)))
+        assert clone.to_dict()["approximate"] is True
 
 
 class TestDeterminism:

@@ -94,6 +94,31 @@ class TestCheck:
         text = result.summary()
         assert "BUG" in text and "minimized" in text
 
+    def test_lazy_dpor_result_is_approximate(self):
+        # lazy-dpor can miss states; its result says so, in the summary
+        # and in the JSON form, and survives a round trip
+        result = check(all_benchmarks()[0].program, explorer="lazy-dpor",
+                       max_schedules=50)
+        assert result.approximate
+        assert "approximate" in result.summary()
+        assert result.to_dict()["approximate"] is True
+        assert CheckResult.from_dict(result.to_dict()).approximate
+
+    @pytest.mark.parametrize("explorer", ["dpor", "dfs", "hbr-caching",
+                                          "lazy-hbr-caching"])
+    def test_exact_explorers_are_not_approximate(self, explorer):
+        result = check(all_benchmarks()[0].program, explorer=explorer,
+                       max_schedules=50)
+        assert not result.approximate
+        assert "approximate" not in result.summary()
+        assert result.to_dict()["approximate"] is False
+
+    def test_old_payload_reads_as_exact(self):
+        # payloads written before the field existed carry no key
+        payload = check(racy_main).to_dict()
+        del payload["approximate"]
+        assert CheckResult.from_dict(payload).approximate is False
+
     def test_unknown_explorer_rejected(self):
         with pytest.raises(ValueError, match="unknown explorer"):
             check(racy_main, explorer="nope")

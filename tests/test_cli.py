@@ -47,6 +47,22 @@ class TestCheck:
         assert payload["bug_found"] is True
         assert payload["explorer"] == "dpor"
 
+    def test_lazy_dpor_check_says_approximate(self, capsys, tmp_path):
+        import json
+        path = tmp_path / "check.json"
+        assert main(["check", "1", "--explorer", "lazy-dpor",
+                     "--limit", "100", "--json", str(path)]) == 0
+        assert "approximate" in capsys.readouterr().out
+        assert json.loads(path.read_text())["approximate"] is True
+
+    def test_exact_check_does_not_say_approximate(self, capsys, tmp_path):
+        import json
+        path = tmp_path / "check.json"
+        assert main(["check", "1", "--limit", "100",
+                     "--json", str(path)]) == 0
+        assert "approximate" not in capsys.readouterr().out
+        assert json.loads(path.read_text())["approximate"] is False
+
     def test_bad_target_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "no-colon-here"])

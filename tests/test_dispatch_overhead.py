@@ -14,7 +14,11 @@ These tests pin both properties so neither can silently regress:
 * a class-level wrapper on ``Executor.step`` — the boundary the
   repository benchmark's tracer instruments — must see exactly one
   call per stepped event on every available engine, so no engine can
-  slip past it with a per-instance step loop of its own.
+  slip past it with a per-instance step loop of its own;
+* (lazy) HBR caching probes steps before running them, on lookaheads
+  that read the clock tables: the engine's ``observe`` runs exactly
+  once per executed step, and every engine fork belongs to a snapshot
+  or a restore, so no peek forks or observes.
 
 The ceiling is deliberately generous (~40% headroom over the measured
 value) so it only trips on structural regressions — a new per-event
@@ -25,10 +29,15 @@ is what makes this pin viable in CI.
 
 import cProfile
 import pstats
+from collections import Counter
 
 import pytest
 
-from repro.core.engines import available_backends, native_compiled
+from repro.core.engines import (
+    available_backends,
+    create_clock_engine,
+    native_compiled,
+)
 from repro.explore.base import ExplorationLimits
 from repro.explore.controller import make_explorer
 from repro.runtime.executor import Executor
@@ -109,3 +118,43 @@ def test_one_step_loop_drives_every_engine(engine, monkeypatch):
         f"{engine}: {len(calls)} Executor.step calls for "
         f"{stats.num_events} stepped events"
     )
+
+
+def _count_calls(monkeypatch, counts, owner, name):
+    """Count calls of ``owner.name`` (a plain or class method)."""
+    attr = owner.__dict__.get(name)
+    if isinstance(attr, classmethod):
+        original = attr.__func__
+
+        def counting(cls, *args, **kwargs):
+            counts[name] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, classmethod(counting))
+        return
+    original = getattr(owner, name)
+
+    def counting(self, *args, **kwargs):
+        counts[name] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("engine", available_backends())
+@pytest.mark.parametrize("explorer", ["hbr-caching", "lazy-hbr-caching"])
+def test_caching_peeks_neither_fork_nor_observe(engine, explorer,
+                                                monkeypatch):
+    counts: Counter = Counter()
+    engine_cls = type(create_clock_engine(engine))
+    for name in ("observe", "fork"):
+        _count_calls(monkeypatch, counts, engine_cls, name)
+    for name in ("step", "snapshot", "from_snapshot", "lookahead"):
+        _count_calls(monkeypatch, counts, Executor, name)
+    limits = ExplorationLimits(max_schedules=MAX_SCHEDULES)
+    stats = make_explorer(explorer, _program(), limits, engine=engine).run()
+    # the peeks ran, and some pruned a step before it executed
+    assert counts["lookahead"] > 0 and stats.num_pruned > 0, counts
+    assert counts["observe"] == counts["step"], counts
+    assert counts["fork"] == counts["snapshot"] + counts["from_snapshot"], \
+        counts

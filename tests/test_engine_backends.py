@@ -8,15 +8,17 @@ Three layers of assurance:
   compiled kernel);
 * a hypothesis property driving the reference engine and, when built,
   the compiled kernel through identical random operation sequences —
-  spawn edges, release edges, engine forks included — and comparing
-  every published clock snapshot, fingerprint and dominance outcome
-  event by event.  Each engine also runs alongside an independent fork
+  spawn edges, release edges, engine forks and read-only
+  ``fingerprint_after`` lookaheads included — and comparing every
+  published clock snapshot, fingerprint and dominance outcome event by
+  event.  Each engine also runs alongside an independent fork
   of itself taken before the first event, so state aliasing between a
   parent and its fork shows up as divergence on every checkout;
 * subprocess tests proving ``REPRO_ENGINE`` actually steers a fresh
   interpreter (the escape hatch the docs promise).
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -159,9 +161,26 @@ def _steps(nthreads):
     release = st.tuples(st.just("release"), tid, tid)
     spawn = st.tuples(st.just("spawn"), tid, tid)
     fork = st.tuples(st.just("fork"))
+    # fingerprint_after of one event on every thread, WAITs with a
+    # released mutex too
+    peek = st.tuples(
+        st.just("peek"), st.sampled_from(_KINDS + (OpKind.WAIT,)),
+        st.integers(0, 3), st.sampled_from([None, 0, 1, "slot"]),
+        st.one_of(st.none(), st.integers(0, 3)),
+    )
     return st.lists(
-        st.one_of(observe, wait, release, spawn, fork),
+        st.one_of(observe, wait, release, spawn, fork, peek),
         min_size=1, max_size=60,
+    )
+
+
+def _engine_state(engine, nthreads):
+    """Everything a read-only call must leave alone."""
+    return (
+        engine.hbr_fingerprint(), engine.lazy_fingerprint(),
+        [list(engine.thread_clock_raw(t, lazy))
+         for t in range(nthreads) for lazy in (False, True)],
+        engine.table_stats(),
     )
 
 
@@ -219,6 +238,24 @@ class TestObserveEquivalence:
                     continue
                 for e in engines:
                     e.register_thread_clocks(child, snap[0], snap[1])
+            elif step[0] == "peek":
+                # fingerprint_after is what fork() + observe() leaves
+                # behind, agrees across engines, and changes nothing
+                _, kind, oid, key, released = step
+                for tid, lazy in itertools.product(range(nthreads),
+                                                   (False, True)):
+                    event = (tid, int(kind), oid, key, released)
+                    want = engines[0].fingerprint_after(*event, lazy)
+                    for e in engines:
+                        before = _engine_state(e, nthreads)
+                        got = e.fingerprint_after(*event, lazy)
+                        assert _engine_state(e, nthreads) == before, step
+                        stepped = e.fork()
+                        stepped.observe(*event)
+                        assert got == want == (
+                            stepped.lazy_fingerprint() if lazy
+                            else stepped.hbr_fingerprint()
+                        ), (step, tid, lazy, type(e).__name__)
             else:  # fork: continue on the copies — copy-on-publish must
                 # not let the child alias the parent's published rows
                 engines = [e.fork() for e in engines]
@@ -269,6 +306,21 @@ class TestObserveEquivalence:
             assert ref.lazy_fingerprint() == other.lazy_fingerprint()
             assert ref.table_stats() == other.table_stats()
 
+
+
+@pytest.mark.skipif(not native_compiled(),
+                    reason="native extension not compiled")
+def test_native_rejects_non_tuple_clocks():
+    """The compiled kernel reads stored clock snapshots as tuples, so
+    it refuses anything else where they come in."""
+    engine = create_clock_engine("native")
+    engine.reserve(2)
+    with pytest.raises(TypeError, match="tuples"):
+        engine.add_release_edge_clocks([1, 0], (1, 0), 1)
+    with pytest.raises(TypeError, match="tuples"):
+        engine.register_thread_clocks(1, (1, 0), [1, 0])
+    assert engine.table_stats() == (0, 2)
+    engine.observe(1, int(OpKind.WRITE), 0, None)
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -1,12 +1,12 @@
-"""Peek exactness: ``Executor.engine_after(tid)`` is the clock engine
+"""Peek exactness: ``Executor.lookahead(tid)`` gives the fingerprints
 ``step(tid)`` would leave behind.
 
-HBR caching probes the fingerprint cache on that fork before stepping
-(see ``repro.explore.kernel``), so a peek that disagreed with the real
-step would prune the wrong schedules.  Every check compares the peek's
-``(hbr_fingerprint, lazy_fingerprint)`` with those of ``ex.fork()``
-after ``step(tid)``, at every state of a walk and for every enabled
-thread, on
+HBR caching probes the fingerprint cache on that lookahead before
+stepping (see ``repro.explore.kernel``), so a peek that disagreed with
+the real step would prune the wrong schedules.  Every check compares
+the peek's ``(hbr_fingerprint, lazy_fingerprint)`` with those of
+``ex.fork()`` after ``step(tid)``, at every state of a walk and for
+every enabled thread, on
 
 * fixed-seed random walks over every suite program and both halves of
   every shim twin (the shim half's pending ops come from instrumented
@@ -17,8 +17,10 @@ thread, on
 The peek must return None exactly where the event's label is not a
 pure function of the pending op: SPAWN, JOIN, timed ops, parked timed
 waiters, and a step that would hit ``max_events``.  It must never
-disturb the executor it peeks from.  Parametrized over every available
-clock backend, so a build with the compiled kernel checks it too.
+disturb the executor it peeks from: fingerprints, every thread clock
+of both relations and ``table_stats()`` are unchanged afterwards.
+Parametrized over every available clock backend, so a build with the
+compiled kernel checks it too.
 """
 
 from __future__ import annotations
@@ -51,9 +53,21 @@ def _fingerprints(engine):
     return engine.hbr_fingerprint(), engine.lazy_fingerprint()
 
 
+def _engine_state(ex: Executor):
+    """Everything a peek could disturb: both fingerprints, every
+    thread clock of both relations, and the table sizes."""
+    engine = ex.engine
+    clocks = tuple(
+        tuple(engine.thread_clock_raw(t.tid, lazy))
+        for t in ex.threads
+        for lazy in (False, True)
+    )
+    return _fingerprints(engine), clocks, engine.table_stats()
+
+
 def _unlabelled(ex: Executor, tid: int):
-    """Why ``engine_after(tid)`` must be None, or None when it must
-    not be."""
+    """Why ``lookahead(tid)`` must be None, or None when it must not
+    be."""
     op = ex.threads[tid].pending
     if op is None:
         return "timed-parked"
@@ -70,10 +84,10 @@ def _check_state(ex: Executor, seen: Set[str]) -> None:
     """Peek every enabled thread of ``ex`` and compare each peek with
     a real step on a fork; ``seen`` collects the peeked kinds and the
     reasons for None."""
-    before = _fingerprints(ex.engine)
+    before = _engine_state(ex)
     schedule = list(ex.schedule)
     for tid in ex.enabled():
-        after = ex.engine_after(tid)
+        after = ex.lookahead(tid)
         reason = _unlabelled(ex, tid)
         if reason is not None:
             assert after is None, (reason, schedule, tid)
@@ -87,7 +101,8 @@ def _check_state(ex: Executor, seen: Set[str]) -> None:
         )
         seen.add(ex.threads[tid].pending.kind.name)
         child.close()
-    assert _fingerprints(ex.engine) == before
+        assert _engine_state(ex) == before, (schedule, tid)
+    assert _engine_state(ex) == before
     assert ex.schedule == schedule
 
 
@@ -178,9 +193,9 @@ def test_peek_matches_step_on_generated_channel_programs(engine, spec):
 def test_peek_is_none_at_max_events(engine):
     program = REGISTRY[1].program
     ex = Executor(program, max_events=2, engine=engine)
-    assert all(ex.engine_after(tid) is not None for tid in ex.enabled())
+    assert all(ex.lookahead(tid) is not None for tid in ex.enabled())
     for _ in range(2):
         ex.step(ex.enabled()[0])
     enabled = ex.enabled()
     assert enabled
-    assert all(ex.engine_after(tid) is None for tid in enabled)
+    assert all(ex.lookahead(tid) is None for tid in enabled)

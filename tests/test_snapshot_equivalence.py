@@ -273,9 +273,10 @@ def test_spawn_keeps_snapshots_off_recycled_instances():
     """An executed SPAWN registers the child's handle, so the executor
     that ran it hands back no instance, and a snapshot taken after a
     SPAWN is restored onto a fresh instance even when a spare is
-    offered.  The op-trie walk runs only on recycled instances, so it
-    never meets a snapshot with an executed SPAWN: dynamically spawned
-    threads are always rebuilt by fast-forward."""
+    offered.  Recorded op-trie positions are used only on the
+    recycled instance that owns the trie, so they never serve a
+    snapshot with an executed SPAWN: dynamically spawned threads are
+    always rebuilt by fast-forward."""
     program = _spawner()
     ex = Executor(program)
     pre = ex.snapshot()
