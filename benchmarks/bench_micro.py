@@ -92,11 +92,11 @@ def test_engine_fork(benchmark, engine):
 
 @pytest.mark.parametrize("engine", available_backends())
 def test_executor_step_isolated(benchmark, engine):
-    """The fast-replay executor step loop per backend."""
+    """The executor step loop per backend."""
     program = disjoint_coarse(3, 3)
 
     def run_steps():
-        ex = Executor(program, fast_replay=True, engine=engine)
+        ex = Executor(program, engine=engine)
         n = 0
         while not ex.is_done():
             ex.step(ex.enabled()[0])

@@ -127,9 +127,13 @@ def _sync_clocks(events: Sequence[Event], sync_oids: Set[int]) -> List[Tuple[int
 
 def races_in_trace(result: TraceResult, sync_oids: Set[int]) -> List[Race]:
     """All sync-unordered conflicting data-access pairs in one schedule."""
-    clocks = _sync_clocks(result.events, sync_oids)
+    return _races_in(result.events, sync_oids)
+
+
+def _races_in(events: Sequence[Event], sync_oids: Set[int]) -> List[Race]:
+    clocks = _sync_clocks(events, sync_oids)
     by_loc: Dict[Tuple[int, object], List[Tuple[Event, Tuple[int, ...]]]] = {}
-    for e, c in zip(result.events, clocks):
+    for e, c in zip(events, clocks):
         if e.kind in _DATA_KINDS and e.oid >= 0 and e.oid not in sync_oids:
             by_loc.setdefault((e.oid, e.key), []).append((e, c))
 
@@ -184,7 +188,8 @@ def find_races(
     class _RaceCollectingDPOR(DPORExplorer):
         def _record_terminal(self, result: TraceResult) -> None:
             super()._record_terminal(result)
-            for race in races_in_trace(result, sync):
+            # the finished run's events: DPOR's own trace
+            for race in _races_in(self._trace, sync):
                 if race not in seen:
                     seen.add(race)
                     order.append(race)

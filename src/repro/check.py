@@ -275,14 +275,14 @@ def _render_repro_trace(program: Program, schedule: Optional[List[int]],
         return []
     from .analysis.traceviz import render_timeline
     from .runtime.executor import Executor
-    from .runtime.schedule import ReplayScheduler
+    from .runtime.schedule import ReplayScheduler, _run
 
     ex = Executor(program, max_events=lim.max_events_per_schedule)
-    sched = ReplayScheduler(schedule)
     try:
-        while not ex.is_done():
-            ex.step(sched.choose(ex))
+        events = _run(ex, ReplayScheduler(schedule))
     except ReproError as exc:
         return [f"(trace replay failed: {exc})"]
+    result = ex.finish()
+    result.events = events
     names = {o.oid: o.name for o in ex.instance.registry.objects}
-    return render_timeline(ex.finish(), names).splitlines()
+    return render_timeline(result, names).splitlines()

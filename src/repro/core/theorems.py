@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SchedulerError
-from ..runtime.executor import Executor
 from ..runtime.program import Program
-from ..runtime.schedule import ReplayScheduler
+from ..runtime.schedule import execute_exact
 from ..runtime.trace import TraceResult
 from .relations import PartialOrder
 
@@ -36,21 +34,6 @@ class TheoremReport:
     counterexample: Optional[Tuple[List[int], List[int]]] = None
 
 
-def _execute_exact(program: Program, schedule: Sequence[int],
-                   max_events: int = 20_000) -> Optional[TraceResult]:
-    """Run ``schedule`` exactly; None when infeasible."""
-    ex = Executor(program, max_events=max_events)
-    sched = ReplayScheduler(schedule, strict=True)
-    try:
-        while not ex.is_done():
-            ex.step(sched.choose(ex))
-    except SchedulerError:
-        return None
-    if sched.pos != len(sched.prefix):
-        return None
-    return ex.finish()
-
-
 def check_theorem_2_1(
     program: Program,
     schedule: Sequence[int],
@@ -58,14 +41,14 @@ def check_theorem_2_1(
 ) -> TheoremReport:
     """All linearizations of the schedule's HBR are feasible and reach
     the same state (checking at most ``max_linearizations`` of them)."""
-    base = _execute_exact(program, list(schedule))
+    base = execute_exact(program, list(schedule))
     if base is None:
         raise ValueError("the given schedule is not feasible")
     po = PartialOrder(base.events, lazy=False)
     checked = 0
     for lin in po.linearizations(limit=max_linearizations):
         alt_schedule = po.thread_schedule(lin)
-        alt = _execute_exact(program, alt_schedule)
+        alt = execute_exact(program, alt_schedule)
         if alt is None:
             return TheoremReport(
                 False, checked,
@@ -99,7 +82,7 @@ def check_theorem_2_2(
     by_hbr: Dict[int, TraceResult] = {}
     checked = 0
     for schedule in schedules:
-        r = _execute_exact(program, list(schedule))
+        r = execute_exact(program, list(schedule))
         if r is None:
             continue
         checked += 1
@@ -132,7 +115,7 @@ def check_inequality_chain(
     states, lazies, hbrs = set(), set(), set()
     n = 0
     for schedule in schedules:
-        r = _execute_exact(program, list(schedule))
+        r = execute_exact(program, list(schedule))
         if r is None:
             continue
         n += 1

@@ -52,7 +52,7 @@ DEFAULT_SCHEDULE_LIMIT = 100_000
 DEFAULT_SNAPSHOT_BUDGET_BYTES = 4 << 20
 
 #: A mid-schedule wall-clock deadline check every scheduling point would
-#: be noise on the fast replay path; every N points bounds the overrun
+#: be noise on the replay hot path; every N points bounds the overrun
 #: of one long schedule to N steps while keeping the check invisible in
 #: the profile.
 DEADLINE_CHECK_EVERY = 32
@@ -306,14 +306,6 @@ class Explorer:
 
     name = "base"
 
-    #: Build fast-replay executors (no Event materialisation, no trace
-    #: list, no ``describe_state``).  Explorers that only consume
-    #: fingerprints/state hashes/schedules keep the default; strategies
-    #: that inspect the trace (DPOR and descendants) override to False.
-    #: Instances may flip the attribute before running — the equivalence
-    #: tests do — since executors read it at construction time.
-    fast_replay = True
-
     #: Clock-engine backend for the executors this explorer builds
     #: (``"ref"``/``"native"``/``None`` = auto; see
     #: :mod:`repro.core.engines`).  Set by ``make_explorer(engine=...)``
@@ -387,7 +379,6 @@ class Explorer:
         return Executor(
             self.program,
             max_events=self.limits.max_events_per_schedule,
-            fast_replay=self.fast_replay,
             engine=self.engine,
         )
 

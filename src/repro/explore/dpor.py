@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..core.events import Event, IS_MODIFYING, OpKind
+from ..core.events import Event, IS_MODIFYING
 from ..core.dependence import conflicts, may_be_coenabled
 from ..runtime.executor import Executor
 from ..runtime.trace import PendingInfo
@@ -68,43 +68,10 @@ class _Node:
         self.want_snap = False
 
 
-def _pending_as_event(info: PendingInfo) -> Event:
-    """View a pending operation as an (unstamped) event for the
-    conflict predicates.
-
-    The explorer hot path no longer needs this — the conflict
-    predicates duck-type over :class:`PendingInfo` directly (it carries
-    the same ``tid``/``kind``/``oid``/``key``/``released_mutex_oid``
-    attributes) — but the conversion stays for diagnostics and tests.
-    """
-    return Event(
-        index=-1,
-        tid=info.tid,
-        tindex=-1,
-        kind=OpKind(info.kind),
-        oid=info.oid,
-        key=info.key,
-        released_mutex_oid=info.released_mutex_oid,
-    )
-
-
 class DPORExplorer(Explorer):
     """Flanagan–Godefroid DPOR with clock vectors and sleep sets."""
 
     name = "dpor"
-    #: race analysis needs the materialised trace and stamped events
-    fast_replay = False
-
-    def _new_executor(self):
-        # Hard override: DPOR's race analysis walks ex.trace, so the
-        # events must be materialised whatever self.fast_replay says
-        # (setting it to True is a no-op for this strategy).
-        return Executor(
-            self.program,
-            max_events=self.limits.max_events_per_schedule,
-            fast_replay=False,
-            engine=self.engine,
-        )
 
     def __init__(self, program, limits=None, sleep_sets: bool = True) -> None:
         super().__init__(program, limits)
@@ -115,6 +82,10 @@ class DPORExplorer(Explorer):
         #: exploration state can be snapshot/restored between schedules
         self._stack: List[_Node] = []
         self._started = False
+        #: the stamped events of the current run, which the race
+        #: analysis walks: every step DPOR takes appends its event, and
+        #: :meth:`_replay_stack` keeps the restored prefix's part
+        self._trace: List[Event] = []
 
     # ------------------------------------------------------------------
     def _explore(self) -> None:
@@ -162,8 +133,10 @@ class DPORExplorer(Explorer):
 
         Resumes from the deepest spine snapshot on the stack's prefix,
         which is the initial state when capture is off (see
-        :meth:`Explorer._executor_at`); the per-location index is
-        rebuilt from the restored trace (cheap dict appends, no
+        :meth:`Explorer._executor_at`).  Every spine entry is a prefix
+        of the last run, so that run's first ``start`` events are the
+        restored prefix's: the trace is cut back to them and the
+        per-location index rebuilt from them (cheap dict appends, no
         re-execution), and the rest of the prefix is replayed stepwise.
         A node's snapshot is its *pre*-state, the choices of the nodes
         above it, so re-choosing a node's ``chosen`` during
@@ -171,8 +144,10 @@ class DPORExplorer(Explorer):
         ones, which no longer lie on the prefix."""
         loc_index: Dict[Tuple[int, object], List[int]] = {}
         ex, start = self._executor_at(tuple(node.chosen for node in stack))
+        trace = self._trace
+        del trace[start:]
         setdefault = loc_index.setdefault
-        for event in ex.trace:
+        for event in trace:
             if event.oid >= 0:
                 setdefault((event.oid, event.key), []).append(event.index)
             if event.released_mutex_oid is not None:
@@ -189,7 +164,9 @@ class DPORExplorer(Explorer):
                 # measured to cost more than the replays they save.
                 node.want_snap = False
                 self._capture(ex)
-            self._index_event(loc_index, ex.trace, ex.step(node.chosen))
+            event = ex.step(node.chosen)
+            trace.append(event)
+            self._index_event(loc_index, event)
         return ex, loc_index
 
     # ------------------------------------------------------------------
@@ -202,6 +179,7 @@ class DPORExplorer(Explorer):
         its step ran, so a resumed run replays the prefix and picks up
         exactly at the first unanalysed state)."""
         ex, loc_index = self._replay_stack(stack)
+        trace = self._trace
         # pending ops analysed at the previous state of this run, by
         # tid: the delta of _update_backtracks (empty = full scans)
         analysed: Dict[int, PendingInfo] = {}
@@ -216,13 +194,13 @@ class DPORExplorer(Explorer):
                 self._record_terminal(result)
                 self._retire(ex)
                 return False
-            if len(ex.trace) >= len(stack):
+            if len(trace) >= len(stack):
                 # a state we have not analysed yet
                 analysed = self._update_backtracks(
                     ex, stack, loc_index, analysed
                 )
                 enabled = ex.enabled()
-                if len(ex.trace) == len(stack):
+                if len(trace) == len(stack):
                     sleep = self._child_sleep(stack, ex)
                     node = _Node(enabled, sleep)
                     runnable = [t for t in enabled if t not in sleep]
@@ -236,7 +214,9 @@ class DPORExplorer(Explorer):
                     node.chosen = choice
                     node.done.add(choice)
                     stack.append(node)
-            self._index_event(loc_index, ex.trace, ex.step(stack[len(ex.trace)].chosen))
+            event = ex.step(stack[len(trace)].chosen)
+            trace.append(event)
+            self._index_event(loc_index, event)
             if self._prune_after_step(ex):
                 self._retire(ex)
                 return True
@@ -333,10 +313,10 @@ class DPORExplorer(Explorer):
         parent = stack[-1]
         if not parent.sleep:
             return set()
-        last_event = ex.trace[-1]
+        last_event = self._trace[-1]
         survivors: Set[int] = set()
         for tid in parent.sleep:
-            info = ex.pending_info(tid, refresh_enabled=False)
+            info = ex.pending_info(tid)
             if info is None:
                 continue
             if not conflicts(info, last_event):
@@ -347,7 +327,6 @@ class DPORExplorer(Explorer):
     @staticmethod
     def _index_event(
         loc_index: Dict[Tuple[int, object], List[int]],
-        trace: List[Event],
         event: Event,
     ) -> None:
         if event.oid >= 0:
@@ -376,15 +355,13 @@ class DPORExplorer(Explorer):
         already registered there (re-registering is a no-op) or the
         newest event: only that one pair is tested.  Returns the map
         for the next state."""
-        trace = ex.trace
+        trace = self._trace
         n = len(trace)
         newest = trace[-1] if analysed else None
         mover = newest.tid if newest is not None else -1
         clock_of = ex.engine.thread_clock_raw
         now: Dict[int, PendingInfo] = {}
-        # the race analysis never reads PendingInfo.enabled, so skip
-        # the per-thread enabledness recheck the full accessor pays
-        for info in ex.all_pending_infos(refresh_enabled=False):
+        for info in ex.all_pending_infos():
             if info.oid < 0 and info.released_mutex_oid is None:
                 continue
             tid = info.tid

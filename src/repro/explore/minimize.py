@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 from ..errors import SchedulerError
 from ..runtime.executor import Executor
 from ..runtime.program import Program
-from ..runtime.schedule import ReplayScheduler
+from ..runtime.schedule import ReplayScheduler, _run
 from ..runtime.trace import TraceResult
 
 
@@ -49,10 +49,8 @@ def _run_prefix(program: Program, prefix: Sequence[int],
                 max_events: int) -> Optional[TraceResult]:
     """Replay ``prefix`` then continue first-enabled; None on divergence."""
     ex = Executor(program, max_events=max_events)
-    sched = ReplayScheduler(prefix)
     try:
-        while not ex.is_done():
-            ex.step(sched.choose(ex))
+        _run(ex, ReplayScheduler(prefix))
         return ex.finish()
     except SchedulerError:
         return None

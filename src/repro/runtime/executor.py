@@ -6,9 +6,11 @@ its guest generators one visible operation at a time:
 * every thread always has (at most) one *pending* operation — the value
   of its most recent ``yield`` — giving the one-op lookahead DPOR needs;
 * :meth:`enabled` reports which pending operations can execute now;
-* :meth:`step` executes one of them, records the :class:`Event`,
-  updates both happens-before clock engines, resumes the generator, and
-  captures its next pending op;
+* :meth:`step` executes one of them, updates both happens-before
+  clock engines, resumes the generator, captures its next pending op
+  and returns the stamped :class:`Event`.  The executor keeps no trace:
+  callers that read events (DPOR's race analysis,
+  :func:`~repro.runtime.schedule.execute`) keep the ones they step;
 * when no thread is enabled and some are unfinished, the run ends in a
   recorded :class:`~repro.errors.DeadlockError`.
 
@@ -35,14 +37,6 @@ Hot-path machinery (this class runs millions of steps per campaign):
 * the barrier admission pre-pass is skipped entirely unless some
   runnable thread actually pends a ``BARRIER_WAIT`` (counter maintained
   as pending ops change);
-* ``fast_replay=True`` selects a reduced-bookkeeping mode for callers
-  that only consume fingerprints, state hashes and schedule/event
-  counts (the DFS/caching/bounded/randomised explorers): no
-  :class:`Event` objects are materialised, no trace list is kept, and
-  ``finish()`` skips ``describe_state``.  Fingerprints, state hashes,
-  schedules and error outcomes are guaranteed identical to the default
-  mode — the equivalence suite asserts this for every program in
-  ``repro.suite``;
 * :meth:`replay_prefix` re-executes a known-feasible prefix without
   re-validating enabledness at every step;
 * every thread's *send tape* (the values its generator has received)
@@ -84,7 +78,7 @@ from .objects import ThreadHandle
 from .optrie import UNKEYABLE, OpTrie, trie_key
 from .program import Program, ProgramInstance
 from .snapshot import ExecutorSnapshot, ThreadRecord
-from .state import compute_state_hash, describe_state
+from .state import compute_state_hash
 from .thread_api import ThreadAPI
 from .trace import PendingInfo, TraceResult
 
@@ -188,9 +182,9 @@ class _GuestThread:
         self.trie_node = None
         #: memoised :class:`~repro.runtime.trace.PendingInfo` for the
         #: current pending op, as ``(op, status, info)`` — every field
-        #: but ``enabled`` is a pure function of the op, so the info is
-        #: valid while ``pending``/``status`` are unchanged (DPOR asks
-        #: for the whole lookahead at every scheduling point)
+        #: is a pure function of the op, so the info is valid while
+        #: ``pending``/``status`` are unchanged (DPOR asks for the whole
+        #: lookahead at every scheduling point)
         self.pinfo = None
 
 
@@ -222,7 +216,6 @@ class Executor:
         program: Program,
         max_events: int = DEFAULT_MAX_EVENTS,
         canonical: bool = False,
-        fast_replay: bool = False,
         engine: Optional[str] = None,
     ) -> None:
         self.program = program
@@ -235,7 +228,6 @@ class Executor:
         self.engine_name = "ref" if canonical else resolve_engine(engine)
         self.engine = create_clock_engine(self.engine_name, canonical=canonical)
         self.max_events = max_events
-        self.fast_replay = fast_replay
         #: programs whose guests mutate host-side Python state (the shim
         #: frontend: closures, lists, per-object hold maps) opt in to
         #: replaying *every* thread's tape on snapshot restore — a
@@ -255,7 +247,6 @@ class Executor:
                 trie = self.instance.optrie = OpTrie()
             self._optrie = trie
         self._spawn_origin: Dict[int, Tuple[int, int]] = {}
-        self.trace: List[Event] = []
         self.schedule: List[int] = []
         self.threads: List[_GuestThread] = []
         self.error: Optional[GuestError] = None  # deadlock / fatal errors
@@ -295,7 +286,7 @@ class Executor:
 
     @property
     def num_events(self) -> int:
-        """Events executed so far (= ``len(trace)`` in default mode)."""
+        """Events executed so far (= ``len(schedule)``)."""
         return len(self.schedule)
 
     # ------------------------------------------------------------------
@@ -638,21 +629,16 @@ class Executor:
 
     # ------------------------------------------------------------------
     # DPOR lookahead
-    def pending_info(
-        self, tid: int, refresh_enabled: bool = True
-    ) -> Optional[PendingInfo]:
+    def pending_info(self, tid: int) -> Optional[PendingInfo]:
         """The pending operation of ``tid`` as location data, or None for
         finished/parked threads.
 
-        Memoised per thread: every field but ``enabled`` is a pure
-        function of the pending op (locations, keys and released oids
-        never depend on mutable object state), so the info is rebuilt
-        only when the op or status changes.  ``enabled`` *is*
-        state-dependent and is refreshed in place on each call;
-        callers that never read it (DPOR's race analysis) pass
-        ``refresh_enabled=False`` to skip the recheck.  DPOR also
-        reads the identity: the same object at two consecutive states
-        means the same op under the same status.
+        Memoised per thread: every field is a pure function of the
+        pending op (locations, keys and released oids never depend on
+        mutable object state), so the info is rebuilt only when the op
+        or status changes.  Enabledness is not part of it (ask
+        :meth:`enabled`).  DPOR reads the identity: the same object at
+        two consecutive states means the same op under the same status.
         """
         t = self.threads[tid]
         op = t.pending
@@ -666,19 +652,13 @@ class Executor:
             # only applies while the deadline is still armed
             and (op is not None or t.deadline is not None)
         ):
-            info = cached[2]
-            if refresh_enabled and op is not None:
-                en = status == _Status.RUNNABLE and (
-                    info.timed or self._op_enabled(t)
-                )
-                info.enabled = en
-            return info
+            return cached[2]
         if op is None:
             if t.deadline is not None and status == _Status.WAITING:
                 # timed condvar waiter: the lookahead is its TIME_FIRE
                 # on the clock, withdrawing it from the parked-on cv
                 info = PendingInfo(
-                    tid, int(_TIME_FIRE), self._clock.oid, None, True,
+                    tid, int(_TIME_FIRE), self._clock.oid, None,
                     t.parked_on.oid if t.parked_on is not None else None,
                     True,
                 )
@@ -695,22 +675,15 @@ class Executor:
             # clock: expose the clock as its secondary location so
             # DPOR orders it against other time events
             released = self._clock.oid
-        info = PendingInfo(
-            tid, int(op.kind), oid, key,
-            status == _Status.RUNNABLE and (timed or self._op_enabled(t)),
-            released, timed,
-        )
+        info = PendingInfo(tid, int(op.kind), oid, key, released, timed)
         t.pinfo = (op, status, info)
         return info
 
-    def all_pending_infos(
-        self, refresh_enabled: bool = True
-    ) -> List[PendingInfo]:
-        self._admit_barriers()
+    def all_pending_infos(self) -> List[PendingInfo]:
         pending_info = self.pending_info
         infos = []
         for t in self.threads:
-            info = pending_info(t.tid, refresh_enabled)
+            info = pending_info(t.tid)
             if info is not None:
                 infos.append(info)
         return infos
@@ -768,12 +741,12 @@ class Executor:
         for tid in tids:
             self.step(tid, trusted=True)
 
-    def step(self, tid: int, trusted: bool = False) -> Optional[Event]:
-        """Execute ``tid``'s pending operation.
-
-        Returns the new :class:`Event`, or ``None`` in ``fast_replay``
-        mode (which materialises no events).  ``trusted`` skips the
-        enabledness re-check for known-feasible replays.
+    def step(self, tid: int, trusted: bool = False) -> Event:
+        """Execute ``tid``'s pending operation and return its stamped
+        :class:`Event` (``index`` is its schedule position).  The
+        executor records only the schedule: a caller that needs the
+        events keeps them.  ``trusted`` skips the enabledness re-check
+        for known-feasible replays.
         """
         if self.error is not None or self.truncated:
             raise SchedulerError("execution already terminated")
@@ -891,14 +864,11 @@ class Executor:
         clock, lazy_clock = self.engine.observe(
             tid, kind, oid, key, released_mutex_oid
         )
-        event: Optional[Event] = None
-        if not self.fast_replay:
-            # positional: the per-event record is built on the hot path
-            event = Event(
-                len(schedule), tid, t.tindex, kind, oid, key, value,
-                clock, lazy_clock, released_mutex_oid,
-            )
-            self.trace.append(event)
+        # positional: the per-event record is built on the hot path
+        event = Event(
+            len(schedule), tid, t.tindex, kind, oid, key, value,
+            clock, lazy_clock, released_mutex_oid,
+        )
         t.tindex += 1
         schedule.append(tid)
 
@@ -977,7 +947,7 @@ class Executor:
     # of the HB fingerprint) and its secondary location is the awaited
     # object the thread withdraws from (so DPOR race-reverses it
     # against the operation that would have satisfied the wait).
-    def _fire_pending_timeout(self, t: _GuestThread, op: Op) -> Optional[Event]:
+    def _fire_pending_timeout(self, t: _GuestThread, op: Op) -> Event:
         """The scheduler chose the timeout branch of a timed blocking
         op: withdraw the pending op and deliver the primitive's
         timeout result to the guest."""
@@ -995,7 +965,7 @@ class Executor:
         self._advance(t, value)
         return event
 
-    def _fire_parked_timeout(self, t: _GuestThread) -> Optional[Event]:
+    def _fire_parked_timeout(self, t: _GuestThread) -> Event:
         """A timed condvar waiter's deadline fires while parked: it is
         withdrawn from the wait queue and re-acquires its mutex, after
         which the guest's wait returns False."""
@@ -1021,21 +991,18 @@ class Executor:
         return self._record_time_fire(t, cv.oid, False)
 
     def _record_time_fire(self, t: _GuestThread, released_oid: int,
-                          value: Any) -> Optional[Event]:
-        """Record one TIME_FIRE event for ``t`` (clock engines, trace,
-        schedule, counters)."""
+                          value: Any) -> Event:
+        """Record one TIME_FIRE event for ``t`` (clock engines,
+        schedule, counters) and return it."""
         tid = t.tid
         oid = self._clock.oid
         clock, lazy_clock = self.engine.observe(
             tid, _TIME_FIRE, oid, None, released_oid
         )
-        event = None
-        if not self.fast_replay:
-            event = Event(
-                len(self.schedule), tid, t.tindex, _TIME_FIRE, oid, None,
-                value, clock, lazy_clock, released_oid,
-            )
-            self.trace.append(event)
+        event = Event(
+            len(self.schedule), tid, t.tindex, _TIME_FIRE, oid, None,
+            value, clock, lazy_clock, released_oid,
+        )
         t.tindex += 1
         self.schedule.append(tid)
         return event
@@ -1048,9 +1015,8 @@ class Executor:
         Per thread, object and clock-table entry the cost is constant:
         thread tapes are shared (append-only copy-on-write), the clock
         engine forks by sharing its published tuples, and each shared
-        object contributes a few scalars.  The schedule and the trace
-        are copied, so a snapshot also costs time and memory linear in
-        its depth.
+        object contributes a few scalars.  The schedule is copied, so a
+        snapshot also costs time and memory linear in its depth.
         """
         finished = _Status.FINISHED
         records = [
@@ -1083,7 +1049,6 @@ class Executor:
         return ExecutorSnapshot(
             self.program,
             tuple(self.schedule),
-            tuple(self.trace),
             records,
             dict(self._spawn_origin),
             [o.snapshot_state() for o in self.instance.registry.objects],
@@ -1095,7 +1060,6 @@ class Executor:
             {
                 "_replay_all_tapes": self._replay_all_tapes,
                 "max_events": self.max_events,
-                "fast_replay": self.fast_replay,
                 "error": self.error,
                 "truncated": self.truncated,
                 "_unfinished": self._unfinished,
@@ -1259,7 +1223,6 @@ class Executor:
         d["_clock"] = instance.clock
         own_threads = d["threads"] = []
         d["schedule"] = list(snap.schedule)
-        d["trace"] = list(snap.trace)
         spawn_origin = snap.spawn_origin
         d["_spawn_origin"] = dict(spawn_origin)
         runnable_status = _Status.RUNNABLE
@@ -1396,7 +1359,9 @@ class Executor:
         return False
 
     def finish(self) -> TraceResult:
-        """Package the result; the run must be done."""
+        """Package the result; the run must be done.  It carries no
+        events and no ``final_state``: :func:`~repro.runtime.schedule.execute`
+        fills both for the callers that read them."""
         if not self.is_done():
             raise SchedulerError("finish() called before the run is done")
         # Per-thread progress carries each thread's own crash type, so
@@ -1424,17 +1389,11 @@ class Executor:
         return TraceResult(
             program_name=self.program.name,
             schedule=list(self.schedule),
-            events=list(self.trace),
             hbr_fp=self.engine.hbr_fingerprint(),
             lazy_fp=self.engine.lazy_fingerprint(),
             state_hash=state_hash,
             error=error,
-            final_state=(
-                {} if self.fast_replay
-                else describe_state(self.instance.registry)
-            ),
             truncated=self.truncated,
-            event_count=len(self.schedule),
         )
 
     def close(self) -> None:

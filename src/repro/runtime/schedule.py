@@ -10,9 +10,11 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
+from ..core.events import Event
 from ..errors import SchedulerError
 from .executor import Executor
 from .program import Program
+from .state import describe_state
 from .trace import TraceResult
 
 
@@ -79,6 +81,16 @@ class ReplayScheduler:
         return self.fallback.choose(ex)
 
 
+def _run(ex: Executor, scheduler) -> List[Event]:
+    """Step ``ex`` to the end of its run, each choice from
+    ``scheduler``, and return the stepped events."""
+    events = []
+    append = events.append
+    while not ex.is_done():
+        append(ex.step(scheduler.choose(ex)))
+    return events
+
+
 def execute(
     program: Program,
     scheduler=None,
@@ -86,7 +98,8 @@ def execute(
     max_events: int = 20_000,
     canonical: bool = False,
 ) -> TraceResult:
-    """Run ``program`` once to completion and return its trace.
+    """Run ``program`` once to completion and return its trace, with
+    the stepped events and the final object values.
 
     ``schedule`` (a list of thread ids) takes precedence over
     ``scheduler``; the remainder of the run after the recorded prefix is
@@ -97,20 +110,27 @@ def execute(
     elif scheduler is None:
         scheduler = FirstEnabledScheduler()
     ex = Executor(program, max_events=max_events, canonical=canonical)
-    while not ex.is_done():
-        ex.step(scheduler.choose(ex))
-    return ex.finish()
+    events = _run(ex, scheduler)
+    result = ex.finish()
+    result.events = events
+    result.final_state = describe_state(ex.instance.registry)
+    return result
+
+
+def execute_exact(program: Program, schedule: Sequence[int],
+                  max_events: int = 20_000) -> Optional[TraceResult]:
+    """Run ``schedule`` (a complete list of thread choices) exactly as
+    given and return its trace, or None when it is infeasible: a choice
+    is not enabled, or the run ends before or after the schedule."""
+    sched = ReplayScheduler(schedule, strict=True)
+    try:
+        result = execute(program, sched, max_events=max_events)
+    except SchedulerError:
+        return None
+    return result if sched.pos == len(sched.prefix) else None
 
 
 def is_feasible(program: Program, schedule: Sequence[int], max_events: int = 20_000) -> bool:
     """Whether ``schedule`` (a complete list of thread choices) can be
     executed against ``program`` exactly as given."""
-    ex = Executor(program, max_events=max_events)
-    sched = ReplayScheduler(schedule, strict=True)
-    try:
-        while not ex.is_done():
-            ex.step(sched.choose(ex))
-    except SchedulerError:
-        return False
-    # feasible only if the whole prefix was consumed and the run is over
-    return sched.pos == len(sched.prefix)
+    return execute_exact(program, schedule, max_events) is not None

@@ -27,9 +27,10 @@ what it does **not** copy:
 * Shared objects snapshot their mutable state through
   ``snapshot_state()`` — a handful of scalars/short containers per
   object (see each primitive's implementation for its rule).
-* The schedule and the trace (when materialised) are shallow copies;
-  events are immutable once stamped and stay shared.  These two are
-  the part of a snapshot that grows with its depth.
+* The schedule is a shallow copy, the one part of a snapshot that
+  grows with its depth.  There is no trace to copy: the executor keeps
+  none, and a caller that reads events (DPOR) keeps its own list,
+  whose first ``len(schedule)`` entries stay valid across a restore.
 
 ``Executor.from_snapshot`` rebuilds a live executor from a snapshot;
 the result is observably identical to replaying the snapshot's
@@ -106,7 +107,7 @@ class ExecutorSnapshot:
     """
 
     __slots__ = (
-        "program", "schedule", "trace", "thread_records", "spawn_origin",
+        "program", "schedule", "thread_records", "spawn_origin",
         "object_states", "engine", "restore_fields", "optrie",
     )
 
@@ -114,7 +115,6 @@ class ExecutorSnapshot:
         self,
         program,
         schedule: Tuple[int, ...],
-        trace: Tuple,
         thread_records: List[ThreadRecord],
         spawn_origin: Dict[int, Tuple[int, int]],
         object_states: List[Any],
@@ -124,7 +124,6 @@ class ExecutorSnapshot:
     ) -> None:
         self.program = program
         self.schedule = schedule
-        self.trace = trace
         self.thread_records = thread_records
         self.spawn_origin = spawn_origin
         self.object_states = object_states

@@ -24,16 +24,16 @@ class TraceResult:
 
     program_name: str
     schedule: List[int]
-    events: List[Event]
     hbr_fp: int
     lazy_fp: int
     state_hash: int
     error: Optional[GuestError] = None
-    final_state: Dict[str, Any] = field(default_factory=dict)
     truncated: bool = False
-    #: events executed; fast-replay executors record the count without
-    #: materialising ``events``, so it may exceed ``len(events)``.
-    event_count: Optional[int] = None
+    #: the stamped events and the final object values: filled by
+    #: :func:`~repro.runtime.schedule.execute`, left empty by
+    #: ``Executor.finish`` (explorers read the fingerprints only)
+    events: List[Event] = field(default_factory=list)
+    final_state: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -41,9 +41,7 @@ class TraceResult:
 
     @property
     def num_events(self) -> int:
-        if self.event_count is not None:
-            return self.event_count
-        return len(self.events)
+        return len(self.schedule)
 
     def describe(self) -> str:
         status = "ok" if self.ok else (
@@ -59,8 +57,7 @@ class TraceResult:
 class PendingInfo:
     """What a not-yet-executed thread wants to do next (DPOR lookahead).
 
-    Mutable only so the executor can refresh ``enabled`` in place: every
-    other field is a pure function of the pending op, and DPOR's race
+    Every field is a pure function of the pending op, and DPOR's race
     analysis relies on a new object being built whenever the op or the
     thread's status changes (see ``Executor.pending_info``).
     """
@@ -69,7 +66,6 @@ class PendingInfo:
     kind: int
     oid: int
     key: Any
-    enabled: bool
     released_mutex_oid: Optional[int] = None
     #: the op carries a virtual-time timeout, so stepping it may fire
     #: the timeout instead (DPOR must treat it as always co-enabled)

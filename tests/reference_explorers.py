@@ -405,10 +405,8 @@ class _FrozenRaceAnalysis:
         """F–G race analysis: for every pending operation, find the
         latest conflicting, possibly-co-enabled, HB-unordered event and
         register a backtrack point before it."""
-        trace = ex.trace
-        # the race analysis never reads PendingInfo.enabled, so skip
-        # the per-thread enabledness recheck the full accessor pays
-        for info in ex.all_pending_infos(refresh_enabled=False):
+        trace = self._trace
+        for info in ex.all_pending_infos():
             if info.oid < 0 and info.released_mutex_oid is None:
                 continue
             # the conflict predicates duck-type over the PendingInfo;
@@ -514,11 +512,11 @@ class ReferenceDPOR(TerminalLogMixin, _FrozenRaceAnalysis, DPORExplorer):
                 self._record_terminal(result)
                 self._retire(ex)
                 return False
-            if len(ex.trace) >= len(stack):
+            if len(self._trace) >= len(stack):
                 # a state we have not analysed yet
                 self._update_backtracks(ex, stack, loc_index)
                 enabled = ex.enabled()
-                if len(ex.trace) == len(stack):
+                if len(self._trace) == len(stack):
                     sleep = self._child_sleep(stack, ex)
                     node = _Node(enabled, sleep)
                     runnable = [t for t in enabled if t not in sleep]
@@ -532,7 +530,9 @@ class ReferenceDPOR(TerminalLogMixin, _FrozenRaceAnalysis, DPORExplorer):
                     node.chosen = choice
                     node.done.add(choice)
                     stack.append(node)
-            self._index_event(loc_index, ex.trace, ex.step(stack[len(ex.trace)].chosen))
+            event = ex.step(stack[len(self._trace)].chosen)
+            self._trace.append(event)
+            self._index_event(loc_index, event)
 
 
 class ReferenceLazyDPOR(TerminalLogMixin, _FrozenRaceAnalysis,
@@ -552,10 +552,10 @@ class ReferenceLazyDPOR(TerminalLogMixin, _FrozenRaceAnalysis,
                 self._update_backtracks(ex, stack, loc_index)
                 self._record_terminal(result)
                 return False
-            if len(ex.trace) >= len(stack):
+            if len(self._trace) >= len(stack):
                 self._update_backtracks(ex, stack, loc_index)
                 enabled = ex.enabled()
-                if len(ex.trace) == len(stack):
+                if len(self._trace) == len(stack):
                     sleep = self._child_sleep(stack, ex)
                     node = _Node(enabled, sleep)
                     runnable = [t for t in enabled if t not in sleep]
@@ -566,8 +566,9 @@ class ReferenceLazyDPOR(TerminalLogMixin, _FrozenRaceAnalysis,
                     node.chosen = choice
                     node.done.add(choice)
                     stack.append(node)
-            event = ex.step(stack[len(ex.trace)].chosen)
-            self._index_event(loc_index, ex.trace, event)
+            event = ex.step(stack[len(self._trace)].chosen)
+            self._trace.append(event)
+            self._index_event(loc_index, event)
             # lazy-HBR pruning: skip continuations of prefixes whose
             # lazy HBR was already reached by an earlier feasible prefix
             if not self.cache.insert(ex.engine.lazy_fingerprint()):

@@ -4,25 +4,9 @@ import pytest
 
 from repro import Program
 from repro.core.events import OpKind
-from repro.explore.dpor import DPORExplorer, _Node, _pending_as_event
+from repro.explore.dpor import DPORExplorer, _Node
 from repro.runtime.executor import Executor
 from repro.runtime.trace import PendingInfo
-
-
-class TestPendingAsEvent:
-    def test_fields_carried_over(self):
-        info = PendingInfo(tid=2, kind=int(OpKind.WRITE), oid=5, key=7,
-                           enabled=True)
-        e = _pending_as_event(info)
-        assert e.tid == 2
-        assert e.kind == OpKind.WRITE
-        assert e.location() == (5, 7)
-
-    def test_wait_release_carried(self):
-        info = PendingInfo(tid=0, kind=int(OpKind.WAIT), oid=3, key=None,
-                           enabled=True, released_mutex_oid=9)
-        e = _pending_as_event(info)
-        assert e.released_mutex_oid == 9
 
 
 class TestNode:
@@ -59,8 +43,7 @@ class TestRaceAnalysis:
     def test_hb_pending_uses_own_component(self):
         prog = self._program()
         ex = Executor(prog)
-        ex.step(0)  # T0 writes
-        e = ex.trace[0]
+        e = ex.step(0)  # T0 writes
         cv0 = ex.engine.thread_clock(0)
         cv1 = ex.engine.thread_clock(1)
         assert DPORExplorer._hb_pending(e, cv0)       # own past event
@@ -82,10 +65,9 @@ class TestLocIndex:
         from repro.core.events import Event
 
         idx = {}
-        trace = []
         e = Event(index=0, tid=0, tindex=0, kind=OpKind.WAIT, oid=4,
                   released_mutex_oid=9)
-        DPORExplorer._index_event(idx, trace, e)
+        DPORExplorer._index_event(idx, e)
         assert (4, None) in idx
         assert (9, None) in idx
 
@@ -94,7 +76,7 @@ class TestLocIndex:
 
         idx = {}
         e = Event(index=0, tid=0, tindex=0, kind=OpKind.YIELD, oid=-1)
-        DPORExplorer._index_event(idx, [], e)
+        DPORExplorer._index_event(idx, e)
         assert idx == {}
 
 
@@ -157,9 +139,9 @@ class TestIncrementalAnalysis:
         ]
         loc_index = {}
         for e in trace:
-            DPORExplorer._index_event(loc_index, trace, e)
+            DPORExplorer._index_event(loc_index, e)
         trace = _CountingTrace(trace)
-        pend = PendingInfo(0, int(OpKind.READ), x, None, True)
+        pend = PendingInfo(0, int(OpKind.READ), x, None)
         explorer = DPORExplorer(TestRaceAnalysis()._program())
         race = explorer._latest_race(trace, loc_index, pend, [1, 2, 0])
         assert race is None
@@ -183,9 +165,9 @@ class TestIncrementalAnalysis:
         ]
         loc_index = {}
         for e in trace:
-            DPORExplorer._index_event(loc_index, trace, e)
+            DPORExplorer._index_event(loc_index, e)
         trace = _CountingTrace(trace)
-        pend = PendingInfo(0, int(OpKind.LOCK), m, None, False)
+        pend = PendingInfo(0, int(OpKind.LOCK), m, None)
         explorer = DPORExplorer(TestRaceAnalysis()._program())
         race = explorer._latest_race(trace, loc_index, pend, [1, 2])
         assert race is None

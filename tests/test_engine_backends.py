@@ -346,7 +346,7 @@ def test_clock_reads_do_not_grow_the_engine(backend):
 class TestEnvSteering:
     """REPRO_ENGINE must steer a fresh interpreter end to end."""
 
-    def _run(self, engine_env, fast_replay, hide_kernel=False):
+    def _run(self, engine_env, hide_kernel=False):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -358,7 +358,7 @@ class TestEnvSteering:
              if hide_kernel else "")
             + "from repro.runtime.executor import Executor\n"
             "from repro.suite import REGISTRY\n"
-            f"ex = Executor(REGISTRY[4].program, fast_replay={fast_replay})\n"
+            "ex = Executor(REGISTRY[4].program)\n"
             "print(ex.engine_name, ex.engine.backend)\n"
         )
         return subprocess.run(
@@ -366,24 +366,22 @@ class TestEnvSteering:
             env=env, cwd=REPO_ROOT,
         )
 
-    def _backend(self, engine_env, fast_replay):
-        proc = self._run(engine_env, fast_replay)
+    def _backend(self, engine_env):
+        proc = self._run(engine_env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
 
     def test_ref_env_forces_fallback(self):
-        # even on the fast-replay path, where auto may pick the
-        # compiled kernel
-        assert self._backend("ref", True) == ["ref", "ref"]
+        # even where auto would pick the compiled kernel
+        assert self._backend("ref") == ["ref", "ref"]
 
     def test_native_env_forces_native_everywhere(self):
         if native_compiled():
-            assert self._backend("native", True) == ["native", "native"]
-            assert self._backend("native", False) == ["native", "native"]
+            assert self._backend("native") == ["native", "native"]
         # without the compiled kernel (hidden here when it is built) the
         # same request fails loudly, naming the build command, instead
         # of running a stand-in
-        proc = self._run("native", True, hide_kernel=True)
+        proc = self._run("native", hide_kernel=True)
         assert proc.returncode != 0
         assert "ValueError" in proc.stderr
         assert "build_ext --inplace" in proc.stderr

@@ -6,6 +6,12 @@ the barrier-pending counter and the conditional cache invalidation
 must always agree with a from-scratch recomputation.  These tests walk
 diverse suite programs under seeded random schedules and cross-check
 after every single step.
+
+Each walk runs two ways: ``ref`` steps one fresh executor throughout,
+and ``fast`` moves the walk every few steps onto an executor restored
+from a snapshot of the current one, recycling its instance the way an
+explorer's fast replay does (a restore rebuilds the scheduling state
+from the snapshot rather than by stepping).
 """
 
 import random
@@ -21,11 +27,22 @@ from repro.suite import REGISTRY
 PROGRAMS = (4, 13, 24, 32, 38, 40, 66, 69, 77)
 
 
+#: steps between two restores in ``fast`` walks
+RESTORE_EVERY = 5
+
+
+def _restore(ex):
+    snap = ex.snapshot()
+    return Executor.from_snapshot(snap, reuse=ex.release_instance())
+
+
 def _walk_and_check(program, seed, fast):
     rng = random.Random(seed)
-    ex = Executor(program, max_events=600, fast_replay=fast)
+    ex = Executor(program, max_events=600)
     steps = 0
     while not ex.is_done():
+        if fast and steps % RESTORE_EVERY == RESTORE_EVERY - 1:
+            ex = _restore(ex)
         enabled = ex.enabled()
         assert enabled == sorted(ex._recomputed_enabled()), (
             f"{program.name}: memoised enabled diverged after "
@@ -67,15 +84,32 @@ def test_step_rejects_disabled_thread():
 
 
 def test_num_events_tracks_trace_in_reference_mode():
+    # the trace is the caller's: each step returns its event, whose
+    # index is its schedule position, and num_events counts them
     ex = Executor(REGISTRY[4].program)
+    events = []
     while not ex.is_done():
-        ex.step(ex.enabled()[0])
-    assert ex.num_events == len(ex.trace) > 0
+        events.append(ex.step(ex.enabled()[0]))
+    assert [e.index for e in events] == list(range(ex.num_events))
+    assert [e.tid for e in events] == ex.schedule
+    assert ex.num_events == len(events) > 0
 
 
 def test_num_events_counts_without_trace_in_fast_mode():
-    ex = Executor(REGISTRY[4].program, fast_replay=True)
+    # neither the executor nor its snapshot keeps a trace, yet a
+    # restored executor counts the events before the cut, and the
+    # events it steps continue their indices
+    ex = Executor(REGISTRY[4].program)
     while not ex.is_done():
         ex.step(ex.enabled()[0])
-    assert ex.trace == []
-    assert ex.num_events > 0
+    schedule = ex.schedule
+    cut = len(schedule) // 2
+    a = Executor(REGISTRY[4].program)
+    a.replay_prefix(schedule[:cut])
+    snap = a.snapshot()
+    assert not hasattr(a, "trace") and not hasattr(snap, "trace")
+    restored = _restore(a)
+    assert restored.num_events == cut > 0
+    events = [restored.step(tid) for tid in schedule[cut:]]
+    assert [e.index for e in events] == list(range(cut, len(schedule)))
+    assert restored.num_events == len(schedule)

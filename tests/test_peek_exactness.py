@@ -134,7 +134,7 @@ def _timed_wait_program() -> Program:
 
 def _walk(program, engine: str, seed: int, seen: Set[str]) -> None:
     rng = random.Random(seed)
-    ex = Executor(program, engine=engine, fast_replay=bool(seed % 2))
+    ex = Executor(program, engine=engine)
     while not ex.is_done():
         _check_state(ex, seen)
         ex.step(rng.choice(ex.enabled()))

@@ -33,9 +33,9 @@ TIMED_IDS = tuple(range(89, 97))
 TIME_KINDS = (OpKind.SLEEP, OpKind.TIME_FIRE, OpKind.TIMER_TICK)
 
 
-def fire_order(result):
+def fire_order(events):
     """The time-event subsequence of a trace: (tid, kind, clock-after)."""
-    return [(e.tid, e.kind, e.value) for e in result.events
+    return [(e.tid, e.kind, e.value) for e in events
             if e.kind in TIME_KINDS]
 
 
@@ -45,17 +45,16 @@ class TestScheduleDeterminism:
     def test_same_schedule_same_time_everywhere(self, bid, seed):
         prog = REGISTRY[bid].program
         base = execute(prog, scheduler=RandomScheduler(seed))
-        fires = fire_order(base)
+        fires = fire_order(base.events)
         signature = (base.hbr_fp, base.lazy_fp, base.state_hash)
 
         # every clock-engine backend replays the schedule byte-identically
         for engine in available_backends():
             ex = Executor(prog, engine=engine)
-            for tid in base.schedule:
-                ex.step(tid)
+            events = [ex.step(tid) for tid in base.schedule]
             r = ex.finish()
             assert (r.hbr_fp, r.lazy_fp, r.state_hash) == signature, engine
-            assert fire_order(r) == fires, engine
+            assert fire_order(events) == fires, engine
 
         # a snapshot cut mid-schedule restores the virtual clock exactly
         cut = len(base.schedule) // 2
@@ -76,7 +75,7 @@ class TestScheduleDeterminism:
         prog = REGISTRY[bid].program
         first = execute(prog, scheduler=RandomScheduler(seed))
         second = execute(prog, schedule=first.schedule)
-        assert fire_order(second) == fire_order(first)
+        assert fire_order(second.events) == fire_order(first.events)
         assert second.state_hash == first.state_hash
 
 
@@ -117,7 +116,8 @@ def _terminal_results(program, cap=500):
         for tid in sched:
             ex.step(tid)
         if ex.is_done():
-            out.append(ex.finish())
+            # execute() keeps the events and the final object values
+            out.append(execute(program, schedule=sched))
             return
         for tid in list(ex.enabled()):
             rec(sched + [tid])
@@ -159,7 +159,7 @@ class TestTimedSemantics:
             p.thread(sleeper)
 
         r = execute(Program("vt_two_sleeps", build))
-        assert [v for (_, _, v) in fire_order(r)] == [
+        assert [v for (_, _, v) in fire_order(r.events)] == [
             to_ticks(0.5), to_ticks(0.5) + to_ticks(0.25)]
 
     def test_timed_out_is_a_pickle_stable_singleton(self):
