@@ -11,14 +11,13 @@ from .events import (
     Op,
     OpKind,
 )
-from .fingerprint import CanonicalHBR, FingerprintChain
+from .fingerprint import FingerprintChain, canonical_hbr
 from .hb import DualClockEngine
 from .relations import PartialOrder
 from .vector_clock import VectorClock, tuple_concurrent, tuple_leq
 
 __all__ = [
     "BLOCKING_KINDS",
-    "CanonicalHBR",
     "DualClockEngine",
     "Event",
     "FingerprintCache",
@@ -29,6 +28,7 @@ __all__ = [
     "OpKind",
     "PartialOrder",
     "VectorClock",
+    "canonical_hbr",
     "conflicts",
     "conflicts_lazy",
     "may_be_coenabled",

@@ -31,9 +31,8 @@
  *   lookahead HBR caching probes before a step, with no fork.
  *
  * The Python-visible class (hb_native.NativeClockEngine) subclasses
- * EngineCore to add the thin conveniences (register_thread from a
- * spawn event, VectorClock views); everything on the per-event path
- * lives here.
+ * EngineCore to add fork(); everything on the per-event path lives
+ * here.
  */
 
 #define PY_SSIZE_T_CLEAN

@@ -7,8 +7,7 @@ called once per event by :meth:`~repro.runtime.executor.Executor.step`
 * ``ref`` — the pure-Python reference (:class:`~repro.core.hb
   .DualClockEngine`): list-of-list clocks, always available.  It is
   both the executable spec and the fallback on a checkout without the
-  compiled extension, and the only backend that supports
-  ``canonical=True``.
+  compiled extension.
 * ``native`` — the compiled C kernel (``repro.core._native``, wrapped
   by :mod:`repro.core.hb_native`): the same dual-clock join, dominance
   tables and fingerprint chains over contiguous machine-int rows.
@@ -136,17 +135,11 @@ def resolve_engine(name: Optional[str] = None) -> str:
     return resolved
 
 
-def create_clock_engine(name: Optional[str] = None, canonical: bool = False):
-    """Build a clock engine for the resolved backend.
-
-    ``canonical=True`` always builds the reference engine: the exact
-    :class:`~repro.core.fingerprint.CanonicalHBR` forms are theorem
-    checker/test machinery, never part of the replay hot path, and only
-    the reference implementation carries them.
-    """
+def create_clock_engine(name: Optional[str] = None):
+    """Build a clock engine for the resolved backend."""
     resolved = resolve_engine(name)
-    if canonical or resolved == "ref":
-        return DualClockEngine(canonical=canonical)
+    if resolved == "ref":
+        return DualClockEngine()
     from .hb_native import NativeClockEngine, self_test
 
     self_test()

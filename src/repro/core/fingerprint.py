@@ -28,13 +28,15 @@ CPython < 3.12 and therefore differs between processes.  (Programs
 using *string* dict keys still get per-process fingerprints — see
 ``SharedDict`` — which is fine within one exploration.)
 
-The exact, collision-free canonical form (used by the theorem checkers
-in :mod:`repro.core.theorems`) is produced by :class:`CanonicalHBR`.
+The exact, collision-free form of that identity is a function of a
+run's stamped events, each of which carries its clocks under both
+relations: :func:`canonical_hbr` reads it off them.  The clock engines
+never build it.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, Iterable, List, Tuple
 
 _SEED = 0x9E3779B97F4A7C15  # golden-ratio constant; any fixed seed works
 
@@ -100,32 +102,22 @@ class FingerprintChain:
         return c
 
 
-class CanonicalHBR:
-    """Exact canonical representation of an HBR (no hash collisions).
+def canonical_hbr(events: Iterable[Any], lazy: bool = False) -> Tuple:
+    """The exact form of the regular HBR (or, with ``lazy``, the lazy
+    HBR) of a run, read off the stamped events
+    (:class:`~repro.core.events.Event`) it executed, in order.
 
-    Stores, per thread, the full sequence of ``(label, clock)`` pairs.
-    Equality of two :class:`CanonicalHBR` values is exactly equality of
-    the underlying happens-before relations.
+    Per thread, up to the last thread with events, the sequence of its
+    events' ``((kind, oid, key), clock)`` pairs: two runs have the
+    same relation exactly when these values are equal, with no hash
+    collisions.  The value is hashable.
     """
-
-    __slots__ = ("_threads",)
-
-    def __init__(self) -> None:
-        self._threads: List[List[Tuple[Tuple[int, int], Tuple[int, ...]]]] = []
-
-    def update(self, tid: int, label: Tuple[int, int], clock: Tuple[int, ...]) -> None:
-        threads = self._threads
+    threads: List[List[Tuple[Tuple[int, int, Any], Tuple[int, ...]]]] = []
+    for e in events:
+        tid = e.tid
         while len(threads) <= tid:
             threads.append([])
-        threads[tid].append((label, clock))
-
-    def freeze(self) -> Tuple[Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...], ...]:
-        """An immutable, hashable value identifying the relation.
-
-        Trailing empty threads are stripped so that programs differing
-        only in how many thread slots were pre-allocated compare equal.
-        """
-        threads = list(self._threads)
-        while threads and not threads[-1]:
-            threads.pop()
-        return tuple(tuple(seq) for seq in threads)
+        threads[tid].append(
+            ((e.kind, e.oid, e.key), e.lazy_clock if lazy else e.clock)
+        )
+    return tuple(tuple(seq) for seq in threads)

@@ -13,8 +13,9 @@ it and maintains, in a single pass:
 
 Runtime-enforced synchronisation that is *not* a data conflict —
 spawn/join edges, condition-variable wakeups, semaphore hand-offs,
-barrier releases — is injected through :meth:`add_release_edge` and
-participates in **both** relations: the lazy HBR only drops edges whose
+barrier releases — is injected through
+:meth:`~DualClockEngine.add_release_edge_clocks` and participates in
+**both** relations: the lazy HBR only drops edges whose
 sole cause is mutual exclusion on a mutex (paper, Section 2).
 
 Per-object state follows the classic two-clock scheme: ``A[o]`` is the
@@ -54,14 +55,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .events import Event, IS_MODIFYING, IS_MUTEX
-from .fingerprint import CanonicalHBR, FingerprintChain
-from .vector_clock import (
-    VectorClock,
-    join_tuple_into,
-    tuple_dominates,
-    tuple_join,
-)
+from .events import IS_MODIFYING, IS_MUTEX
+from .fingerprint import FingerprintChain
+from .vector_clock import join_tuple_into, tuple_dominates, tuple_join
 
 
 class _ClockSide:
@@ -72,14 +68,13 @@ class _ClockSide:
     tuple of the join of its (modifying) accesses.
     """
 
-    __slots__ = ("thread_clocks", "access", "modify", "chain", "canonical")
+    __slots__ = ("thread_clocks", "access", "modify", "chain")
 
-    def __init__(self, canonical: bool) -> None:
+    def __init__(self) -> None:
         self.thread_clocks: List[List[int]] = []
         self.access: Dict[Tuple[int, object], Tuple[int, ...]] = {}
         self.modify: Dict[Tuple[int, object], Tuple[int, ...]] = {}
         self.chain = FingerprintChain()
-        self.canonical: Optional[CanonicalHBR] = CanonicalHBR() if canonical else None
 
     def ensure_thread(self, tid: int) -> None:
         clocks = self.thread_clocks
@@ -100,29 +95,24 @@ class _ClockSide:
         side.access = dict(self.access)
         side.modify = dict(self.modify)
         side.chain = self.chain.fork()
-        side.canonical = None
         return side
 
 
 class DualClockEngine:
     """Computes regular and lazy HB clocks plus fingerprints, online.
 
-    Parameters
-    ----------
-    canonical:
-        When true, also build the exact :class:`CanonicalHBR` forms
-        (slower; used by theorem checkers and tests, never by the
-        exploration hot path).
+    The exact relation is never built here: every event the executor
+    steps carries its two published clocks, and
+    :func:`~repro.core.fingerprint.canonical_hbr` reads it off them.
     """
 
     backend = "ref"
 
-    __slots__ = ("regular", "lazy", "_pending_sync", "_canonical")
+    __slots__ = ("regular", "lazy", "_pending_sync")
 
-    def __init__(self, canonical: bool = False) -> None:
-        self._canonical = canonical
-        self.regular = _ClockSide(canonical)
-        self.lazy = _ClockSide(canonical)
+    def __init__(self) -> None:
+        self.regular = _ClockSide()
+        self.lazy = _ClockSide()
         # tid -> list of (regular snapshot, lazy snapshot) to join before
         # the thread's next event (release edges from other threads).
         self._pending_sync: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
@@ -133,13 +123,8 @@ class DualClockEngine:
 
         Both relations fork via :meth:`_ClockSide.fork` (published
         tuples shared, mutable working state copied); pending release
-        edges are copied as well.  Canonical engines do not fork — the
-        exact HBR forms are test/analysis machinery, never part of the
-        exploration hot path that snapshots executors."""
-        if self._canonical:
-            raise ValueError("canonical engines cannot fork")
+        edges are copied as well."""
         eng = DualClockEngine.__new__(DualClockEngine)
-        eng._canonical = False
         eng.regular = self.regular.fork()
         eng.lazy = self.lazy.fork()
         eng._pending_sync = {
@@ -156,39 +141,18 @@ class DualClockEngine:
             self.regular.ensure_thread(n - 1)
             self.lazy.ensure_thread(n - 1)
 
-    def register_thread(self, tid: int, parent_spawn_event: Optional[Event] = None) -> None:
-        """Declare a thread.  If it was spawned by another thread, its
-        clock starts from the spawning event's clock (a spawn edge)."""
-        if parent_spawn_event is not None:
-            assert parent_spawn_event.clock is not None
-            self.register_thread_clocks(
-                tid, parent_spawn_event.clock, parent_spawn_event.lazy_clock
-            )
-        else:
-            self.regular.ensure_thread(tid)
-            self.lazy.ensure_thread(tid)
-
     def register_thread_clocks(
         self,
         tid: int,
         spawn_clock: Tuple[int, ...],
         spawn_lazy_clock: Tuple[int, ...],
     ) -> None:
-        """Raw-value form of :meth:`register_thread` for a spawned
-        thread: the child's clocks start from the published snapshots of
-        the SPAWN event."""
+        """Declare a spawned thread (a spawn edge): the child's clocks
+        start from the published snapshots of the SPAWN event."""
         self.regular.ensure_thread(tid)
         self.lazy.ensure_thread(tid)
         join_tuple_into(self.regular.thread_clocks[tid], spawn_clock)
         join_tuple_into(self.lazy.thread_clocks[tid], spawn_lazy_clock)
-
-    def add_release_edge(self, event: Event, released_tid: int) -> None:
-        """Record that ``event`` unblocked ``released_tid`` (condvar
-        notify, semaphore release, barrier completion, thread exit
-        observed by join).  The released thread's next event will
-        happen-after ``event`` in both relations."""
-        assert event.clock is not None and event.lazy_clock is not None
-        self.add_release_edge_clocks(event.clock, event.lazy_clock, released_tid)
 
     def add_release_edge_clocks(
         self,
@@ -196,7 +160,11 @@ class DualClockEngine:
         lazy_clock: Tuple[int, ...],
         released_tid: int,
     ) -> None:
-        """Raw-value form of :meth:`add_release_edge`."""
+        """Record that the event with published clocks ``clock`` and
+        ``lazy_clock`` unblocked ``released_tid`` (condvar notify,
+        semaphore release, barrier completion, thread exit observed by
+        join).  The released thread's next event will happen-after
+        that event in both relations."""
         self._pending_sync.setdefault(released_tid, []).append(
             (clock, lazy_clock)
         )
@@ -301,10 +269,6 @@ class DualClockEngine:
         chains = lchain._chains
         chains[tid] = hash((chains[tid], kind, oid, key, lazy_snap))
         lchain._count += 1
-        if self._canonical:
-            label = (kind, oid, key)
-            regular.canonical.update(tid, label, snap)
-            lazy.canonical.update(tid, label, lazy_snap)
         return snap, lazy_snap
 
     def fingerprint_after(
@@ -357,23 +321,6 @@ class DualClockEngine:
     def lazy_fingerprint(self) -> int:
         """Fingerprint of the lazy HBR of the trace so far."""
         return self.lazy.chain.prefix_fingerprint()
-
-    def canonical_hbr(self):
-        """Exact canonical regular HBR (requires ``canonical=True``)."""
-        if self.regular.canonical is None:
-            raise ValueError("engine was created with canonical=False")
-        return self.regular.canonical.freeze()
-
-    def canonical_lazy_hbr(self):
-        """Exact canonical lazy HBR (requires ``canonical=True``)."""
-        if self.lazy.canonical is None:
-            raise ValueError("engine was created with canonical=False")
-        return self.lazy.canonical.freeze()
-
-    def thread_clock(self, tid: int, lazy: bool = False) -> VectorClock:
-        """The thread's current clock, as an independent
-        :class:`VectorClock` copy (API for analysis code and tests)."""
-        return VectorClock(init=self.thread_clock_raw(tid, lazy))
 
     def thread_clock_raw(
         self, tid: int, lazy: bool = False

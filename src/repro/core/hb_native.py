@@ -30,11 +30,9 @@ from __future__ import annotations
 
 import platform
 import sys
-from typing import Dict, Optional
+from typing import Dict
 
-from .events import Event
 from .fingerprint import _SEED
-from .vector_clock import VectorClock
 
 try:  # the compiled kernel; absence is not an error (ref is the fallback)
     from . import _native as _C  # type: ignore[attr-defined]
@@ -48,9 +46,8 @@ NATIVE_COMPILED = _C is not None
 if NATIVE_COMPILED:
 
     class NativeClockEngine(_C.EngineCore):  # type: ignore[misc, name-defined]
-        """The compiled kernel, plus the thin conveniences the rest of
-        the runtime expects (everything on the per-event path lives in
-        C; these wrappers are called at spawn/snapshot frequency)."""
+        """The compiled kernel, plus :meth:`fork`, the one method the
+        runtime calls that is not in C (at snapshot frequency)."""
 
         backend = "native"
 
@@ -58,34 +55,6 @@ if NATIVE_COMPILED:
             eng = type(self)()
             eng._adopt(self)
             return eng
-
-        def register_thread(
-            self, tid: int, parent_spawn_event: Optional[Event] = None
-        ) -> None:
-            if parent_spawn_event is not None:
-                assert parent_spawn_event.clock is not None
-                self.register_thread_clocks(
-                    tid,
-                    parent_spawn_event.clock,
-                    parent_spawn_event.lazy_clock,
-                )
-            else:
-                self.reserve(tid + 1)
-
-        def add_release_edge(self, event: Event, released_tid: int) -> None:
-            assert event.clock is not None and event.lazy_clock is not None
-            self.add_release_edge_clocks(
-                event.clock, event.lazy_clock, released_tid
-            )
-
-        def canonical_hbr(self):
-            raise ValueError("engine was created with canonical=False")
-
-        def canonical_lazy_hbr(self):
-            raise ValueError("engine was created with canonical=False")
-
-        def thread_clock(self, tid: int, lazy: bool = False) -> VectorClock:
-            return VectorClock(init=self.thread_clock_raw(tid, lazy))
 
 
 def provenance() -> Dict[str, object]:

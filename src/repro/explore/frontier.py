@@ -23,9 +23,7 @@ See DESIGN.md §3 for the architecture.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 FRONTIER_VERSION = 1
 
@@ -106,47 +104,16 @@ class Frontier:
     the remaining unexplored schedule set.
     """
 
-    __slots__ = ("_items", "_holes", "_buckets", "_depth_heap")
+    __slots__ = ("_items",)
 
     def __init__(self, items: Optional[Iterable[WorkItem]] = None) -> None:
-        self._items: List[Optional[WorkItem]] = list(items) if items else []
-        # breadth-first seeding index (see pop_shallowest): positions
-        # of live items bucketed by prefix depth, plus a lazy min-heap
-        # of depths.  Active only between pop_shallowest calls; any
-        # other structural operation compacts the tombstoned item list
-        # and drops the index.
-        self._holes = 0
-        self._buckets: Optional[Dict[int, Deque[int]]] = None
-        self._depth_heap: Optional[List[int]] = None
-
-    def _compact(self) -> None:
-        """Leave breadth-first-seeding mode: squeeze out the tombstones
-        left by pop_shallowest and drop the depth index.  O(n), paid at
-        most once per seeding phase."""
-        if self._buckets is None:
-            return
-        if self._holes:
-            self._items = [it for it in self._items if it is not None]
-            self._holes = 0
-        self._buckets = None
-        self._depth_heap = None
+        self._items: List[WorkItem] = list(items) if items else []
 
     # -- stack interface ---------------------------------------------------
     def push(self, item: WorkItem) -> None:
-        buckets = self._buckets
-        if buckets is not None:
-            depth = len(item.prefix)
-            bucket = buckets.get(depth)
-            if bucket is None:
-                buckets[depth] = bucket = deque()
-                heapq.heappush(self._depth_heap, depth)
-            elif not bucket:
-                heapq.heappush(self._depth_heap, depth)
-            bucket.append(len(self._items))
         self._items.append(item)
 
     def pop(self) -> WorkItem:
-        self._compact()
         return self._items.pop()
 
     def pop_shallowest(self) -> WorkItem:
@@ -155,59 +122,35 @@ class Frontier:
         shallow items first grows the frontier breadth-first, yielding
         many similarly-sized subtree roots to deal across shards —
         LIFO expansion would keep the frontier at O(depth) items with
-        exponentially skewed subtrees.
-
-        Amortised O(log #depths): a per-depth FIFO of item positions
-        (popped slots become tombstones, squeezed out when the frontier
-        leaves seeding mode) replaces the former full scan + list
-        splice, which made seeding a k-shard split O(n²).
+        exponentially skewed subtrees.  A linear scan: seeding pops a
+        few hundred items at most, from a frontier of about a thousand.
         """
-        if self._buckets is None:
-            # (re)build the index over the live items, in stack order
-            self._buckets = buckets = {}
-            for pos, item in enumerate(self._items):
-                buckets.setdefault(len(item.prefix), deque()).append(pos)
-            self._depth_heap = list(buckets)
-            heapq.heapify(self._depth_heap)
-        heap = self._depth_heap
-        while heap:
-            bucket = self._buckets.get(heap[0])
-            if bucket:
-                break
-            heapq.heappop(heap)  # depth drained (or re-pushed later)
-        else:
+        items = self._items
+        if not items:
             raise IndexError("pop_shallowest from an empty frontier")
-        pos = bucket.popleft()
-        item = self._items[pos]
-        self._items[pos] = None
-        self._holes += 1
-        return item
+        return items.pop(min(range(len(items)),
+                             key=lambda i: len(items[i].prefix)))
 
     def peek(self) -> WorkItem:
-        self._compact()
         return self._items[-1]
 
     def __len__(self) -> int:
-        return len(self._items) - self._holes
+        return len(self._items)
 
     def __bool__(self) -> bool:
-        return len(self._items) > self._holes
+        return bool(self._items)
 
     def __iter__(self) -> Iterator[WorkItem]:
         """Bottom-to-top; the *last* item is the next to be explored."""
-        self._compact()
         return iter(self._items)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Frontier):
             return False
-        self._compact()
-        other._compact()
         return self._items == other._items
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        self._compact()
         return {
             "version": FRONTIER_VERSION,
             "items": [item.to_dict() for item in self._items],
@@ -243,7 +186,6 @@ class Frontier:
         """
         if k < 0:
             raise ValueError(f"steal requires k >= 0, got {k}")
-        self._compact()
         k = min(k, len(self._items))
         stolen = self._items[:k]
         self._items = self._items[k:]
@@ -264,7 +206,6 @@ class Frontier:
         """
         if k < 1:
             raise ValueError(f"split requires k >= 1, got {k}")
-        self._compact()
         shards: List[List[WorkItem]] = [[] for _ in range(k)]
         # deal in pop order (top first), then restore stack order
         for i, item in enumerate(reversed(self._items)):

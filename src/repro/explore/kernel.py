@@ -257,7 +257,7 @@ class KernelExplorer(Explorer):
             if item.prefix:
                 tid = item.prefix[-1]
                 # the parent roots pending work while a sibling is next
-                # (Frontier.peek would compact the seeding index)
+                # (never in seeding mode: its next item is no sibling)
                 roots = not seeding and bool(frontier) and _child_of(
                     frontier.peek().prefix, parent
                 )

@@ -54,7 +54,7 @@ class PCTExplorer(Explorer):
         )
         low = 0.0  # change points push priorities below every base one
         steps = 0
-        # hot loop: bound methods hoisted, choices trusted
+        # hot loop: bound methods hoisted
         is_done = ex.is_done
         enabled_of = ex.enabled
         step = ex.step
@@ -65,7 +65,7 @@ class PCTExplorer(Explorer):
                 if tid not in priorities:
                     priorities[tid] = rng.random()
             chosen = max(enabled, key=prio_of)
-            step(chosen, True)
+            step(chosen)
             steps += 1
             while change_points and steps >= change_points[0]:
                 change_points.pop(0)

@@ -27,14 +27,13 @@ class RandomWalkExplorer(Explorer):
         while not self._budget_exceeded():
             self._schedule_started()
             ex, _ = self._executor_at(())
-            # hot loop: bound methods hoisted, choices trusted (drawn
-            # from the enabled list we just fetched)
+            # hot loop: bound methods hoisted
             is_done = ex.is_done
             enabled_of = ex.enabled
             step = ex.step
             while not is_done():
                 enabled = enabled_of()
-                step(enabled[randrange(len(enabled))], True)
+                step(enabled[randrange(len(enabled))])
             result = ex.finish()
             self.stats.num_events += result.num_events
             self._record_terminal(result)

@@ -25,20 +25,18 @@ step.
 
 Hot-path machinery (this class runs millions of steps per campaign):
 
-* the *runnable* thread set is maintained incrementally on status
-  transitions (spawn, exit, wait, wake) — ``enabled()`` never scans
-  finished or parked threads — and its result is memoised until the
-  next step mutates state, so the per-scheduling-point enabledness
-  test runs exactly once however many times ``is_done``/``enabled``
-  are consulted.  (A finer-grained per-object watcher scheme was
-  measured and *lost* to this design at realistic thread counts — in
-  lock-heavy programs every thread watches the same mutex, so the
-  bookkeeping outweighs the rescan of a handful of runnable threads.)
+* :meth:`enabled` is one pass over the threads in tid order, and its
+  result is memoised until a step changes some thread's enabledness,
+  so the per-scheduling-point test runs once however many times
+  ``is_done``/``enabled`` are consulted.  A step of a kind that cannot
+  change another thread's enabledness patches the memoised list
+  instead of dropping it.  (A finer-grained per-object watcher scheme
+  was measured and *lost* to this design at realistic thread counts —
+  in lock-heavy programs every thread watches the same mutex, so the
+  bookkeeping outweighs the rescan of a handful of threads.)
 * the barrier admission pre-pass is skipped entirely unless some
   runnable thread actually pends a ``BARRIER_WAIT`` (counter maintained
   as pending ops change);
-* :meth:`replay_prefix` re-executes a known-feasible prefix without
-  re-validating enabledness at every step;
 * every thread's *send tape* (the values its generator has received)
   is recorded, enabling :meth:`snapshot`/:meth:`fork`/
   :meth:`from_snapshot` — copy-on-write executor snapshots that let
@@ -135,6 +133,10 @@ class _Status(enum.IntEnum):
     FINISHED = 2
 
 
+_RUNNABLE = _Status.RUNNABLE
+_WAITING = _Status.WAITING
+
+
 #: Immortal per-tid ThreadAPI instances.  A ThreadAPI is an immutable
 #: op factory (one ``tid`` slot, no state), so every executor can hand
 #: the same instance to its thread ``tid`` — snapshot restores build
@@ -215,18 +217,15 @@ class Executor:
         self,
         program: Program,
         max_events: int = DEFAULT_MAX_EVENTS,
-        canonical: bool = False,
         engine: Optional[str] = None,
     ) -> None:
         self.program = program
         self.instance: ProgramInstance = program.instantiate()
         self._clock = self.instance.clock
-        # canonical runs always use the reference engine (the exact HBR
-        # forms are analysis machinery); otherwise the backend registry
-        # resolves engine name -> implementation (None = env/auto; see
-        # repro.core.engines)
-        self.engine_name = "ref" if canonical else resolve_engine(engine)
-        self.engine = create_clock_engine(self.engine_name, canonical=canonical)
+        # the backend registry resolves engine name -> implementation
+        # (None = env/auto; see repro.core.engines)
+        self.engine_name = resolve_engine(engine)
+        self.engine = create_clock_engine(self.engine_name)
         self.max_events = max_events
         #: programs whose guests mutate host-side Python state (the shim
         #: frontend: closures, lists, per-object hold maps) opt in to
@@ -252,14 +251,9 @@ class Executor:
         self.error: Optional[GuestError] = None  # deadlock / fatal errors
         self.truncated = False
         # incremental scheduling state (see module docstring)
-        self._runnable: Set[int] = set()       # tids with status RUNNABLE
-        self._runnable_sorted: Optional[List[int]] = None
         self._unfinished = 0                   # threads not FINISHED
         self._barrier_pending = 0              # runnable pending BARRIER_WAITs
         self._pred_watch = 0                   # pending await_value READs
-        # tids parked on a condvar *with a deadline*: steppable even
-        # though WAITING (the step is their timeout firing)
-        self._timed_parked: Set[int] = set()
         # memoised enabled list; membership tests run on the list
         # itself — linear, but enabled sets are tiny and a C-level list
         # scan beats building a set on every rebuild
@@ -296,11 +290,9 @@ class Executor:
         handle = ThreadHandle(self.instance.registry, tid)
         t = _GuestThread(tid, name or f"T{tid}", None, handle)
         self.threads.append(t)
-        self._runnable.add(tid)
-        self._runnable_sorted = None
         self._unfinished += 1
         if tid >= self._static_threads:
-            self.engine.register_thread(tid)  # reserve() covered the rest
+            self.engine.reserve(tid + 1)  # __init__ reserved the rest
         trie = self._optrie
         static = tid < self._static_threads
         if trie is not None and static:
@@ -497,8 +489,6 @@ class Executor:
         regular HBR orders later lock() events after it."""
         t.wait_mutex = mutex
         t.status = _Status.WAITING
-        self._runnable.discard(t.tid)
-        self._runnable_sorted = None
         self._fx_released = mutex.oid
         self._fx_parked = True
         self._fx_any = True
@@ -588,11 +578,15 @@ class Executor:
         return False
 
     def enabled(self) -> List[int]:
-        """Sorted tids whose pending operation can execute now.
+        """Sorted tids whose pending operation can execute now: one
+        pass over the threads in tid order.
 
-        Memoised until the next step; only *runnable* threads are ever
-        tested (the runnable set is maintained incrementally on status
-        transitions).  Callers must not mutate the returned list.
+        A runnable thread is enabled when its pending op is timed
+        (stepping it executes the base operation if that can run now,
+        else its TIME_FIRE) or can run now; a thread parked on a
+        condvar with an armed deadline is enabled too (its step is the
+        timeout firing).  Memoised until a step changes some thread's
+        enabledness.  Callers must not mutate the returned list.
         """
         # terminal states win over any memoised list: error/truncation
         # can be set between steps (is_done, guest exceptions) without
@@ -603,23 +597,15 @@ class Executor:
         if cached is not None:
             return cached
         self._admit_barriers()
-        runnable = self._runnable_sorted
-        if runnable is None:
-            runnable = self._runnable_sorted = sorted(self._runnable)
-        threads = self.threads
         op_enabled = self._op_enabled
-        # a timed pending op is *always* enabled: stepping it executes
-        # the base operation if that can run now, else its TIME_FIRE
-        result = [
-            tid for tid in runnable
-            if threads[tid].pending.timeout is not None
-            or op_enabled(threads[tid])
-        ]
-        if self._timed_parked:
-            # timed condvar waiters are steppable while parked (their
-            # step is the timeout firing); disjoint from runnable
-            result.extend(self._timed_parked)
-            result.sort()
+        result = []
+        for t in self.threads:
+            status = t.status
+            if status is _RUNNABLE:
+                if t.pending.timeout is not None or op_enabled(t):
+                    result.append(t.tid)
+            elif status is _WAITING and t.deadline is not None:
+                result.append(t.tid)
         self._enabled_cache = result
         return result
 
@@ -730,23 +716,20 @@ class Executor:
     # ------------------------------------------------------------------
     # Stepping
     def replay_prefix(self, tids: Sequence[int]) -> None:
-        """Re-execute a known-feasible prefix of thread choices.
-
-        This is the replay fast path: each step skips the per-step
-        enabledness re-validation (the prefix was produced by a previous
-        execution of the same deterministic program, so every choice is
-        enabled by construction).  Genuine divergence still surfaces as
-        an exception from the operation itself.
-        """
+        """Step each thread choice of a schedule prefix in turn.  A
+        choice that is not enabled (the prefix diverged from this
+        program) raises :class:`~repro.errors.DisabledThreadError`
+        naming the blocked op, like any other :meth:`step`."""
         for tid in tids:
-            self.step(tid, trusted=True)
+            self.step(tid)
 
-    def step(self, tid: int, trusted: bool = False) -> Event:
+    def step(self, tid: int) -> Event:
         """Execute ``tid``'s pending operation and return its stamped
         :class:`Event` (``index`` is its schedule position).  The
         executor records only the schedule: a caller that needs the
-        events keeps them.  ``trusted`` skips the enabledness re-check
-        for known-feasible replays.
+        events keeps them.  A thread that is not enabled raises
+        :class:`~repro.errors.DisabledThreadError`; the check is one
+        membership test while :meth:`enabled` is memoised.
         """
         if self.error is not None or self.truncated:
             raise SchedulerError("execution already terminated")
@@ -758,9 +741,7 @@ class Executor:
                 return self._fire_parked_timeout(t)
             raise SchedulerError(f"thread {tid} has no pending operation")
         enabled_cache = self._enabled_cache
-        if trusted:
-            self._admit_barriers()
-        elif enabled_cache is not None:
+        if enabled_cache is not None:
             if tid not in enabled_cache:
                 raise DisabledThreadError(
                     tid, enabled_cache, self._blocked_reason(t)
@@ -840,8 +821,6 @@ class Executor:
             self.error = exc
             t.status = _Status.FINISHED
             t.pending = None
-            self._runnable.discard(tid)
-            self._runnable_sorted = None
             self._unfinished -= 1
             self._enabled_cache = None
             raise
@@ -853,13 +832,11 @@ class Executor:
             if self._fx_woken is not None:
                 woken = [self.threads[w] for w in self._fx_woken]
                 self._fx_woken = None
-        if t.deadline is not None:
-            if parked:
-                # a timed condvar wait: the deadline stays armed across
-                # the parked phase (fire-vs-notify is the race)
-                self._timed_parked.add(tid)
-            else:
-                t.deadline = None  # the base operation won
+        if t.deadline is not None and not parked:
+            # the base operation won.  A timed condvar wait that parks
+            # keeps its deadline armed across the parked phase
+            # (fire-vs-notify is the race)
+            t.deadline = None
 
         clock, lazy_clock = self.engine.observe(
             tid, kind, oid, key, released_mutex_oid
@@ -886,12 +863,9 @@ class Executor:
                 if w.deadline is not None:
                     # the notify won the race against this waiter's
                     # timeout: disarm it, record the True wake value
-                    self._timed_parked.discard(w.tid)
                     w.deadline = None
                     w.parked_on = None
                     w.wake_value = True
-                self._runnable.add(w.tid)
-            self._runnable_sorted = None
 
         # Resume the generator (or finalise the thread).
         if parked:
@@ -899,8 +873,6 @@ class Executor:
         elif kind is _EXIT:
             t.status = _Status.FINISHED
             t.pending = None
-            self._runnable.discard(tid)
-            self._runnable_sorted = None
             self._unfinished -= 1
         elif t.resuming and kind is _LOCK:
             # the implicit re-acquire after a wait: now the guest's
@@ -981,13 +953,10 @@ class Executor:
         self._enabled_cache = None
         self._clock.advance_to(self._clock.now + t.deadline)
         t.deadline = None
-        self._timed_parked.discard(t.tid)
         t.status = _Status.RUNNABLE
         t.resuming = True
         t.pending = Op(OpKind.LOCK, t.wait_mutex)
         t.wake_value = False
-        self._runnable.add(t.tid)
-        self._runnable_sorted = None
         return self._record_time_fire(t, cv.oid, False)
 
     def _record_time_fire(self, t: _GuestThread, released_oid: int,
@@ -1068,7 +1037,6 @@ class Executor:
                 "_static_threads": self._static_threads,
                 "engine_name": self.engine.backend,
                 "_enabled_cache": None,
-                "_runnable_sorted": None,
                 "_fx_any": False,
                 "_fx_woken": None,
                 "_fx_parked": False,
@@ -1225,19 +1193,12 @@ class Executor:
         d["schedule"] = list(snap.schedule)
         spawn_origin = snap.spawn_origin
         d["_spawn_origin"] = dict(spawn_origin)
-        runnable_status = _Status.RUNNABLE
-        d["_runnable"] = {
-            tid for tid, rec in enumerate(snap.thread_records)
-            if rec.status == runnable_status
-        }
-        timed_parked = d["_timed_parked"] = set()
         registry = instance.registry
         static = instance.threads
         # executed SPAWN ops per fast-forwarded parent, to hand fresh
         # (fn, args) closures to dynamically spawned children (parents
         # always have smaller tids, so one tid-ordered pass suffices)
         spawn_ops: Dict[int, List[Op]] = {}
-        waiting_status = _Status.WAITING
         fast_forward = cls._fast_forward
         objects = registry.objects
         guest_new = _GuestThread.__new__
@@ -1262,7 +1223,7 @@ class Executor:
             t.crashed = rec.crashed
             t.spawn_count = rec.spawn_count
             throw_exc = t.throw_exc = rec.throw_exc
-            deadline = t.deadline = rec.deadline
+            t.deadline = rec.deadline
             t.wake_value = rec.wake_value
             t.trie_node = None
             t.pinfo = None
@@ -1305,10 +1266,8 @@ class Executor:
                 objects[rec.parked_on_oid]
                 if rec.parked_on_oid is not None else None
             )
-            if status != runnable_status:
+            if status is not _RUNNABLE:
                 t.pending = None          # finished, or parked on a CV
-                if deadline is not None and status == waiting_status:
-                    timed_parked.add(tid)
             elif resuming:
                 # the synthesized post-notify re-acquire of the wait
                 # mutex (never a generator yield)

@@ -96,7 +96,6 @@ def execute(
     scheduler=None,
     schedule: Optional[Sequence[int]] = None,
     max_events: int = 20_000,
-    canonical: bool = False,
 ) -> TraceResult:
     """Run ``program`` once to completion and return its trace, with
     the stepped events and the final object values.
@@ -109,7 +108,7 @@ def execute(
         scheduler = ReplayScheduler(schedule)
     elif scheduler is None:
         scheduler = FirstEnabledScheduler()
-    ex = Executor(program, max_events=max_events, canonical=canonical)
+    ex = Executor(program, max_events=max_events)
     events = _run(ex, scheduler)
     result = ex.finish()
     result.events = events

@@ -100,10 +100,10 @@ class ExecutorSnapshot:
     rebuilds every thread from its recorded trie node or its tape).
     ``optrie`` is the trie the nodes belong to (None with the cache
     off).  What a
-    restore can derive is not stored: the runnable set is the records
-    whose status is RUNNABLE, a crashed run's reported error is the
-    lowest crashed tid's ``throw_exc``, and the event count is the
-    schedule's length.
+    restore can derive is not stored: enabledness is one pass over the
+    rebuilt threads (:meth:`~repro.runtime.executor.Executor.enabled`),
+    a crashed run's reported error is the lowest crashed tid's
+    ``throw_exc``, and the event count is the schedule's length.
     """
 
     __slots__ = (

@@ -588,14 +588,13 @@ class ReferenceRandomWalk(RandomWalkExplorer):
         while not self._budget_exceeded():
             self._schedule_started()
             ex = self._new_executor()
-            # hot loop: bound methods hoisted, choices trusted (drawn
-            # from the enabled list we just fetched)
+            # hot loop: bound methods hoisted
             is_done = ex.is_done
             enabled_of = ex.enabled
             step = ex.step
             while not is_done():
                 enabled = enabled_of()
-                step(enabled[randrange(len(enabled))], True)
+                step(enabled[randrange(len(enabled))])
             result = ex.finish()
             self.stats.num_events += result.num_events
             self._record_terminal(result)
@@ -613,7 +612,7 @@ class ReferencePCT(PCTExplorer):
         )
         low = 0.0  # change points push priorities below every base one
         steps = 0
-        # hot loop: bound methods hoisted, choices trusted
+        # hot loop: bound methods hoisted
         is_done = ex.is_done
         enabled_of = ex.enabled
         step = ex.step
@@ -624,7 +623,7 @@ class ReferencePCT(PCTExplorer):
                 if tid not in priorities:
                     priorities[tid] = rng.random()
             chosen = max(enabled, key=prio_of)
-            step(chosen, True)
+            step(chosen)
             steps += 1
             while change_points and steps >= change_points[0]:
                 change_points.pop(0)

@@ -44,8 +44,8 @@ class TestRaceAnalysis:
         prog = self._program()
         ex = Executor(prog)
         e = ex.step(0)  # T0 writes
-        cv0 = ex.engine.thread_clock(0)
-        cv1 = ex.engine.thread_clock(1)
+        cv0 = ex.engine.thread_clock_raw(0)
+        cv1 = ex.engine.thread_clock_raw(1)
         assert DPORExplorer._hb_pending(e, cv0)       # own past event
         assert not DPORExplorer._hb_pending(e, cv1)   # unordered for T1
 

@@ -1,30 +1,39 @@
-"""Invariants of the executor's incremental scheduling state.
+"""Invariants of the executor's scheduling state.
 
-The memoised enabled list, the incrementally maintained runnable set,
-the barrier-pending counter and the conditional cache invalidation
-(non-disturbing READ/WRITE/YIELD/JOIN steps patch instead of rebuild)
-must always agree with a from-scratch recomputation.  These tests walk
-diverse suite programs under seeded random schedules and cross-check
+``Executor.enabled`` is one pass over the threads, memoised until a
+step changes some thread's enabledness: a non-disturbing
+READ/WRITE/YIELD/JOIN step patches the memoised list instead of
+dropping it, and the barrier-pending and predicate-watch counters
+decide when that is safe.  The list must always agree with
+``_recomputed_enabled``, a from-scratch recomputation.  These tests
+walk diverse programs under seeded random schedules and cross-check
 after every single step.
 
 Each walk runs two ways: ``ref`` steps one fresh executor throughout,
 and ``fast`` moves the walk every few steps onto an executor restored
 from a snapshot of the current one, recycling its instance the way an
-explorer's fast replay does (a restore rebuilds the scheduling state
-from the snapshot rather than by stepping).
+explorer does (a restore rebuilds every thread from the snapshot
+rather than by stepping).
+
+``step`` itself refuses a thread that is not enabled, also when it
+replays a prefix: a diverged replay raises ``DisabledThreadError``.
 """
 
 import random
 
 import pytest
 
+from repro import Program
+from repro.errors import DisabledThreadError
 from repro.runtime.executor import Executor
 from repro.suite import REGISTRY
 
 #: programs covering every enabledness mechanism: plain races, coarse
 #: locks, condvars, philosophers (deadlock), barriers, semaphores,
-#: rwlocks, ticket locks (await_value predicates), spawn/join
-PROGRAMS = (4, 13, 24, 32, 38, 40, 66, 69, 77)
+#: rwlocks, ticket locks (await_value predicates), spawn/join,
+#: buffered channels, futures, rendezvous channels and virtual time
+#: (timed ops, sleeps, timed channel ops)
+PROGRAMS = (4, 13, 24, 32, 38, 40, 66, 69, 77, 81, 86, 88, 89, 93, 96)
 
 
 #: steps between two restores in ``fast`` walks
@@ -36,12 +45,15 @@ def _restore(ex):
     return Executor.from_snapshot(snap, reuse=ex.release_instance())
 
 
-def _walk_and_check(program, seed, fast):
+def _walk_and_check(program, seed, fast, restore_every=RESTORE_EVERY):
+    """One seeded random walk, cross-checked at every state.  Returns
+    how many checked states had a parked timed waiter enabled."""
     rng = random.Random(seed)
     ex = Executor(program, max_events=600)
     steps = 0
+    parked = 0
     while not ex.is_done():
-        if fast and steps % RESTORE_EVERY == RESTORE_EVERY - 1:
+        if fast and steps % restore_every == restore_every - 1:
             ex = _restore(ex)
         enabled = ex.enabled()
         assert enabled == sorted(ex._recomputed_enabled()), (
@@ -49,12 +61,13 @@ def _walk_and_check(program, seed, fast):
             f"{steps} steps"
         )
         assert enabled, "is_done() said runnable but nothing enabled"
+        parked += any(ex.threads[tid].pending is None for tid in enabled)
         ex.step(enabled[rng.randrange(len(enabled))])
         steps += 1
     # terminal state agreement too (deadlocks show up here)
     assert sorted(ex._recomputed_enabled()) == ex.enabled() or \
         ex.error is not None or ex.truncated
-    return ex
+    return parked
 
 
 @pytest.mark.parametrize("bid", PROGRAMS)
@@ -63,6 +76,71 @@ def test_enabled_matches_recomputation(bid, fast):
     program = REGISTRY[bid].program
     for seed in range(6):
         _walk_and_check(program, seed, fast)
+
+
+def _timed_wait_program() -> Program:
+    """A timed condvar wait racing a notify, beside an untimed waiter:
+    no suite program parks a timed waiter, which is enabled while
+    parked (its step is the timeout firing)."""
+
+    def build(p):
+        m = p.mutex("m")
+        cv = p.condition("cv")
+        flag = p.var("flag", 0)
+
+        def timed_waiter(api):
+            yield api.lock(m)
+            notified = yield api.wait(cv, m, timeout=0.01)
+            yield api.write(flag, 1 if notified else 2)
+            yield api.unlock(m)
+
+        def waiter(api):
+            yield api.lock(m)
+            yield api.wait(cv, m, timeout=None)
+            yield api.unlock(m)
+
+        def notifier(api):
+            yield api.lock(m)
+            yield api.notify_all(cv)
+            yield api.unlock(m)
+
+        p.thread(timed_waiter)
+        p.thread(waiter)
+        p.thread(notifier)
+
+    return Program("timed_condvar_wait", build)
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
+def test_enabled_matches_recomputation_with_timed_waiter(fast):
+    # restoring before every step in ``fast`` walks rebuilds a parked
+    # timed waiter from its snapshot record each time it is enabled
+    program = _timed_wait_program()
+    parked = sum(_walk_and_check(program, seed, fast, restore_every=1)
+                 for seed in range(12))
+    assert parked > 0
+
+
+@pytest.mark.parametrize("bid, prefix, kind", [
+    (77, [0, 0], "JOIN"),          # join of a running thread
+    (66, [0, 0], "BARRIER_WAIT"),  # barrier wait not yet admitted
+    (88, [], "CHAN_RECV"),         # rendezvous recv with no sender
+], ids=["join", "barrier", "rendezvous-recv"])
+@pytest.mark.parametrize("memo", [False, True], ids=["cold", "memoised"])
+def test_replay_prefix_rejects_disabled_choice(bid, prefix, kind, memo):
+    program = REGISTRY[bid].program
+    probe = Executor(program)
+    probe.replay_prefix(prefix)
+    assert probe.threads[0].pending.kind.name == kind
+    assert 0 not in probe.enabled() and probe.enabled()
+    ex = Executor(program)
+    ex.replay_prefix(prefix)
+    if memo:
+        ex.enabled()
+    with pytest.raises(DisabledThreadError) as info:
+        ex.replay_prefix([0])
+    assert info.value.tid == 0 and info.value.reason
+    assert ex.schedule == prefix  # nothing executed
 
 
 def test_step_rejects_disabled_thread():

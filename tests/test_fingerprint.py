@@ -2,7 +2,8 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.fingerprint import CanonicalHBR, FingerprintChain
+from repro.core.events import Event, OpKind
+from repro.core.fingerprint import FingerprintChain, canonical_hbr
 
 
 class TestFingerprintChain:
@@ -63,30 +64,37 @@ class TestFingerprintChain:
         assert a.prefix_fingerprint() == b.prefix_fingerprint()
 
 
+def _ev(tid, kind, clock, lazy_clock=None, value=None):
+    return Event(0, tid, 0, kind, 1, None, value, clock,
+                 clock if lazy_clock is None else lazy_clock)
+
+
 class TestCanonicalHBR:
     def test_freeze_strips_trailing_empty_threads(self):
-        a, b = CanonicalHBR(), CanonicalHBR()
-        a.update(0, (1, 1, None), (1,))
-        b.update(0, (1, 1, None), (1,))
-        b.update(3, (9, 9, None), (0, 0, 0, 1))
-        # force thread 3 to exist in `a` too but with no events
-        frozen_a = a.freeze()
-        assert len(frozen_a) == 1
+        # one entry per thread up to the last thread with events
+        form = canonical_hbr([_ev(0, OpKind.WRITE, (1,)),
+                              _ev(2, OpKind.READ, (1, 0, 1))])
+        assert len(form) == 3 and form[1] == ()
+        assert canonical_hbr([]) == ()
 
     def test_equal_relations_freeze_equal(self):
-        a, b = CanonicalHBR(), CanonicalHBR()
-        for c in (a, b):
-            c.update(0, (1, 1, None), (1,))
-            c.update(1, (2, 2, None), (1, 1))
-        assert a.freeze() == b.freeze()
+        # labels and clocks identify the relation; values do not
+        a = [_ev(0, OpKind.WRITE, (1,), value=1),
+             _ev(1, OpKind.READ, (1, 1), value=1)]
+        b = [_ev(0, OpKind.WRITE, (1,), value=2),
+             _ev(1, OpKind.READ, (1, 1), value=2)]
+        assert canonical_hbr(a) == canonical_hbr(b)
 
     def test_different_clocks_freeze_different(self):
-        a, b = CanonicalHBR(), CanonicalHBR()
-        a.update(0, (1, 1, None), (1, 0))
-        b.update(0, (1, 1, None), (1, 9))
-        assert a.freeze() != b.freeze()
+        a = [_ev(0, OpKind.WRITE, (1, 0))]
+        b = [_ev(0, OpKind.WRITE, (1, 9))]
+        assert canonical_hbr(a) != canonical_hbr(b)
+
+    def test_lazy_form_reads_the_lazy_clocks(self):
+        a = [_ev(1, OpKind.LOCK, (1, 1), lazy_clock=(0, 1))]
+        b = [_ev(1, OpKind.LOCK, (0, 1), lazy_clock=(0, 1))]
+        assert canonical_hbr(a) != canonical_hbr(b)
+        assert canonical_hbr(a, lazy=True) == canonical_hbr(b, lazy=True)
 
     def test_freeze_is_hashable(self):
-        c = CanonicalHBR()
-        c.update(0, (1, 1, None), (1,))
-        hash(c.freeze())
+        hash(canonical_hbr([_ev(0, OpKind.WRITE, (1,))]))

@@ -251,7 +251,8 @@ class TestSnapshotResume:
 
 class TestSplitShards:
     """split(k) shards are disjoint, exhaustive, and merge to the
-    unsplit run's aggregate sets for every splittable strategy."""
+    unsplit run's aggregate sets for every splittable strategy (for
+    lazy-HBR caching: its states and lazy HBRs)."""
 
     @pytest.mark.parametrize("explorer_name",
                              sorted(SPLITTABLE_EXPLORERS))
@@ -291,8 +292,13 @@ class TestSplitShards:
             schedule_sets.append(
                 {tuple(s) for s in worker.schedule_sink}
             )
-        # aggregate sets equal the unsplit run's
-        assert merged.hbr_fps == unsplit.hbr_fps
+        # aggregate sets equal the unsplit run's.  Lazy-HBR caching
+        # reaches one member of each lazy HBR, and which one depends
+        # on the exploration order, so a split run may reach other
+        # regular HBRs (LAZY_CACHING_ORDER_SPEC in
+        # test_random_program_soundness pins a program where it does)
+        if explorer_name != "lazy-hbr-caching":
+            assert merged.hbr_fps == unsplit.hbr_fps
         assert merged.lazy_fps == unsplit.lazy_fps
         assert merged.state_hashes == unsplit.state_hashes
         assert ({(e.kind, e.message) for e in merged.errors}

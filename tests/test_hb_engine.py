@@ -1,7 +1,15 @@
 """Tests for the dual clock engine: regular vs lazy happens-before."""
 
 from repro import Program, execute
+from repro.core import canonical_hbr
 from repro.core.events import OpKind
+from repro.explore import ExplorationLimits
+from repro.explore.dfs import DFSExplorer
+from repro.suite import REGISTRY
+
+#: small suite programs with mutexes (regular and lazy HBRs differ),
+#: data races, condvar release edges and virtual time
+CANONICAL_IDS = (1, 3, 10, 24, 89)
 
 
 def run(build, schedule=None):
@@ -164,18 +172,23 @@ class TestFingerprints:
         assert a.lazy_fp != b.lazy_fp
         assert a.state_hash != b.state_hash
 
-    def test_canonical_forms_match_fingerprints(self, figure1_program):
-        from repro.runtime.executor import Executor
-        results = []
-        for sched in ([0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 0]):
-            ex = Executor(figure1_program, canonical=True)
-            from repro.runtime.schedule import ReplayScheduler
-            s = ReplayScheduler(sched)
-            while not ex.is_done():
-                ex.step(s.choose(ex))
-            results.append(
-                (ex.engine.canonical_hbr(), ex.engine.canonical_lazy_hbr())
-            )
-        (hbr_a, lazy_a), (hbr_b, lazy_b) = results
-        assert hbr_a != hbr_b
-        assert lazy_a == lazy_b
+    def test_canonical_forms_match_fingerprints(self):
+        """Over every complete DFS schedule of a few small suite
+        programs, the exact forms read off the events are equal
+        exactly when the fingerprints are, in each relation."""
+        for bid in CANONICAL_IDS:
+            program = REGISTRY[bid].program
+            dfs = DFSExplorer(program, ExplorationLimits(max_schedules=1000))
+            dfs.schedule_sink = []
+            assert dfs.run().exhausted
+            runs = [execute(program, schedule=s) for s in dfs.schedule_sink]
+            classes = []
+            for lazy in (False, True):
+                pairs = {(canonical_hbr(r.events, lazy),
+                          r.lazy_fp if lazy else r.hbr_fp) for r in runs}
+                forms = {form for form, _ in pairs}
+                fps = {fp for _, fp in pairs}
+                assert len(forms) == len(fps) == len(pairs), (bid, lazy)
+                classes.append(len(pairs))
+            if bid == 1:  # figure 1: two HBRs, one lazy HBR
+                assert classes == [2, 1]

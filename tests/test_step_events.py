@@ -29,9 +29,9 @@ def test_every_step_returns_its_event(name, monkeypatch):
     step = Executor.step
     stepped = []
 
-    def checked_step(self, tid, trusted=False):
+    def checked_step(self, tid):
         position = len(self.schedule)
-        event = step(self, tid, trusted)
+        event = step(self, tid)
         assert isinstance(event, Event), (name, self.schedule)
         assert (event.index, event.tid) == (position, tid)
         stepped.append(event)

@@ -38,8 +38,7 @@ class ReferenceDualClockEngine:
     clock update builds a fresh tuple.
     """
 
-    def __init__(self, canonical: bool = False) -> None:
-        assert not canonical, "reference engine does not do canonical forms"
+    def __init__(self) -> None:
         # per side: [thread clock tuples], {loc: access}, {loc: modify},
         # [chain hashes], event count
         self._sides = [
@@ -50,31 +49,19 @@ class ReferenceDualClockEngine:
 
     # -- registration ---------------------------------------------------
     def reserve(self, n: int) -> None:
-        if n > 0:
-            self.register_thread(n - 1)
-
-    def register_thread(self, tid, parent_spawn_event=None) -> None:
         for clocks, _a, _m, chains, _c in self._sides:
-            while len(clocks) <= tid:
+            while len(clocks) < n:
                 clocks.append((0,) * (len(clocks) + 1))
-            while len(chains) <= tid:
+            while len(chains) < n:
                 chains.append(hash((_SEED, len(chains))))
-        if parent_spawn_event is not None:
-            self.register_thread_clocks(
-                tid, parent_spawn_event.clock, parent_spawn_event.lazy_clock
-            )
 
     def register_thread_clocks(self, tid, spawn_clock, spawn_lazy_clock):
-        self.register_thread(tid)
+        self.reserve(tid + 1)
         for side, edge in zip(self._sides, (spawn_clock, spawn_lazy_clock)):
             side[0][tid] = _join(side[0][tid], edge)
 
     def add_release_edge_clocks(self, clock, lazy_clock, released_tid):
         self._pending.setdefault(released_tid, []).append((clock, lazy_clock))
-
-    def add_release_edge(self, event, released_tid):
-        self.add_release_edge_clocks(event.clock, event.lazy_clock,
-                                     released_tid)
 
     # -- the event update ----------------------------------------------
     def observe(self, tid, kind, oid, key, released_mutex_oid=None):
@@ -142,9 +129,7 @@ def _reference_run(program, monkeypatch, schedule_seed=None):
         # the backend registry now) for the model reference engine
         m.setattr(
             executor_mod, "create_clock_engine",
-            lambda name=None, canonical=False: ReferenceDualClockEngine(
-                canonical=canonical
-            ),
+            lambda name=None: ReferenceDualClockEngine(),
         )
         scheduler = (RandomScheduler(schedule_seed)
                      if schedule_seed is not None else None)
