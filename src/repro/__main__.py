@@ -397,13 +397,6 @@ def _cmd_campaign(args) -> int:
         return 2
     limits = ExplorationLimits(max_schedules=limit,
                                max_seconds=args.seconds)
-    if args.snapshot_budget_mb is not None:
-        if not (args.snapshot_budget_mb >= 0):  # rejects NaN too
-            print(f"error: --snapshot-budget-mb must be >= 0, got "
-                  f"{args.snapshot_budget_mb}", file=sys.stderr)
-            return 2
-        if args.snapshot_budget_mb == 0:
-            limits.snapshot_budget_bytes = 0
     store = None
     if args.resume:
         store = ResultStore(args.resume, limits)
@@ -589,14 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "150 under --smoke)")
     p_camp.add_argument("--seconds", type=float, default=None,
                         help="per-cell wall-clock timeout")
-    p_camp.add_argument("--snapshot-budget-mb", type=float, default=None,
-                        dest="snapshot_budget_mb", metavar="MB",
-                        help="branch-point snapshots: 0 turns them "
-                             "off, any positive value leaves them on "
-                             "(the default; memory is bounded by the "
-                             "search depth, not by this value) — "
-                             "results are identical either way, only "
-                             "slower when off")
     p_camp.add_argument("--engine",
                         choices=("ref", "native"),
                         default=None,
@@ -684,14 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "BENCH_<name>.json report and compare against a "
                     "committed baseline.",
     )
-    p_bench.add_argument("--scenario", choices=("micro", "split", "prefix"),
+    p_bench.add_argument("--scenario", choices=("micro", "split"),
                          default="micro",
                          help="micro: replay-loop throughput cases; "
                               "split: frontier split speedup + "
-                              "snapshot/resume overhead; "
-                              "prefix: branch-point snapshot prefix "
-                              "sharing (off-vs-on speedup, replayed/fresh "
-                              "event fractions, hit rate)")
+                              "snapshot/resume overhead")
     p_bench.add_argument("--shards", type=int, default=4,
                          help="shard count for --scenario split")
     p_bench.add_argument("--cases",

@@ -4,7 +4,7 @@ the paper's Section 3 (below-diagonal counts, redundancy percentages)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -70,19 +70,3 @@ def caching_gain_summary(points: Sequence[ScatterPoint]) -> Dict[str, float]:
 
 def x_safe(p: ScatterPoint) -> int:
     return p.x if p.x > 0 else 0
-
-
-def inequality_rows(results) -> List[Tuple[int, str, int, int, int, int, bool]]:
-    """Rows (id, name, states, lazy, hbrs, schedules, ok) for the
-    Section 3 inequality table."""
-    rows = []
-    for bench_id, name, stats in results:
-        ok = (
-            stats.num_states <= stats.num_lazy_hbrs
-            <= stats.num_hbrs <= stats.num_schedules
-        )
-        rows.append(
-            (bench_id, name, stats.num_states, stats.num_lazy_hbrs,
-             stats.num_hbrs, stats.num_schedules, ok)
-        )
-    return rows

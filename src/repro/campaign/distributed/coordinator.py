@@ -249,7 +249,6 @@ class Coordinator:
         return M.reply_ok(
             protocol=PROTOCOL_VERSION,
             limits=limits_to_dict(self.limits),
-            snapshot_budget_bytes=self.limits.snapshot_budget_bytes,
             verify=self.verify,
             lease_timeout=self.lease_timeout,
             heartbeat_interval=heartbeat,

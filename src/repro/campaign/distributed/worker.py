@@ -108,9 +108,6 @@ class DistributedWorker:
             max_events_per_schedule=lim.get(
                 "max_events_per_schedule",
                 self.limits.max_events_per_schedule),
-            snapshot_budget_bytes=reply.get(
-                "snapshot_budget_bytes",
-                self.limits.snapshot_budget_bytes),
         )
         self.verify = bool(reply.get("verify", True))
         self.lease_timeout = float(reply.get("lease_timeout", 15.0))

@@ -26,7 +26,7 @@ randomness there is.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ReproError
@@ -210,13 +210,12 @@ def check(
 
     lim = limits or ExplorationLimits()
     if max_schedules is not None or max_seconds is not None:
-        lim = ExplorationLimits(
+        lim = replace(
+            lim,
             max_schedules=(max_schedules if max_schedules is not None
                            else lim.max_schedules),
             max_seconds=(max_seconds if max_seconds is not None
                          else lim.max_seconds),
-            max_events_per_schedule=lim.max_events_per_schedule,
-            snapshot_budget_bytes=lim.snapshot_budget_bytes,
         )
 
     if explorer in SEEDED_EXPLORERS:

@@ -45,12 +45,6 @@ from ..runtime.trace import TraceResult
 
 DEFAULT_SCHEDULE_LIMIT = 100_000
 
-#: Default of :attr:`ExplorationLimits.snapshot_budget_bytes`.  Only
-#: zero versus positive matters here; it stays 4 MiB because a campaign
-#: coordinator hands the value to its workers, and a worker of an older
-#: version reads it as a byte budget.
-DEFAULT_SNAPSHOT_BUDGET_BYTES = 4 << 20
-
 #: A mid-schedule wall-clock deadline check every scheduling point would
 #: be noise on the replay hot path; every N points bounds the overrun
 #: of one long schedule to N steps while keeping the check invisible in
@@ -65,14 +59,6 @@ class ExplorationLimits:
     max_schedules: int = DEFAULT_SCHEDULE_LIMIT
     max_seconds: Optional[float] = None
     max_events_per_schedule: int = 20_000
-    #: branch-point snapshots: 0 switches their capture off (every
-    #: restore then starts from the initial state), any positive value
-    #: on; negative values are rejected when the explorer is built.
-    #: The spine's size is bounded by the search depth, not by this
-    #: value.  Purely a performance knob: results are byte-identical
-    #: either way, so — unlike the fields above — it does not
-    #: participate in checkpoint-compatibility stamps.
-    snapshot_budget_bytes: int = DEFAULT_SNAPSHOT_BUDGET_BYTES
 
 
 @dataclass
@@ -267,7 +253,7 @@ class ExplorationStats:
 
 class SnapshotCounters:
     """What prefix sharing did in one exploration, for perf reports
-    (``bench --scenario prefix``, the repository benchmark).
+    (the repository benchmark reads :meth:`stats`).
 
     ``resumed_events`` counts prefix events *not* re-executed because
     the explorer restored a spine snapshot or was handed an executor
@@ -275,7 +261,8 @@ class SnapshotCounters:
     replayed the hard way.  Events no schedule ran before (the kernel's
     work items place at their parent, so their own last step is one)
     are neither.  A restore for a non-empty prefix is a hit when it
-    starts past the initial state, else a miss."""
+    starts past the initial state, else a miss; ``inserts`` counts
+    branch points pushed onto the spine."""
 
     __slots__ = ("hits", "misses", "inserts", "resumed_events",
                  "replayed_events")
@@ -321,15 +308,9 @@ class Explorer:
         self.limits = limits or ExplorationLimits()
         self._error_kinds: Set[Tuple[str, str]] = set()
         self.stats = ExplorationStats(program.name, self.name)
-        budget = self.limits.snapshot_budget_bytes
-        if budget < 0:
-            raise ValueError(f"snapshot budget must be >= 0, got {budget}")
-        #: prefix-sharing counters, None when branch-point capture is
-        #: off; only explorers that replay non-empty prefixes (the
-        #: kernel family and DPOR) move them
-        self.snapshot_tree: Optional[SnapshotCounters] = (
-            SnapshotCounters() if budget else None
-        )
+        #: prefix-sharing counters; only explorers that replay
+        #: non-empty prefixes (the kernel family and DPOR) move them
+        self.snapshot_tree = SnapshotCounters()
         #: the spine: the depth-0 snapshot of the exploration's first
         #: executor, then snapshots of branch points on the current
         #: search path, strictly deeper each, every one a prefix of the
@@ -362,14 +343,6 @@ class Explorer:
         self._stop_requested = False
 
     # -- views kept for tests and analysis tooling --------------------------
-    @property
-    def _hbr_fps(self) -> Set[int]:
-        return self.stats.hbr_fps
-
-    @property
-    def _lazy_fps(self) -> Set[int]:
-        return self.stats.lazy_fps
-
     @property
     def _state_hashes(self) -> Set[int]:
         return self.stats.state_hashes
@@ -410,8 +383,7 @@ class Explorer:
         if held is not None:
             self._held = None
             if held[0] == prefix:
-                if counters is not None:
-                    counters.resumed_events += len(prefix)
+                counters.resumed_events += len(prefix)
                 return held[1], len(prefix)
             self._spare = held[1].release_instance()
         spine = self._spine
@@ -424,7 +396,7 @@ class Explorer:
                 depth = len(snap.schedule)
         else:
             snap, depth = None, 0
-        if counters is not None and prefix:
+        if prefix:
             if depth:
                 counters.hits += 1
             else:
@@ -443,12 +415,11 @@ class Explorer:
         pending work will resume from.  ``ex`` descends from the last
         :meth:`_executor_at`, so every entry is a prefix of its
         schedule, and a top as deep as ``ex`` already holds this very
-        state.  No-op when capture is off."""
-        counters = self.snapshot_tree
-        if counters is not None and \
-                len(self._spine[-1].schedule) != len(ex.schedule):
+        state.  This is the spine's one push after the initial state:
+        without it, every restore starts from the initial state."""
+        if len(self._spine[-1].schedule) != len(ex.schedule):
             self._spine.append(ex.snapshot())
-            counters.inserts += 1
+            self.snapshot_tree.inserts += 1
 
     def _retire(self, ex: Executor,
                 at: Optional[Tuple[int, ...]] = None) -> None:

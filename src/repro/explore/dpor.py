@@ -131,11 +131,10 @@ class DPORExplorer(Explorer):
         """Reconstruct the state after the stack's chosen prefix, plus
         the per-location index of trace positions for fast race lookup.
 
-        Resumes from the deepest spine snapshot on the stack's prefix,
-        which is the initial state when capture is off (see
-        :meth:`Explorer._executor_at`).  Every spine entry is a prefix
-        of the last run, so that run's first ``start`` events are the
-        restored prefix's: the trace is cut back to them and the
+        Resumes from the deepest spine snapshot on the stack's prefix
+        (see :meth:`Explorer._executor_at`).  Every spine entry is a
+        prefix of the last run, so that run's first ``start`` events are
+        the restored prefix's: the trace is cut back to them and the
         per-location index rebuilt from them (cheap dict appends, no
         re-execution), and the rest of the prefix is replayed stepwise.
         A node's snapshot is its *pre*-state, the choices of the nodes

@@ -48,6 +48,7 @@ See DESIGN.md §3 and §7.3.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .base import ExplorationStats, Explorer
@@ -336,15 +337,12 @@ class KernelExplorer(Explorer):
         the space is exhausted).  Deterministic; the schedules executed
         here are exactly the first schedules a serial run executes, so
         seed stats merge cleanly with shard stats."""
-        from .base import ExplorationLimits
-
         self._seed_target = max(1, min_items)
         outer = self.limits
-        self.limits = ExplorationLimits(
+        self.limits = dataclasses.replace(
+            outer,
             max_schedules=min(max_schedules, outer.max_schedules),
             max_seconds=None,
-            max_events_per_schedule=outer.max_events_per_schedule,
-            snapshot_budget_bytes=outer.snapshot_budget_bytes,
         )
         try:
             stats = self.run()

@@ -52,9 +52,6 @@ AB_REPORT_KIND = "repro-bench-ab"
 #: Schema marker of the frontier split/resume scenario reports.
 SPLIT_REPORT_KIND = "repro-bench-split"
 
-#: Schema marker of the prefix-sharing (spine snapshot) scenario reports.
-PREFIX_REPORT_KIND = "repro-bench-prefix"
-
 #: Calibration-normalised slowdown beyond which the comparison fails.
 DEFAULT_MAX_REGRESSION = 0.30
 
@@ -109,24 +106,6 @@ CASES: List[BenchCase] = [
               93, 2_000),
 ]
 
-#: The prefix-sharing scenario cases (``bench --scenario prefix``):
-#: deep DFS-family cells where schedules share long prefixes, measured
-#: with branch-point snapshots off vs on.  ``dfs/racy_counter`` rides along
-#: as the shallow control — 9-event schedules have almost no prefix to
-#: share, so it documents the break-even floor rather than a win.
-PREFIX_CASES: List[BenchCase] = [
-    BenchCase("dfs/racy_counter", "dfs", 4, 20_000),
-    BenchCase("dfs/bounded_buffer", "dfs", 24, 2_000),
-    BenchCase("dfs/bounded_buffer_pc2", "dfs", 27, 2_000),
-    BenchCase("hbr-caching/bounded_buffer", "hbr-caching", 24, 2_000),
-    BenchCase("lazy-hbr-caching/disjoint_coarse", "lazy-hbr-caching",
-              13, 20_000),
-    BenchCase("lazy-hbr-caching/bounded_buffer_pc2", "lazy-hbr-caching",
-              27, 2_000),
-    BenchCase("preempt-bounded/bounded_buffer", "preempt-bounded", 24,
-              1_000),
-]
-
 
 def case_names() -> List[str]:
     return [c.name for c in CASES]
@@ -149,21 +128,14 @@ def _calibrate(loops: int = 200_000) -> float:
     return loops / best
 
 
-def _case_limits(case: BenchCase,
-                 snapshot_budget_bytes: Optional[int] = None
-                 ) -> ExplorationLimits:
-    limits = ExplorationLimits(max_schedules=case.max_schedules)
-    if snapshot_budget_bytes is not None:
-        limits.snapshot_budget_bytes = snapshot_budget_bytes
-    return limits
+def _case_limits(case: BenchCase) -> ExplorationLimits:
+    return ExplorationLimits(max_schedules=case.max_schedules)
 
 
 def _measure_case(case: BenchCase, min_time: float,
-                  snapshot_budget_bytes: Optional[int] = None,
-                  engine: Optional[str] = None
-                  ) -> Dict[str, Any]:
+                  engine: Optional[str] = None) -> Dict[str, Any]:
     """Run ``case`` repeatedly until ``min_time`` seconds accumulate."""
-    limits = _case_limits(case, snapshot_budget_bytes)
+    limits = _case_limits(case)
     program = REGISTRY[case.bench_id].program
     total_sched = total_events = iterations = 0
     total_time = 0.0
@@ -529,109 +501,6 @@ def run_split_bench(
     return report
 
 
-def run_prefix_bench(
-    smoke: bool = False,
-    min_time: float = 0.25,
-    repeat: int = 3,
-    progress=None,
-) -> Dict[str, Any]:
-    """The prefix-sharing scenario (``bench --scenario prefix``).
-
-    For each deep DFS-family case in :data:`PREFIX_CASES`, measures
-    schedules/sec with branch-point snapshots **off**
-    (``snapshot_budget_bytes=0``: every restore starts from the initial
-    state and replays the prefix) and **on** (the default), and reports
-    the speedup plus what the spine actually did: the fraction of
-    events resumed from snapshots vs replayed vs newly executed, and
-    the snapshot hit rate.
-
-    Hard-fails if the two modes diverge in any statistic other than
-    wall clock — the same in-harness equivalence enforcement the split
-    scenario applies.
-    """
-    if smoke:
-        min_time = min(min_time, 0.15)
-        repeat = min(repeat, 2)
-
-    report: Dict[str, Any] = {
-        "meta": {
-            "kind": PREFIX_REPORT_KIND,
-            "smoke": bool(smoke),
-            "min_time": min_time,
-            "repeat": repeat,
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "calibration_ops_per_sec": _calibrate(),
-        },
-        "cases": {},
-    }
-    for case in PREFIX_CASES:
-        program = REGISTRY[case.bench_id].program
-
-        # equivalence: off and on must produce identical statistics
-        off_stats = make_explorer(
-            case.explorer, program, _case_limits(case, 0)
-        ).run()
-        on_explorer = make_explorer(
-            case.explorer, program, _case_limits(case)
-        )
-        on_stats = on_explorer.run()
-        off_d, on_d = off_stats.to_dict(), on_stats.to_dict()
-        off_d.pop("elapsed")
-        on_d.pop("elapsed")
-        if off_d != on_d:
-            raise AssertionError(
-                f"snapshot-resume diverged from plain replay on "
-                f"{case.name}"
-            )
-        snap = on_explorer.snapshot_tree.stats()
-        total_events = on_stats.num_events
-        resumed = snap["resumed_events"]
-        replayed = snap["replayed_events"]
-        fresh = total_events - resumed - replayed
-        del on_explorer, off_stats, on_stats
-
-        # off/on rounds interleaved (and the best kept) so machine
-        # noise and thermal drift hit both modes evenly instead of
-        # whichever mode happened to run second
-        off = on = None
-        for _ in range(max(1, repeat)):
-            o = _measure_case(case, min_time, snapshot_budget_bytes=0)
-            n = _measure_case(case, min_time)
-            if off is None or o["schedules_per_sec"] > off["schedules_per_sec"]:
-                off = o
-            if on is None or n["schedules_per_sec"] > on["schedules_per_sec"]:
-                on = n
-        entry = {
-            "explorer": case.explorer,
-            "bench_id": case.bench_id,
-            "program": program.name,
-            "max_schedules": case.max_schedules,
-            "schedules": on["schedules"],
-            "events": total_events,
-            "off_schedules_per_sec": off["schedules_per_sec"],
-            "on_schedules_per_sec": on["schedules_per_sec"],
-            "speedup": on["schedules_per_sec"] / off["schedules_per_sec"],
-            "resumed_events": resumed,
-            "replayed_events": replayed,
-            "fresh_events": fresh,
-            "resumed_fraction": resumed / total_events if total_events else 0.0,
-            "replayed_fraction": (replayed / total_events
-                                  if total_events else 0.0),
-            "fresh_fraction": fresh / total_events if total_events else 0.0,
-            "snapshot": snap,
-        }
-        report["cases"][case.name] = entry
-        if progress is not None:
-            progress(
-                f"{case.name:<34} {entry['speedup']:>5.2f}x  "
-                f"resumed {entry['resumed_fraction']:>5.1%} of "
-                f"{total_events} events, hit rate "
-                f"{snap['hit_rate']:.1%}"
-            )
-    return report
-
-
 def profile_case(case_name: str, out_path: str,
                  max_schedules: Optional[int] = None) -> None:
     """cProfile one run of a named case and dump pstats to ``out_path``
@@ -768,25 +637,6 @@ def main(args) -> int:  # pragma: no cover - exercised via the CLI tests
             f"{resume['snapshot_seconds']*1e3:.1f}/"
             f"{resume['restore_seconds']*1e3:.1f} ms"
         )
-        if args.out:
-            write_report(report, args.out)
-            print(f"wrote {args.out}")
-        return 0
-    if getattr(args, "scenario", "micro") == "prefix":
-        try:
-            report = run_prefix_bench(
-                smoke=args.smoke,
-                min_time=args.min_time,
-                progress=print if not args.quiet else None,
-            )
-        except AssertionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        worst = min(
-            c["speedup"] for c in report["cases"].values()
-        )
-        print(f"prefix sharing: worst-case speedup {worst:.2f}x over "
-              f"{len(report['cases'])} deep cases")
         if args.out:
             write_report(report, args.out)
             print(f"wrote {args.out}")

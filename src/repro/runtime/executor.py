@@ -312,13 +312,20 @@ class Executor:
         return t
 
     def _serve_pending(self, t: _GuestThread, op: Op) -> None:
-        """Install a trie-served pending op, with the same
-        pending-arrival bookkeeping as the live path's tail (the
-        SLEEP/TIMER_TICK clock re-point is idempotent: cached ops
-        already target this instance's clock)."""
+        """Install ``t``'s next pending op, live or trie-served, with
+        its pending-arrival bookkeeping."""
         t.pending = op
         kind = op.kind
         if op.timeout is not None:
+            # SLEEP/TIMER_TICK target the program clock (the API cannot
+            # reach it, so a live op arrives with target=None; a cached
+            # op already targets this instance's clock).  The armed
+            # value is the RELATIVE duration: the clock advances by it
+            # when (if) the time event executes.  Capturing an absolute
+            # deadline here would read the clock at pending-creation
+            # time, making it depend on how independent events
+            # interleaved — unsound for DPOR (commuting an unrelated
+            # event with a clock advance would change the deadline).
             if op.target is None and (kind is _SLEEP or kind is _TIMER_TICK):
                 op.target = self._clock
             t.deadline = op.timeout
@@ -352,22 +359,20 @@ class Executor:
 
     def _materialize(self, t: _GuestThread):
         """Rebuild a trie-served thread's generator at its current
-        position by re-feeding the recorded send history — exactly a
-        snapshot fast-forward.  Runs when a schedule first leaves the
-        recorded trie (or an exception must be thrown into the guest);
-        the guest is deterministic, so it cannot die mid-history."""
+        position by re-feeding the recorded send history, as a
+        snapshot restore does (:meth:`_fast_forward`).  Runs when a
+        schedule first leaves the recorded trie (or an exception must
+        be thrown into the guest); the guest is deterministic, so it
+        cannot die mid-history."""
         body, args, _name = self.instance.threads[t.tid]
         gen = body(_thread_api(t.tid), *args)
-        try:
-            next(gen)
-            send = gen.send
-            for v in t.tape:
-                send(v)
-        except (StopIteration, GuestError) as exc:
+        tape = t.tape
+        op = self._fast_forward(gen, tape, len(tape), t.handle, False)[0]
+        if op.kind is _EXIT:
             raise SchedulerError(
                 f"op-cache divergence: thread {t.tid} ({t.name}) died "
                 f"while re-feeding its recorded send history"
-            ) from exc
+            )
         t.gen = gen
         return gen
 
@@ -423,24 +428,7 @@ class Executor:
             )
         if node is not None:
             self._trie_extend(t, node, send_value, op)
-        t.pending = op
-        kind = op.kind
-        if op.timeout is not None:
-            # SLEEP/TIMER_TICK target the program clock (the API cannot
-            # reach it, so the op arrives with target=None).  The armed
-            # value is the RELATIVE duration: the clock advances by it
-            # when (if) the time event executes.  Capturing an absolute
-            # deadline here would read the clock at pending-creation
-            # time, making it depend on how independent events
-            # interleaved — unsound for DPOR (commuting an unrelated
-            # event with a clock advance would change the deadline).
-            if op.target is None and (kind is _SLEEP or kind is _TIMER_TICK):
-                op.target = self._clock
-            t.deadline = op.timeout
-        if kind is _BARRIER_WAIT:
-            self._barrier_pending += 1
-        elif kind is _READ and op.arg2 is not None:
-            self._pred_watch += 1
+        self._serve_pending(t, op)
 
     def _advance_throw(self, t: _GuestThread, exc: GuestError) -> None:
         """Resume ``t`` by throwing ``exc`` into its generator

@@ -186,37 +186,6 @@ class TestFigures:
         assert args.smoke and args.jobs == 2 and args.seeds == 3
         assert args.resume == "ckpt.json" and args.out == "report.json"
 
-    @pytest.mark.parametrize("mb,on", [
-        ("1e-7", True), ("0.5", True), ("64", True), ("inf", True),
-        ("0", False),
-    ])
-    def test_snapshot_budget_mb_switches_capture(self, monkeypatch,
-                                                 capsys, mb, on):
-        """Any positive MB leaves branch-point capture on (a tiny
-        value once rounded down to 0 bytes and silently switched it
-        off); only 0 switches it off."""
-        import repro.campaign
-
-        seen = []
-        real = repro.campaign.run_campaign
-
-        def spy(cells, limits, **kwargs):
-            seen.append(limits.snapshot_budget_bytes)
-            return real(cells, limits, **kwargs)
-
-        monkeypatch.setattr(repro.campaign, "run_campaign", spy)
-        assert main(["campaign", "--ids", "1", "--explorers", "dfs",
-                     "--limit", "5", "--snapshot-budget-mb", mb]) == 0
-        assert len(seen) == 1 and (seen[0] > 0) is on
-
-    @pytest.mark.parametrize("mb", ["nan", "-1", "-1e-9"])
-    def test_snapshot_budget_mb_rejects_nan_and_negative(self, capsys,
-                                                         mb):
-        assert main(["campaign", "--ids", "1", "--explorers", "dfs",
-                     "--limit", "5", f"--snapshot-budget-mb={mb}"]) == 2
-        assert "error: --snapshot-budget-mb must be >= 0" in \
-            capsys.readouterr().err
-
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -43,6 +43,8 @@ from repro.explore.controller import make_explorer
 from repro.runtime.executor import Executor
 from repro.suite import REGISTRY
 
+from reference_replay import capture_off
+
 #: calls/event ceilings per backend, measured at ~24.3 (ref) and
 #: ~20.5 (native) with the single generic step loop
 CALLS_PER_EVENT_CEILING = {"ref": 35.0, "native": 30.0}
@@ -109,10 +111,12 @@ def test_one_step_loop_drives_every_engine(engine, monkeypatch):
         return step(self, *args, **kwargs)
 
     monkeypatch.setattr(Executor, "step", counting_step)
-    # snapshot tree off: every counted event is stepped, none resumed
-    limits = ExplorationLimits(max_schedules=MAX_SCHEDULES,
-                               snapshot_budget_bytes=0)
-    stats = make_explorer("dfs", _program(), limits, engine=engine).run()
+    # branch-point capture off: every counted event is stepped, none
+    # resumed
+    limits = ExplorationLimits(max_schedules=MAX_SCHEDULES)
+    with capture_off():
+        stats = make_explorer("dfs", _program(), limits,
+                              engine=engine).run()
     assert stats.num_events > 0
     assert len(calls) == stats.num_events, (
         f"{engine}: {len(calls)} Executor.step calls for "

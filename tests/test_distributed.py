@@ -25,6 +25,7 @@ from repro.campaign import (
 )
 from repro.campaign.distributed import (
     Coordinator,
+    DistributedWorker,
     FileCoordinatorServer,
     FileWorkerChannel,
     TcpCoordinatorServer,
@@ -88,6 +89,24 @@ class TestHello:
         assert reply["verify"] is False
         assert reply["lease_timeout"] == 10.0
         assert reply["heartbeat_interval"] == pytest.approx(2.5)
+
+    def test_worker_reads_hello_with_retired_snapshot_field(self):
+        """An older coordinator's hello still carries
+        ``snapshot_budget_bytes``; the worker ignores it."""
+        reply = make_coord().handle({"type": M.HELLO, "worker": "w1",
+                                     "protocol": M.PROTOCOL_VERSION})
+        reply["snapshot_budget_bytes"] = 0
+
+        class Channel:
+            worker_id = "w1"
+
+            def request(self, msg, **kw):
+                return reply
+
+        worker = DistributedWorker(Channel())
+        worker.hello()
+        assert worker.limits == LIMITS
+        assert worker.lease_timeout == 10.0
 
     def test_heartbeat_interval_is_clamped(self):
         assert make_coord(lease_timeout=100.0).handle(

@@ -11,13 +11,16 @@ former copy of the loop.  Both must produce byte-identical
   runs, the fingerprint and state-hash sets, and error findings,
 
 for ``dpor``, ``dpor-nosleep`` and ``lazy-dpor``, on every small suite
-program with the snapshot tree on and off, and on generated programs.
+program with branch-point capture on and off, and on generated
+programs.
 CI runs this module a second time under ``REPRO_OPCACHE=0``: the delta
 keys on pending-op identity, and the op-trie and generator paths hand
 out op objects differently.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 from hypothesis import given
@@ -30,6 +33,7 @@ from reference_explorers import (
     ReferenceLazyDPOR,
     TerminalLogMixin,
 )
+from reference_replay import capture_off
 from test_random_program_soundness import (
     build_program,
     program_spec,
@@ -58,8 +62,6 @@ STRATEGIES = [
 ]
 STRATEGY_IDS = [s[0] for s in STRATEGIES]
 
-SNAPSHOTS = {"snapshots-on": 4 << 20, "snapshots-off": 0}
-
 
 def _assert_identical(program, make_new, make_ref, limits):
     new = make_new(program, limits)
@@ -77,15 +79,17 @@ def _assert_identical(program, make_new, make_ref, limits):
     return new_stats
 
 
-@pytest.mark.parametrize("budget", list(SNAPSHOTS.values()),
-                         ids=list(SNAPSHOTS))
+@pytest.mark.parametrize("capture", [True, False],
+                         ids=["snapshots-on", "snapshots-off"])
 @pytest.mark.parametrize("label,make_new,make_ref", STRATEGIES,
                          ids=STRATEGY_IDS)
-def test_small_suite_identical(label, make_new, make_ref, budget):
-    limits = ExplorationLimits(snapshot_budget_bytes=budget)
-    for bench in small_benchmarks():
-        stats = _assert_identical(bench.program, make_new, make_ref, limits)
-        assert stats.exhausted, bench.program.name
+def test_small_suite_identical(label, make_new, make_ref, capture):
+    limits = ExplorationLimits()
+    with contextlib.nullcontext() if capture else capture_off():
+        for bench in small_benchmarks():
+            stats = _assert_identical(bench.program, make_new, make_ref,
+                                      limits)
+            assert stats.exhausted, bench.program.name
 
 
 @pytest.mark.parametrize("label,make_new,make_ref", STRATEGIES,

@@ -5,7 +5,7 @@ event and the executor keeps no trace.  What stays fast is how a run
 is reached.  An explorer restores the deepest branch-point snapshot on
 its spine and steps only the rest of the schedule; the reference
 replays every schedule from the initial state, with branch-point
-capture off (``ExplorationLimits(snapshot_budget_bytes=0)``).  On the
+capture off (``reference_replay.capture_off``).  On the
 executor level, the reference is a scheduler-driven step loop that
 keeps the events its steps return, and the replay is ``execute`` of
 the schedule that loop recorded.
@@ -17,8 +17,6 @@ random schedules) and at the explorer level (whole explorations under
 ``dfs`` and ``dpor`` with small limits, compared field by field).
 """
 
-import dataclasses
-
 import pytest
 
 from repro.errors import SchedulerError
@@ -28,6 +26,8 @@ from repro.runtime.executor import Executor
 from repro.runtime.schedule import RandomScheduler, execute
 from repro.runtime.state import describe_state
 from repro.suite import REGISTRY, all_benchmarks
+
+from reference_replay import capture_off
 
 ALL_IDS = [b.bench_id for b in all_benchmarks()]
 
@@ -95,12 +95,14 @@ def test_executor_fast_vs_reference_schedules(bid):
 def _explore(program, explorer_name, fast: bool):
     """One exploration, restoring spine snapshots when ``fast`` and
     replaying every schedule from the initial state otherwise."""
-    limits = LIMITS if fast else dataclasses.replace(
-        LIMITS, snapshot_budget_bytes=0)
-    explorer = make_explorer(explorer_name, program, limits)
-    stats = explorer.run()
+    explorer = make_explorer(explorer_name, program, LIMITS)
+    if fast:
+        stats = explorer.run()
+    else:
+        with capture_off():
+            stats = explorer.run()
+        assert explorer.snapshot_tree.hits == 0
     stats.verify_inequality()
-    assert (explorer.snapshot_tree is not None) == fast
     return stats
 
 

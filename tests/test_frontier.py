@@ -111,9 +111,8 @@ class TestFrontier:
         assert fr.pop_shallowest().prefix == (0, 1)
 
     def test_pop_shallowest_matches_reference_scan(self):
-        """Split-seeding determinism regression: the depth-bucketed
-        pop_shallowest (which replaced an O(n²) full scan + splice)
-        must pop the exact item the reference implementation would —
+        """Split-seeding determinism regression: pop_shallowest must
+        pop the exact item a plain-list reference model would —
         shortest prefix, first such in stack order — under arbitrary
         interleavings of push / pop_shallowest / pop, with len() and
         serialization agreeing at every step."""
@@ -144,7 +143,7 @@ class TestFrontier:
                 elif roll < 0.85:
                     assert fr.pop_shallowest() == ref_pop_shallowest()
                 else:
-                    # a LIFO pop mid-stream compacts the seeding index
+                    # a LIFO pop mid-stream takes the newest item
                     assert fr.pop() == model.pop()
                 assert len(fr) == len(model)
                 assert bool(fr) == bool(model)

@@ -12,8 +12,6 @@ from repro.core.engines import BACKENDS
 from repro.perf.bench import (
     AB_REPORT_KIND,
     CASES,
-    PREFIX_CASES,
-    PREFIX_REPORT_KIND,
     REPORT_KIND,
     SPLIT_REPORT_KIND,
     ab_table,
@@ -24,7 +22,6 @@ from repro.perf.bench import (
     profile_case,
     run_bench,
     run_engine_ab,
-    run_prefix_bench,
     run_split_bench,
     write_report,
 )
@@ -63,39 +60,6 @@ class TestSplitScenario:
         assert "split speedup" in captured
         payload = json.loads(out.read_text())
         assert payload["meta"]["kind"] == SPLIT_REPORT_KIND
-
-
-class TestPrefixScenario:
-    def test_report_shape_and_accounting(self):
-        report = run_prefix_bench(smoke=True, min_time=0.0, repeat=1)
-        assert report["meta"]["kind"] == PREFIX_REPORT_KIND
-        assert set(report["cases"]) == {c.name for c in PREFIX_CASES}
-        for name, case in report["cases"].items():
-            # event accounting: resumed + replayed + fresh == total
-            assert (case["resumed_events"] + case["replayed_events"]
-                    + case["fresh_events"]) == case["events"], name
-            assert case["resumed_fraction"] + case["replayed_fraction"] \
-                + case["fresh_fraction"] == pytest.approx(1.0)
-            assert case["speedup"] == pytest.approx(
-                case["on_schedules_per_sec"] / case["off_schedules_per_sec"]
-            )
-            snap = case["snapshot"]
-            assert 0.0 <= snap["hit_rate"] <= 1.0
-            # deep cases actually resume most of their prefix events
-            if name != "dfs/racy_counter":
-                assert case["resumed_fraction"] > 0.5, name
-
-    def test_cli_scenario_prefix(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        out = tmp_path / "BENCH_prefix.json"
-        assert main(["bench", "--scenario", "prefix", "--smoke",
-                     "--min-time", "0.0", "--quiet",
-                     "--out", str(out)]) == 0
-        captured = capsys.readouterr().out
-        assert "prefix sharing" in captured
-        payload = json.loads(out.read_text())
-        assert payload["meta"]["kind"] == PREFIX_REPORT_KIND
 
 
 class TestProfile:

@@ -23,6 +23,7 @@ from repro.explore import (
 from repro.explore.kernel import SNAPSHOT_VERSION
 
 from reference_explorers import OracleHBRCaching
+from reference_replay import capture_off
 
 LIM = ExplorationLimits(max_schedules=60_000)
 
@@ -204,11 +205,10 @@ def test_snapshot_capture_invisible_with_spawns(spec):
     SPAWN is restored onto a fresh instance, where the parent's
     fast-forward collects the SPAWN op the child is rebuilt from."""
     program = build_program(spec)
-    off = ExplorationLimits(max_schedules=LIM.max_schedules,
-                            snapshot_budget_bytes=0)
     for name in ("dfs", "hbr-caching", "dpor"):
         on_stats = make_explorer(name, program, LIM).run().to_dict()
-        off_stats = make_explorer(name, program, off).run().to_dict()
+        with capture_off():
+            off_stats = make_explorer(name, program, LIM).run().to_dict()
         on_stats.pop("elapsed")
         off_stats.pop("elapsed")
         assert on_stats == off_stats, (name, spec)

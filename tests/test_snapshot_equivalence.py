@@ -21,6 +21,7 @@ The property is exercised three ways:
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import random
 
@@ -28,14 +29,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Program
+from repro.__main__ import SMOKE_IDS, SMOKE_LIMIT
 from repro.core.events import OpKind
 from repro.explore import ExplorationLimits
-from repro.explore.base import DEFAULT_SNAPSHOT_BUDGET_BYTES
 from repro.explore.controller import make_explorer
 from repro.runtime.executor import Executor
 from repro.runtime.snapshot import ExecutorSnapshot
 from repro.suite import REGISTRY
 from repro.suite.shim_twins import make_twins
+
+from reference_replay import capture_off
 
 
 # ---------------------------------------------------------------------------
@@ -366,44 +369,75 @@ def test_default_executor_forks(name):
 
 
 # ---------------------------------------------------------------------------
-# Explorer-level equivalence across snapshot budgets
-def _stats_dict(explorer_name, bench_id, budget):
-    limits = ExplorationLimits(max_schedules=500)
-    limits.snapshot_budget_bytes = budget
+# Explorer-level equivalence with branch-point capture on and off
+def _stats_dict(explorer_name, bench_id, max_schedules, capture):
     explorer = make_explorer(explorer_name, REGISTRY[bench_id].program,
-                             limits)
-    stats = explorer.run().to_dict()
+                             ExplorationLimits(max_schedules=max_schedules))
+    with contextlib.nullcontext() if capture else capture_off():
+        stats = explorer.run().to_dict()
     stats.pop("elapsed")
     return stats, explorer
 
 
-@pytest.mark.parametrize("explorer_name", [
-    "dfs", "hbr-caching", "lazy-hbr-caching", "preempt-bounded",
-    "iterative-cb", "delay-bounded", "dpor", "lazy-dpor",
-])
-@pytest.mark.parametrize("bench_id", [4, 24, 36, 47])
-def test_explorer_budget_invariance(explorer_name, bench_id):
-    """Statistics are byte-identical whether branch-point capture is
-    off or on."""
-    base, _ = _stats_dict(explorer_name, bench_id, 0)
-    other, _ = _stats_dict(explorer_name, bench_id,
-                           DEFAULT_SNAPSHOT_BUDGET_BYTES)
+#: deep DFS-family cells whose schedules share long prefixes, each at
+#: its own schedule budget; dfs on racy_counter (4) is the shallow
+#: control, with 9-event schedules
+PREFIX_CELLS = [
+    ("dfs", 4, 20_000), ("dfs", 24, 2_000), ("dfs", 27, 2_000),
+    ("hbr-caching", 24, 2_000), ("lazy-hbr-caching", 13, 20_000),
+    ("lazy-hbr-caching", 27, 2_000), ("preempt-bounded", 24, 1_000),
+]
+
+#: the smoke campaign's cells (its third explorer, random, acquires
+#: executors only at the empty prefix and never captures)
+SMOKE_CELLS = [(name, bid, SMOKE_LIMIT)
+               for name in ("dpor", "lazy-hbr-caching")
+               for bid in SMOKE_IDS]
+
+
+def _params(cells):
+    return [pytest.param(name, bid, budget, id=f"{bid}-{name}-{budget}")
+            for name, bid, budget in cells]
+
+
+#: ``(explorer, suite id, schedule budget)``: every explorer that
+#: captures branch points at 500 schedules on four programs, then the
+#: cells above
+CAPTURE_CELLS = [
+    pytest.param(name, bid, 500, id=f"{bid}-{name}")
+    for bid in (4, 24, 36, 47)
+    for name in ("dfs", "hbr-caching", "lazy-hbr-caching",
+                 "preempt-bounded", "iterative-cb", "delay-bounded",
+                 "dpor", "lazy-dpor")
+] + _params(PREFIX_CELLS + SMOKE_CELLS)
+
+
+@pytest.mark.parametrize("explorer_name,bench_id,max_schedules",
+                         CAPTURE_CELLS)
+def test_explorer_budget_invariance(explorer_name, bench_id,
+                                    max_schedules):
+    """Statistics at each cell's schedule budget are byte-identical
+    whether branch-point capture is off or on."""
+    base, _ = _stats_dict(explorer_name, bench_id, max_schedules,
+                          capture=False)
+    other, _ = _stats_dict(explorer_name, bench_id, max_schedules,
+                           capture=True)
     assert other == base, (explorer_name, bench_id)
 
 
-def test_snapshot_budget_zero_disables_tree():
-    limits = ExplorationLimits(max_schedules=50)
-    limits.snapshot_budget_bytes = 0
-    explorer = make_explorer("dfs", REGISTRY[4].program, limits)
-    explorer.run()
-    assert explorer.snapshot_tree is None
-
-
-@pytest.mark.parametrize("explorer_name", ["dfs", "dpor"])
-def test_negative_snapshot_budget_rejected(explorer_name):
-    with pytest.raises(ValueError, match="snapshot budget"):
-        make_explorer(explorer_name, REGISTRY[4].program,
-                      ExplorationLimits(snapshot_budget_bytes=-1))
+@pytest.mark.parametrize("explorer_name,bench_id,max_schedules",
+                         _params(PREFIX_CELLS))
+def test_spine_counters_account_for_prefix_events(explorer_name, bench_id,
+                                                  max_schedules):
+    """Resumed and replayed prefix events are disjoint parts of the
+    events run, and on these cells the spine resumes most of them."""
+    stats, explorer = _stats_dict(explorer_name, bench_id, max_schedules,
+                                  capture=True)
+    spine = explorer.snapshot_tree.stats()
+    events = stats["num_events"]
+    assert spine["resumed_events"] + spine["replayed_events"] <= events
+    assert 0.0 <= spine["hit_rate"] <= 1.0
+    assert spine["resumed_events"] > events / 2, spine
 
 
 @pytest.mark.parametrize("explorer_name", [

@@ -23,6 +23,8 @@ from repro.explore.controller import STANDARD_EXPLORERS, make_explorer
 from repro.runtime.executor import Executor
 from repro.suite import REGISTRY
 
+from reference_replay import capture_off
+
 
 @pytest.mark.parametrize("name", sorted(STANDARD_EXPLORERS))
 def test_every_step_returns_its_event(name, monkeypatch):
@@ -44,10 +46,9 @@ def test_every_step_returns_its_event(name, monkeypatch):
     assert any(e.kind is OpKind.TIME_FIRE for e in stepped)
 
 
-def _races(bid, budget):
-    limits = ExplorationLimits(max_schedules=300,
-                               snapshot_budget_bytes=budget)
-    report = find_races(REGISTRY[bid].program, limits)
+def _races(bid):
+    report = find_races(REGISTRY[bid].program,
+                        ExplorationLimits(max_schedules=300))
     return (report.races, report.witness, report.schedules_explored,
             report.exhausted)
 
@@ -58,7 +59,8 @@ def test_find_races_same_across_restores(bid):
     dpor = make_explorer("dpor", program, ExplorationLimits(max_schedules=300))
     dpor.run()
     assert dpor.snapshot_tree.hits > 0  # restores start past depth 0
-    on = _races(bid, ExplorationLimits().snapshot_budget_bytes)
-    off = _races(bid, 0)
+    on = _races(bid)
+    with capture_off():
+        off = _races(bid)
     assert on == off
     assert on[0], "expected the program to race"

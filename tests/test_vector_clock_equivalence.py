@@ -105,12 +105,6 @@ class ReferenceDualClockEngine:
             snaps.append(tc)
         return snaps[0], snaps[1]
 
-    def on_event(self, event):
-        event.clock, event.lazy_clock = self.observe(
-            event.tid, event.kind, event.oid, event.key,
-            event.released_mutex_oid,
-        )
-
     # -- fingerprints ---------------------------------------------------
     def _fp(self, side):
         clocks, _a, _m, chains, count = side
