@@ -16,8 +16,7 @@ campaign                  sharded explorer×benchmark×seed run-matrix
                           ``--split-large N``, ``--resume CKPT``,
                           ``--out report.json``)
 bench                     replay-loop micro-benchmarks; JSON reports
-                          (``--smoke``, ``--out``, ``--baseline``,
-                          ``--scenario split``)
+                          (``--smoke``, ``--out``, ``--baseline``)
 shim-equivalence          shim-vs-DSL golden equivalence report
                           (``--out report.json`` for the CI artifact)
 """
@@ -669,23 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "BENCH_<name>.json report and compare against a "
                     "committed baseline.",
     )
-    p_bench.add_argument("--scenario", choices=("micro", "split"),
-                         default="micro",
-                         help="micro: replay-loop throughput cases; "
-                              "split: frontier split speedup + "
-                              "snapshot/resume overhead")
-    p_bench.add_argument("--shards", type=int, default=4,
-                         help="shard count for --scenario split")
     p_bench.add_argument("--cases",
                          help="comma-separated case names (default: all)")
-    p_bench.add_argument("--engine",
-                         choices=("ref", "native", "both"),
+    p_bench.add_argument("--engine", choices=("ref", "native"),
                          default=None,
-                         help="clock-engine backend; 'both' runs every "
-                              "case under ref and the compiled native "
-                              "kernel, asserts the fingerprint sets are "
-                              "identical, and reports the native speedup "
-                              "(micro scenario only; default: auto)")
+                         help="clock-engine backend (default: auto)")
     p_bench.add_argument("--smoke", action="store_true",
                          help="fast mode for CI (shorter measurements)")
     p_bench.add_argument("--repeat", type=int, default=3,
@@ -698,14 +685,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(e.g. BENCH_latest.json)")
     p_bench.add_argument("--baseline", metavar="REPORT",
                          help="compare against this report; exit 1 on "
-                              "regression")
+                              "regression, 2 when a case ran on another "
+                              "engine than its baseline row")
     p_bench.add_argument("--max-regression", type=float, default=0.30,
                          dest="max_regression",
                          help="allowed fractional slowdown vs baseline "
                               "(default 0.30)")
-    p_bench.add_argument("--profile", metavar="PSTATS",
-                         help="cProfile the slowest measured case and "
-                              "dump pstats here (micro scenario only)")
     p_bench.add_argument("--quiet", action="store_true")
 
     p_equiv = sub.add_parser(

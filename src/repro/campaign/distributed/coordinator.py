@@ -48,7 +48,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ...clock import Clock, SystemClock
 from ...explore.base import ExplorationLimits
-from ...explore.controller import SPLITTABLE_EXPLORERS
 from ...ioutil import atomic_write_json, read_json
 from ..aggregate import merge_stolen_results
 from ..cells import CampaignCell
@@ -63,12 +62,11 @@ from .transport import CoordinatorServer
 STATE_VERSION = 1
 STATE_KIND = "repro-campaign-coordinator-state"
 
-#: strategies the coordinator will steal from by default: splittable
-#: *and* count-exact under partition.  The caching strategies are
-#: splittable too, but a stolen shard explores without the victim's
-#: future cache entries, so ``num_schedules``/``num_pruned`` can differ
-#: from the serial run (sets stay exact); ``steal_exact_only=False``
-#: opts into that trade.
+#: strategies the coordinator steals from: splittable *and*
+#: count-exact under partition.  The caching strategies are splittable
+#: too, but a stolen shard explores without the victim's future cache
+#: entries, so ``num_schedules``/``num_pruned`` could differ from the
+#: serial run (the sets would stay exact).
 EXACT_STEAL_EXPLORERS = frozenset({
     "dfs", "preempt-bounded", "iterative-cb", "delay-bounded",
 })
@@ -123,7 +121,6 @@ class Coordinator:
         lease_timeout: float = 15.0,
         max_cell_retries: int = 3,
         steal: bool = True,
-        steal_exact_only: bool = True,
         verify: bool = True,
         progress: Optional[Callable[[str], None]] = None,
         clock: Clock = SystemClock(),
@@ -142,7 +139,6 @@ class Coordinator:
         self.lease_timeout = lease_timeout
         self.max_cell_retries = max_cell_retries
         self.steal_enabled = steal
-        self.steal_exact_only = steal_exact_only
         self.verify = verify
         self.progress = progress
         self._clock = clock
@@ -543,8 +539,6 @@ class Coordinator:
                 del self._idle_since[worker]
         if not self._idle_since:
             return
-        allowed = (EXACT_STEAL_EXPLORERS if self.steal_exact_only
-                   else SPLITTABLE_EXPLORERS)
         for task_id, lease in sorted(self._leases.items(),
                                      key=lambda kv: kv[1].granted_at):
             if lease.steal_pending is not None:
@@ -552,7 +546,7 @@ class Coordinator:
             if now - lease.granted_at < self.steal_min_age:
                 continue
             task = self._tasks[task_id]
-            if task.cell.explorer not in allowed:
+            if task.cell.explorer not in EXACT_STEAL_EXPLORERS:
                 continue
             counter = self._steal_counter.get(task.cell_key, 0) + 1
             self._steal_counter[task.cell_key] = counter

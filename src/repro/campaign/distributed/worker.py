@@ -29,7 +29,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ...clock import Clock, SystemClock
 from ...explore.base import ExplorationLimits
-from ...explore.kernel import SNAPSHOT_VERSION
 from ..chaos import ChaosPlan
 from ..worker import CellResult, execute_cell_with_watchdog
 from . import messages as M
@@ -240,12 +239,12 @@ class DistributedWorker:
                 state: Dict[str, Any]) -> None:
         """Answer a steal command: cut half the frontier into shards.
 
-        The shard payloads mirror :mod:`repro.campaign.split`: zeroed
-        statistics (the merge adds the victim's statistics exactly
-        once) sharing the victim's current strategy state.  The
-        ``stolen`` message also carries the victim's *post-steal*
-        snapshot, which becomes the task's authoritative checkpoint —
-        any later requeue must exclude the donated subtrees.
+        The shard payloads come from
+        :meth:`~repro.explore.kernel.KernelExplorer.shard_states`, as in
+        :mod:`repro.campaign.split`.  The ``stolen`` message also
+        carries the victim's *post-steal* snapshot, which becomes the
+        task's authoritative checkpoint — any later requeue must
+        exclude the donated subtrees.
         """
         steal_id = int(steal.get("steal_id", 0))
         max_shards = max(1, int(steal.get("max_shards", 1)))
@@ -253,25 +252,14 @@ class DistributedWorker:
         shards: List[Dict[str, Any]] = []
         parts: List[Any] = []
         if (frontier is not None and len(frontier) >= 2
-                and hasattr(explorer, "strategy")):
+                and hasattr(explorer, "shard_states")):
             stolen = frontier.steal(len(frontier) // 2)
             if len(stolen) > 1 and max_shards > 1:
                 parts = [p for p in stolen.split(
                     min(max_shards, len(stolen))) if len(p)]
             elif len(stolen):
                 parts = [stolen]
-            strategy_state = explorer.strategy.state_to_dict()
-            shards = [
-                {
-                    "version": SNAPSHOT_VERSION,
-                    "explorer": explorer.name,
-                    "program": explorer.program.name,
-                    "frontier": part.to_dict(),
-                    "stats": None,
-                    "strategy": strategy_state,
-                }
-                for part in parts
-            ]
+            shards = explorer.shard_states(parts)
         post_steal = (explorer.snapshot()
                       if hasattr(explorer, "snapshot") else None)
         try:

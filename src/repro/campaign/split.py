@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional
 
 from ..explore.base import ExplorationLimits
 from ..explore.controller import make_explorer, supports_split
-from ..explore.kernel import KernelExplorer, SNAPSHOT_VERSION
+from ..explore.kernel import KernelExplorer
 from ..suite import REGISTRY
 from .cells import CampaignCell
 from .worker import CellResult
@@ -121,22 +121,11 @@ def prepare_split(
                 cell, num_shards, completed=True,
                 seed_result=CellResult(cell, seed_stats),
             )
-        strategy_state = explorer.strategy.state_to_dict()
-        shard_states = [
-            {
-                "version": SNAPSHOT_VERSION,
-                "explorer": explorer.name,
-                "program": bench.program.name,
-                "frontier": shard.to_dict(),
-                "stats": None,  # zeroed: the merge adds seed stats once
-                "strategy": strategy_state,
-            }
-            for shard in explorer.frontier.split(num_shards)
-        ]
         return SplitPlan(
             cell, num_shards,
             seed_result=CellResult(cell, seed_stats),
-            shard_states=shard_states,
+            shard_states=explorer.shard_states(
+                explorer.frontier.split(num_shards)),
         )
     except Exception as exc:  # noqa: BLE001 - mirror execute_cell
         return SplitPlan(

@@ -15,9 +15,9 @@ called once per event by :meth:`~repro.runtime.executor.Executor.step`
   (``python setup.py build_ext --inplace``).
 
 The two are byte-identical by contract: fingerprints, state hashes,
-schedules and clock snapshots match suite-wide (the equivalence tests,
-the ref-vs-C hypothesis property and the ``bench --engine both``
-harness enforce it).
+schedules and clock snapshots match suite-wide (the equivalence tests
+run under either backend, the ref-vs-C hypothesis property and CI's
+cross-engine campaign diff enforce it).
 
 Selection is runtime, with this precedence:
 

@@ -16,8 +16,8 @@ compiled kernel re-implements CPython's own int and tuple hashing
 (``pyhash.c``'s xxPRIME tuple hash over 61-bit-modulus int hashes), so
 fingerprints, published clock snapshots, schedules and state hashes
 are bit-for-bit identical, enforced suite-wide by the equivalence
-tests, the ref-vs-C hypothesis property and the ``bench --engine
-both`` harness.
+tests, the ref-vs-C hypothesis property and CI's cross-engine
+campaign diff.
 
 The one hashed value the C kernel delegates back to CPython is a
 non-int element key (``PyObject_Hash``), so string-keyed locations

@@ -45,11 +45,6 @@ class DisabledThreadError(SchedulerError):
         )
 
 
-class ExplorationLimitError(ReproError):
-    """An exploration exceeded a hard limit that was configured to raise
-    instead of truncate."""
-
-
 class ShimUsageError(ReproError):
     """Shim-frontend misuse by the *harness author*: constructing shim
     objects outside a checked program, creating shared state from a

@@ -90,9 +90,6 @@ class Strategy:
 
     #: strategy name; becomes the explorer/stats name
     name = "strategy"
-    #: safe to shard via ``Frontier.split``?  True for every kernel
-    #: strategy (their work items are self-contained subtree roots)
-    supports_split = True
 
     def bind(self, kernel: "KernelExplorer") -> None:
         """Called once by the kernel before exploration; strategies
@@ -160,7 +157,8 @@ class KernelExplorer(Explorer):
     * ``run_seed(min_items, max_schedules)`` — expand just enough to
       split: explore until the frontier holds at least ``min_items``
       disjoint subtree roots (or the seed budget runs out), leaving
-      ``self.frontier`` ready for ``Frontier.split(k)``;
+      ``self.frontier`` ready for ``Frontier.split(k)``, whose parts
+      ``shard_states(parts)`` turns into ``restore()`` payloads;
     * ``schedule_sink`` — optional list receiving every executed
       schedule (terminal runs in full, pruned runs through their pruned
       step, which may have been probed without ever executing), used
@@ -366,6 +364,25 @@ class KernelExplorer(Explorer):
             "stats": self.stats.to_dict(),
             "strategy": self.strategy.state_to_dict(),
         }
+
+    def shard_states(self, parts: Sequence[Frontier]) -> List[Dict[str, Any]]:
+        """One :meth:`restore` payload per frontier in ``parts`` (the
+        shards of a ``--split-large`` seed or of a work steal), each
+        sharing the current strategy state.  The payloads carry no
+        statistics: a fresh explorer restoring one starts from zero, so
+        a merge counts this explorer's statistics exactly once."""
+        strategy_state = self.strategy.state_to_dict()
+        return [
+            {
+                "version": SNAPSHOT_VERSION,
+                "explorer": self.name,
+                "program": self.program.name,
+                "frontier": part.to_dict(),
+                "stats": None,
+                "strategy": strategy_state,
+            }
+            for part in parts
+        ]
 
     def restore(self, payload: Dict[str, Any]) -> None:
         """Inverse of :meth:`snapshot`: continue a checkpointed run.

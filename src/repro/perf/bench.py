@@ -1,10 +1,12 @@
 """Explorer micro-benchmark harness (``python -m repro bench``).
 
 Measures replay-loop throughput — schedules/sec and events/sec — for a
-fixed set of (explorer, benchmark) cells drawn from the ablation
-programs in ``benchmarks/bench_explorers.py``: a diagonal racy counter,
-the coarse-lock/disjoint-data program where the lazy HBR wins, and the
-condvar-heavy bounded buffer.
+fixed set of (explorer, benchmark) cells: a diagonal racy counter, the
+coarse-lock/disjoint-data program where the lazy HBR wins, the
+condvar-heavy bounded buffer, a channel pipeline and a timed-retry
+program.  It is CI's regression gate against a committed baseline;
+performance claims come from the interleaved A/B runs of
+``perfbench/``, which report their spread.
 
 Methodology
 -----------
@@ -17,7 +19,9 @@ Methodology
   in the report, so two reports taken on machines of different speeds
   can be compared via calibration-normalised ratios
   (:func:`compare_reports`).  The CI bench-smoke job uses this to fail
-  on >30% regressions without being fooled by slower runners.
+  on >30% regressions without being fooled by slower runners.  Rows
+  measured on different clock engines are never compared: the gate
+  refuses them (exit 2).
 
 Reports are JSON (``BENCH_<name>.json``); see README "Performance".
 """
@@ -25,19 +29,13 @@ Reports are JSON (``BENCH_<name>.json``); see README "Performance".
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.engines import (
-    BUILD_HINT,
-    available_backends,
-    engine_provenance,
-    resolve_engine,
-)
+from ..core.engines import BUILD_HINT, engine_provenance, resolve_engine
 from ..explore import ExplorationLimits
 from ..explore.controller import make_explorer, require_explorer
 from ..ioutil import atomic_write_text
@@ -45,12 +43,6 @@ from ..suite import REGISTRY
 
 #: Schema marker so unrelated JSON files are rejected early.
 REPORT_KIND = "repro-bench"
-
-#: Schema marker of the two-engine A/B reports (``bench --engine both``).
-AB_REPORT_KIND = "repro-bench-ab"
-
-#: Schema marker of the frontier split/resume scenario reports.
-SPLIT_REPORT_KIND = "repro-bench-split"
 
 #: Calibration-normalised slowdown beyond which the comparison fails.
 DEFAULT_MAX_REGRESSION = 0.30
@@ -128,14 +120,10 @@ def _calibrate(loops: int = 200_000) -> float:
     return loops / best
 
 
-def _case_limits(case: BenchCase) -> ExplorationLimits:
-    return ExplorationLimits(max_schedules=case.max_schedules)
-
-
 def _measure_case(case: BenchCase, min_time: float,
                   engine: Optional[str] = None) -> Dict[str, Any]:
     """Run ``case`` repeatedly until ``min_time`` seconds accumulate."""
-    limits = _case_limits(case)
+    limits = ExplorationLimits(max_schedules=case.max_schedules)
     program = REGISTRY[case.bench_id].program
     total_sched = total_events = iterations = 0
     total_time = 0.0
@@ -245,11 +233,10 @@ def provenance_warnings(
 ) -> List[str]:
     """Human-readable warnings for shared cases whose engine provenance
     differs between two reports — compiled kernel vs the ``ref``
-    fallback, different interpreter, different compiler.  Such pairs
-    are still *compared* (calibration normalisation keeps the gate
-    meaningful for same-provenance rows), but the mismatch must be
-    loud: a 3x compiled win silently measured against a fallback
-    baseline reads as a regression fixed, and vice versa.
+    fallback, different interpreter, different compiler.  The CLI gate
+    refuses rows measured on different engines outright; rows on the
+    same engine but built differently are still *compared*, with these
+    warnings printed first.
     """
     warnings: List[str] = []
     for name, base in baseline.get("cases", {}).items():
@@ -276,249 +263,6 @@ def provenance_warnings(
             f"{name}: engine provenance differs from baseline ({diffs})"
         )
     return warnings
-
-
-def _engine_fingerprint_sets(case: BenchCase, engine: str) -> Dict[str, Any]:
-    """One full exploration of ``case`` under ``engine``; the observable
-    outcome sets the A/B harness compares."""
-    stats = make_explorer(
-        case.explorer, REGISTRY[case.bench_id].program, _case_limits(case),
-        engine=engine,
-    ).run()
-    return {
-        "schedules": stats.num_schedules,
-        "hbr_fps": frozenset(stats.hbr_fps),
-        "lazy_fps": frozenset(stats.lazy_fps),
-        "state_hashes": frozenset(stats.state_hashes),
-    }
-
-
-def run_engine_ab(
-    cases: Optional[Sequence[str]] = None,
-    smoke: bool = False,
-    repeat: int = 3,
-    min_time: float = 0.25,
-    progress=None,
-) -> Dict[str, Any]:
-    """``bench --engine both``: measure every case under ``ref`` and
-    the compiled ``native`` kernel.  Raises ``ValueError`` naming the
-    build command when the kernel is not built (there is nothing to
-    compare ``ref`` against).
-
-    For each case the harness first runs one full exploration per
-    engine and hard-fails (``AssertionError``) unless the fingerprint
-    sets, state-hash sets and schedule counts are identical to the
-    reference — the byte-identical contract, enforced in the same
-    process that is about to publish numbers.  Then per-engine
-    measurement rounds are interleaved (best kept per engine) so
-    machine noise hits every backend evenly.
-    """
-    engines = list(available_backends())
-    if len(engines) < 2:
-        raise ValueError(
-            "--engine both compares ref with the compiled native kernel, "
-            f"which is not built; run `{BUILD_HINT}` first"
-        )
-    selected = _select_cases(cases)
-    if smoke:
-        repeat = min(repeat, 2)
-        min_time = min(min_time, 0.2)
-
-    report: Dict[str, Any] = {
-        "meta": {
-            "kind": AB_REPORT_KIND,
-            "smoke": bool(smoke),
-            "repeat": repeat,
-            "min_time": min_time,
-            "engines": engines,
-            "provenance": {e: engine_provenance(e) for e in engines},
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "calibration_ops_per_sec": _calibrate(),
-        },
-        "cases": {},
-    }
-    for case in selected:
-        outcomes = {e: _engine_fingerprint_sets(case, e) for e in engines}
-        ref_out = outcomes["ref"]
-        for name, out in outcomes.items():
-            if out != ref_out:
-                diverged = sorted(
-                    k for k in ref_out if ref_out[k] != out[k]
-                )
-                raise AssertionError(
-                    f"engine divergence on {case.name}: ref and {name} "
-                    f"disagree on {', '.join(diverged)} "
-                    f"(ref {ref_out['schedules']} schedules, {name} "
-                    f"{out['schedules']})"
-                )
-        best: Dict[str, Optional[Dict[str, Any]]] = dict.fromkeys(engines)
-        for _ in range(max(1, repeat)):
-            for name in engines:
-                m = _measure_case(case, min_time, engine=name)
-                b = best[name]
-                if b is None or m["schedules_per_sec"] > b["schedules_per_sec"]:
-                    best[name] = m
-        ref_rate = best["ref"]["schedules_per_sec"]
-        entry = {
-            "explorer": case.explorer,
-            "bench_id": case.bench_id,
-            "program": REGISTRY[case.bench_id].program.name,
-            "max_schedules": case.max_schedules,
-            "schedules": best["ref"]["schedules"],
-            "equivalent": True,
-            "speedups": {
-                name: best[name]["schedules_per_sec"] / ref_rate
-                for name in engines if name != "ref"
-            },
-        }
-        for name in engines:
-            entry[name] = {**best[name], "engine": name}
-        report["cases"][case.name] = entry
-        if progress is not None:
-            rates = " ".join(
-                f"{name} {best[name]['schedules_per_sec']:>9,.0f}"
-                for name in engines
-            )
-            ratios = ", ".join(
-                f"{name} {ratio:.2f}x"
-                for name, ratio in entry["speedups"].items()
-            )
-            progress(
-                f"{case.name:<34} {rates} sched/s "
-                f"({ratios}; fingerprints equal)"
-            )
-    return report
-
-
-def run_split_bench(
-    shards: int = 4,
-    smoke: bool = False,
-    progress=None,
-) -> Dict[str, Any]:
-    """The frontier split/resume scenario (``bench --scenario split``).
-
-    Two measurements on one exhaustible DFS campaign cell:
-
-    * **split speedup** — wall-clock of the unsplit serial cell vs the
-      same cell seeded, ``Frontier.split(k)``-sharded and run on a
-      ``k``-worker pool (``campaign --split-large k --jobs k``).  Both
-      runs exhaust the identical schedule set (enforced: the merged
-      fingerprint sets must equal the serial run's), so the ratio is a
-      true intra-cell scaling number, not budget inflation.
-    * **resume overhead** — time to ``snapshot()`` a half-explored
-      frontier, JSON round-trip it, and ``restore()`` — the cost a
-      checkpointed campaign pays per cell to survive interruption.
-
-    Smoke mode uses a smaller cell so CI stays fast.
-    """
-    from ..campaign import CampaignCell, run_campaign
-    from ..explore import ExplorationLimits
-    from ..explore.controller import make_explorer
-
-    # disjoint_coarse(3,2): 8844-schedule exhaustive DFS cell (~1.5 s
-    # serial) — large enough to amortise pool startup; the smoke cell
-    # (racy_counter(3,1), 1680 schedules) keeps CI under a second
-    bench_id = 4 if smoke else 13
-    cells = [CampaignCell(bench_id, "dfs")]
-    limits = ExplorationLimits()
-
-    t0 = time.perf_counter()
-    serial = run_campaign(cells, limits, jobs=1)
-    serial_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    split = run_campaign(cells, limits, jobs=shards, split_large=shards)
-    split_seconds = time.perf_counter() - t0
-
-    s_stats, p_stats = serial.results[0].stats, split.results[0].stats
-    if (s_stats.hbr_fps != p_stats.hbr_fps
-            or s_stats.state_hashes != p_stats.state_hashes
-            or s_stats.num_schedules != p_stats.num_schedules):
-        raise AssertionError(
-            "split campaign diverged from the serial cell "
-            f"(serial {s_stats.num_schedules} schedules, split "
-            f"{p_stats.num_schedules})"
-        )
-
-    # resume overhead: snapshot/restore a half-explored frontier
-    program = REGISTRY[bench_id].program
-    explorer = make_explorer(
-        "dfs", program,
-        ExplorationLimits(max_schedules=s_stats.num_schedules // 2),
-    )
-    explorer.run()
-    t0 = time.perf_counter()
-    snapshot = explorer.snapshot()
-    payload = json.dumps(snapshot)
-    snapshot_seconds = time.perf_counter() - t0
-    resumed = make_explorer("dfs", program, ExplorationLimits())
-    t0 = time.perf_counter()
-    resumed.restore(json.loads(payload))
-    restore_seconds = time.perf_counter() - t0
-    resumed_stats = resumed.run()
-    if resumed_stats.num_schedules != s_stats.num_schedules:
-        raise AssertionError(
-            "resumed run diverged: "
-            f"{resumed_stats.num_schedules} != {s_stats.num_schedules}"
-        )
-
-    report = {
-        "meta": {
-            "kind": SPLIT_REPORT_KIND,
-            "smoke": bool(smoke),
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            # split speedup is bounded by physical parallelism; a
-            # 1-core runner can only show the (small) sharding overhead
-            "cpu_count": os.cpu_count(),
-        },
-        "split": {
-            "bench_id": bench_id,
-            "program": program.name,
-            "explorer": "dfs",
-            "shards": shards,
-            "schedules": s_stats.num_schedules,
-            "serial_seconds": serial_seconds,
-            "split_seconds": split_seconds,
-            "speedup": serial_seconds / split_seconds,
-        },
-        "resume": {
-            "checkpoint_schedules": s_stats.num_schedules // 2,
-            "frontier_items": len(snapshot["frontier"]["items"]),
-            "snapshot_bytes": len(payload),
-            "snapshot_seconds": snapshot_seconds,
-            "restore_seconds": restore_seconds,
-        },
-    }
-    if progress is not None:
-        progress(
-            f"split x{shards} on {program.name}: "
-            f"{serial_seconds:.2f}s serial -> {split_seconds:.2f}s "
-            f"({report['split']['speedup']:.2f}x); resume snapshot "
-            f"{len(payload):,} bytes in {snapshot_seconds*1e3:.1f}ms"
-        )
-    return report
-
-
-def profile_case(case_name: str, out_path: str,
-                 max_schedules: Optional[int] = None) -> None:
-    """cProfile one run of a named case and dump pstats to ``out_path``
-    (load with ``python -m pstats``).  CI attaches this for the slowest
-    measured case so regressions come with a profile to read."""
-    import cProfile
-
-    case = next(c for c in CASES if c.name == case_name)
-    limits = _case_limits(case)
-    if max_schedules is not None:
-        limits.max_schedules = max_schedules
-    program = REGISTRY[case.bench_id].program
-    explorer = make_explorer(case.explorer, program, limits)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    explorer.run()
-    profiler.disable()
-    profiler.dump_stats(out_path)
 
 
 def write_report(report: Dict[str, Any], path: str) -> None:
@@ -594,79 +338,9 @@ def bench_table(report: Dict[str, Any]) -> str:
     return "\n".join(out)
 
 
-def ab_table(report: Dict[str, Any]) -> str:
-    """Markdown table of a ``--engine both`` A/B report, one rate
-    column per measured engine plus speedup-vs-ref columns."""
-    engines = report["meta"]["engines"]
-    others = [e for e in engines if e != "ref"]
-    header = (
-        "| case | "
-        + " | ".join(f"{e} sched/s" for e in engines)
-        + " | "
-        + " | ".join(f"{e} speedup" for e in others)
-        + " |"
-    )
-    out = [header, "|---|" + "---:|" * (len(engines) + len(others))]
-    for name in sorted(report["cases"]):
-        c = report["cases"][name]
-        rates = " | ".join(
-            f"{c[e]['schedules_per_sec']:,.0f}" for e in engines
-        )
-        ratios = " | ".join(f"{c['speedups'][e]:.2f}x" for e in others)
-        out.append(f"| {name} | {rates} | {ratios} |")
-    return "\n".join(out)
-
-
 def main(args) -> int:  # pragma: no cover - exercised via the CLI tests
     """Entry point for ``python -m repro bench``."""
-    if getattr(args, "scenario", "micro") == "split":
-        try:
-            report = run_split_bench(
-                shards=args.shards,
-                smoke=args.smoke,
-                progress=print if not args.quiet else None,
-            )
-        except AssertionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        split, resume = report["split"], report["resume"]
-        print(
-            f"split speedup: {split['speedup']:.2f}x over "
-            f"{split['schedules']} schedules "
-            f"({split['shards']} shards); snapshot/restore "
-            f"{resume['snapshot_seconds']*1e3:.1f}/"
-            f"{resume['restore_seconds']*1e3:.1f} ms"
-        )
-        if args.out:
-            write_report(report, args.out)
-            print(f"wrote {args.out}")
-        return 0
     cases = args.cases.split(",") if args.cases else None
-    engine = getattr(args, "engine", None)
-    if engine == "both":
-        try:
-            report = run_engine_ab(
-                cases=cases,
-                smoke=args.smoke,
-                repeat=args.repeat,
-                min_time=args.min_time,
-                progress=print if not args.quiet else None,
-            )
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        except ValueError as exc:  # the compiled kernel is not built
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except AssertionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print()
-        print(ab_table(report))
-        if args.out:
-            write_report(report, args.out)
-            print(f"\nwrote {args.out}")
-        return 0
     try:
         report = run_bench(
             cases=cases,
@@ -674,7 +348,7 @@ def main(args) -> int:  # pragma: no cover - exercised via the CLI tests
             repeat=args.repeat,
             min_time=args.min_time,
             progress=print if not args.quiet else None,
-            engine=engine,
+            engine=args.engine,
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
@@ -689,13 +363,6 @@ def main(args) -> int:  # pragma: no cover - exercised via the CLI tests
     if args.out:
         write_report(report, args.out)
         print(f"\nwrote {args.out}")
-    if getattr(args, "profile", None):
-        slowest = min(
-            report["cases"],
-            key=lambda n: report["cases"][n]["schedules_per_sec"],
-        )
-        profile_case(slowest, args.profile)
-        print(f"profiled slowest case {slowest} -> {args.profile}")
     if args.baseline:
         try:
             baseline = load_report(args.baseline)
@@ -716,6 +383,22 @@ def main(args) -> int:  # pragma: no cover - exercised via the CLI tests
                       f"{args.baseline}; regenerate the baseline "
                       f"(bench --out) to cover it", file=sys.stderr)
             return 1
+        # ref runs the cases about 1.2-1.5x slower than the C kernel,
+        # most of the gate's threshold, so a cross-engine ratio mixes
+        # the engine gap into the regression check: refuse instead
+        unlike = sorted(
+            n for n, row in report["cases"].items()
+            if row["engine"] != baseline["cases"][n].get("engine")
+        )
+        if unlike:
+            for name in unlike:
+                base_engine = baseline["cases"][name].get("engine")
+                print(f"error: case {name!r} ran on "
+                      f"{report['cases'][name]['engine']!r} but baseline "
+                      f"{args.baseline} measured it on {base_engine!r}; "
+                      f"rerun with --engine {base_engine} (the native "
+                      f"engine needs `{BUILD_HINT}`)", file=sys.stderr)
+            return 2
         for line in provenance_warnings(report, baseline):
             print(f"WARNING: {line}", file=sys.stderr)
         failures = compare_reports(report, baseline, args.max_regression)

@@ -55,7 +55,7 @@ off and asserts identical schedules, fingerprints and stats.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 #: Sentinel for a send value the trie refuses to key on (no value
 #: semantics); distinct from any real key.

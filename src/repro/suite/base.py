@@ -1,4 +1,4 @@
-"""Benchmark metadata and shared guest-code helpers."""
+"""Benchmark metadata."""
 
 from __future__ import annotations
 
@@ -32,28 +32,3 @@ class Benchmark:
     def name(self) -> str:
         return self.program.name
 
-
-# ---------------------------------------------------------------------------
-# Guest-code helpers (composed into thread bodies with `yield from`)
-
-def locked_increment(api, mutex, var, delta=1):
-    """lock; var += delta; unlock."""
-    yield api.lock(mutex)
-    v = yield api.read(var)
-    yield api.write(var, v + delta)
-    yield api.unlock(mutex)
-
-
-def locked_read(api, mutex, var):
-    """lock; read; unlock; returns the value."""
-    yield api.lock(mutex)
-    v = yield api.read(var)
-    yield api.unlock(mutex)
-    return v
-
-
-def locked_write(api, mutex, var, value, key=None):
-    """lock; write; unlock."""
-    yield api.lock(mutex)
-    yield api.write(var, value, key=key)
-    yield api.unlock(mutex)

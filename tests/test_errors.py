@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import (
     DeadlockError,
-    ExplorationLimitError,
     GuestAssertionError,
     GuestError,
     InvalidOpError,
@@ -20,7 +19,7 @@ class TestHierarchy:
         assert issubclass(GuestAssertionError, GuestError)
 
     def test_host_errors_are_not_guest_errors(self):
-        for cls in (InvalidOpError, SchedulerError, ExplorationLimitError):
+        for cls in (InvalidOpError, SchedulerError):
             assert issubclass(cls, ReproError)
             assert not issubclass(cls, GuestError)
 

@@ -16,7 +16,6 @@ from repro.explore.controller import (
     supports_snapshot,
     supports_split,
 )
-from repro.explore.kernel import SNAPSHOT_VERSION
 from repro.suite import REGISTRY
 
 #: small but non-trivial benchmarks (enough schedules that a tiny
@@ -242,10 +241,12 @@ class TestSnapshotResume:
         ex = _fresh("dfs", 3, max_schedules=5)
         ex.run()
         snap = ex.snapshot()
-        assert snap["version"] == SNAPSHOT_VERSION
         assert snap["explorer"] == "dfs"
         assert snap["frontier"]["items"]
         assert snap["stats"]["num_schedules"] == 5
+        # a shard payload is the snapshot of its frontier part, without
+        # statistics
+        assert ex.shard_states([ex.frontier]) == [{**snap, "stats": None}]
 
 
 class TestSplitShards:
@@ -272,21 +273,13 @@ class TestSplitShards:
                 break
         else:
             pytest.skip("cell exhausted during seeding")
-        strategy_state = seed.strategy.state_to_dict()
         merged = ExplorationStats.from_dict(seed_stats.to_dict())
         merged.exhausted = True
         schedule_sets = []
-        for shard in seed.frontier.split(k):
+        for shard in seed.shard_states(seed.frontier.split(k)):
             worker = _fresh(explorer_name, bench_id)
             worker.schedule_sink = []
-            worker.restore(json.loads(json.dumps({
-                "version": SNAPSHOT_VERSION,
-                "explorer": worker.name,
-                "program": worker.program.name,
-                "frontier": shard.to_dict(),
-                "stats": None,
-                "strategy": strategy_state,
-            })))
+            worker.restore(json.loads(json.dumps(shard)))
             merged.merge(worker.run())
             schedule_sets.append(
                 {tuple(s) for s in worker.schedule_sink}
@@ -315,17 +308,10 @@ class TestSplitShards:
         seed = _fresh("dfs", 3)
         seed.run_seed(min_items=k * 4, max_schedules=32)
         shard_schedules = []
-        for shard in seed.frontier.split(k):
+        for shard in seed.shard_states(seed.frontier.split(k)):
             worker = _fresh("dfs", 3)
             worker.schedule_sink = []
-            worker.restore({
-                "version": SNAPSHOT_VERSION,
-                "explorer": "dfs",
-                "program": worker.program.name,
-                "frontier": shard.to_dict(),
-                "stats": None,
-                "strategy": {},
-            })
+            worker.restore(shard)
             worker.run()
             shard_schedules.append(
                 {tuple(s) for s in worker.schedule_sink}

@@ -10,76 +10,19 @@ import pytest
 
 from repro.core.engines import BACKENDS
 from repro.perf.bench import (
-    AB_REPORT_KIND,
     CASES,
     REPORT_KIND,
-    SPLIT_REPORT_KIND,
-    ab_table,
     bench_table,
     case_names,
     compare_reports,
     load_report,
-    profile_case,
     run_bench,
-    run_engine_ab,
-    run_split_bench,
     write_report,
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TINY = dict(repeat=1, min_time=0.0)
-
-
-class TestSplitScenario:
-    def test_report_shape_and_consistency(self):
-        report = run_split_bench(shards=2, smoke=True)
-        assert report["meta"]["kind"] == SPLIT_REPORT_KIND
-        split = report["split"]
-        assert split["shards"] == 2
-        assert split["schedules"] > 0
-        assert split["serial_seconds"] > 0
-        assert split["split_seconds"] > 0
-        # no speedup assertion: CI runners may have one core — the
-        # scenario itself asserts split/serial/resume set equality and
-        # raises AssertionError on divergence, which is the real check
-        assert split["speedup"] == pytest.approx(
-            split["serial_seconds"] / split["split_seconds"]
-        )
-        resume = report["resume"]
-        assert resume["frontier_items"] > 0
-        assert resume["snapshot_bytes"] > 0
-
-    def test_cli_scenario_split(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        out = tmp_path / "BENCH_split.json"
-        assert main(["bench", "--scenario", "split", "--smoke",
-                     "--shards", "2", "--out", str(out)]) == 0
-        captured = capsys.readouterr().out
-        assert "split speedup" in captured
-        payload = json.loads(out.read_text())
-        assert payload["meta"]["kind"] == SPLIT_REPORT_KIND
-
-
-class TestProfile:
-    def test_profile_case_writes_pstats(self, tmp_path):
-        import pstats
-
-        out = tmp_path / "profile.pstats"
-        profile_case("dfs/racy_counter", str(out), max_schedules=50)
-        stats = pstats.Stats(str(out))
-        assert stats.total_calls > 0
-
-    def test_cli_profile_flag(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        prof = tmp_path / "slowest.pstats"
-        assert main(["bench", "--cases", "dfs/racy_counter",
-                     "--repeat", "1", "--min-time", "0.0", "--quiet",
-                     "--profile", str(prof)]) == 0
-        assert "profiled slowest case" in capsys.readouterr().out
-        assert prof.stat().st_size > 0
 
 
 class TestRunBench:
@@ -156,69 +99,6 @@ class TestRunBench:
                            engine="ref", **TINY)
         assert report["meta"]["engine"] == "ref"
         assert all(r["engine"] == "ref" for r in report["cases"].values())
-
-
-class TestEngineAB:
-    def test_ab_report_shape_and_equivalence(self):
-        from repro.core.engines import native_compiled
-
-        if not native_compiled():
-            # nothing to compare ref against: refused up front
-            with pytest.raises(ValueError, match="build_ext --inplace"):
-                run_engine_ab(cases=["dfs/racy_counter"], **TINY)
-            return
-        report = run_engine_ab(cases=["dfs/racy_counter"], **TINY)
-        assert report["meta"]["kind"] == AB_REPORT_KIND
-        assert report["meta"]["engines"] == ["ref", "native"]
-        assert set(report["meta"]["provenance"]) == {"ref", "native"}
-        assert report["meta"]["provenance"]["native"]["compiled"] is True
-        case = report["cases"]["dfs/racy_counter"]
-        assert case["equivalent"] is True
-        for name in ("ref", "native"):
-            assert case[name]["engine"] == name
-            assert case[name]["schedules_per_sec"] > 0
-        assert set(case["speedups"]) == {"native"}
-        assert case["speedups"]["native"] == pytest.approx(
-            case["native"]["schedules_per_sec"]
-            / case["ref"]["schedules_per_sec"]
-        )
-        table = ab_table(report)
-        assert "dfs/racy_counter" in table and "ref sched/s" in table
-        assert "native sched/s" in table and "native speedup" in table
-
-    def _ab_cli(self, *extra):
-        from repro.__main__ import main
-
-        return main(["bench", "--engine", "both",
-                     "--cases", "dpor/racy_counter", "--repeat", "1",
-                     "--min-time", "0.0", "--quiet", *extra])
-
-    def test_ab_cli(self, tmp_path, capsys):
-        from repro.core.engines import native_compiled
-
-        out = tmp_path / "BENCH_ab.json"
-        rc = self._ab_cli("--out", str(out))
-        if not native_compiled():
-            assert rc == 2 and not out.exists()
-            return
-        assert rc == 0
-        assert "native speedup" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
-        assert payload["meta"]["kind"] == AB_REPORT_KIND
-
-    def test_ab_cli_without_kernel_exits_2(self, monkeypatch, capsys):
-        from repro.core import engines
-
-        # look uncompiled, whether or not the kernel is built
-        monkeypatch.setattr(engines, "_NATIVE_COMPILED", False)
-        monkeypatch.setattr(engines, "_RESOLVE_CACHE", {})
-        assert self._ab_cli() == 2
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1, captured.err
-        assert lines[0].startswith("error: ")
-        assert "build_ext --inplace" in lines[0]
-        assert captured.out == ""
 
 
 class TestCompareReports:
@@ -347,6 +227,33 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "missing from baseline" in err
         assert "dfs/racy_counter" in err
+
+    def test_baseline_on_another_engine_is_refused(self, tmp_path,
+                                                   capsys):
+        # regression: the gate used to compare rows measured on
+        # different engines, so an uncompiled run read the C kernel's
+        # baseline rates as regressions of the reference engine
+        from repro.__main__ import main
+
+        baseline = run_bench(cases=["dpor/racy_counter"], engine="ref",
+                             **TINY)
+        path = tmp_path / "BENCH_small.json"
+        argv = ["bench", "--cases", "dpor/racy_counter", "--engine", "ref",
+                "--repeat", "1", "--min-time", "0.0", "--quiet",
+                "--baseline", str(path), "--max-regression", "1.0"]
+        write_report(baseline, str(path))
+        assert main(argv) == 0
+        assert "no regressions" in capsys.readouterr().out
+
+        baseline["cases"]["dpor/racy_counter"]["engine"] = "native"
+        write_report(baseline, str(path))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "'ref'" in lines[0] and "'native'" in lines[0]
+        assert "build_ext --inplace" in lines[0]
+        assert "no regressions" not in captured.out
 
     def test_bench_cli_unknown_case(self):
         proc = subprocess.run(

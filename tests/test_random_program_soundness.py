@@ -20,7 +20,6 @@ from repro.explore import (
     PreemptionBoundedExplorer,
     make_explorer,
 )
-from repro.explore.kernel import SNAPSHOT_VERSION
 
 from reference_explorers import OracleHBRCaching
 from reference_replay import capture_off
@@ -404,20 +403,13 @@ def test_split_shards_merge_to_serial_run(spec, explorer_name, k):
     seed = make_explorer(explorer_name, program, LIM)
     merged = seed.run_seed(min_items=2 * k, max_schedules=8)
     if seed.frontier:
-        strategy_state = seed.strategy.state_to_dict()
-        for i, shard in enumerate(seed.frontier.split(k)):
+        # shard payloads carry no stats: the seeding explorer keeps
+        # counting from its seed stats, fresh workers start from zero
+        shards = seed.shard_states(seed.frontier.split(k))
+        for i, shard in enumerate(shards):
             worker = seed if i == 0 else make_explorer(explorer_name,
                                                        program, LIM)
-            worker.restore(json.loads(json.dumps({
-                "version": SNAPSHOT_VERSION,
-                "explorer": worker.name,
-                "program": program.name,
-                "frontier": shard.to_dict(),
-                # the seeding explorer keeps counting from its seed
-                # stats; fresh workers start from zero
-                "stats": None,
-                "strategy": strategy_state,
-            })))
+            worker.restore(json.loads(json.dumps(shard)))
             stats = worker.run()
             if i == 0:
                 merged = stats
