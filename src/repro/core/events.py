@@ -266,9 +266,15 @@ class Op:
     discipline; a ``__setattr__`` guard enforcing it was measured at
     +400ns per Op (4 ``object.__setattr__`` calls) and dropped.  The
     slots still reject foreign attributes.
+
+    ``info`` starts empty:
+    :meth:`~repro.runtime.executor.Executor.pending_info` stores the
+    op's :class:`~repro.runtime.trace.PendingInfo` there the first time
+    a thread has it pending, so an op the op-trie serves in every
+    schedule builds its record once.
     """
 
-    __slots__ = ("kind", "target", "arg", "arg2", "timeout")
+    __slots__ = ("kind", "target", "arg", "arg2", "timeout", "info")
 
     def __init__(self, kind: OpKind, target: Any = None, arg: Any = None,
                  arg2: Any = None, timeout: Optional[int] = None) -> None:
@@ -279,6 +285,7 @@ class Op:
         #: virtual-time budget in ticks for a blocking op (``None`` =
         #: wait forever); for SLEEP/TIMER_TICK, the duration itself
         self.timeout = timeout
+        self.info = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         t = getattr(self.target, "name", self.target)

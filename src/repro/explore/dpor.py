@@ -51,13 +51,13 @@ DPOR_SNAPSHOT_VERSION = 1
 class _Node:
     """One scheduling point on the DPOR stack."""
 
-    __slots__ = ("enabled", "enabled_set", "chosen", "backtrack", "done",
-                 "sleep", "want_snap")
+    __slots__ = ("enabled", "chosen", "backtrack", "done", "sleep",
+                 "want_snap")
 
     def __init__(self, enabled: List[int], sleep: Set[int]) -> None:
+        #: the enabled tids, sorted; short, so the race analysis tests
+        #: membership on the list itself
         self.enabled = enabled
-        #: ``enabled`` as a set, for the race analysis's E computation
-        self.enabled_set = frozenset(enabled)
         self.chosen = -1
         self.backtrack: Set[int] = set()
         self.done: Set[int] = set()
@@ -107,18 +107,21 @@ class DPORExplorer(Explorer):
                 return
             if pruned:
                 self.stats.num_pruned += 1
-            # backtrack: deepest node with an unexplored candidate
+            # backtrack: deepest node with an unexplored candidate.
+            # ``done`` is a subset of ``backtrack``, so equal sizes mean
+            # nothing is left without taking a set difference
             while stack:
                 node = stack[-1]
-                cand = node.backtrack - node.done - node.sleep
-                if cand:
-                    prev = node.chosen
-                    if self.sleep_sets and prev >= 0:
-                        node.sleep.add(prev)
-                    q = min(cand)
-                    node.chosen = q
-                    node.done.add(q)
-                    break
+                if len(node.backtrack) != len(node.done):
+                    cand = node.backtrack - node.done - node.sleep
+                    if cand:
+                        prev = node.chosen
+                        if self.sleep_sets and prev >= 0:
+                            node.sleep.add(prev)
+                        q = min(cand)
+                        node.chosen = q
+                        node.done.add(q)
+                        break
                 stack.pop()
             if not stack:
                 self.stats.exhausted = not self.stats.limit_hit
@@ -178,45 +181,76 @@ class DPORExplorer(Explorer):
         its step ran, so a resumed run replays the prefix and picks up
         exactly at the first unanalysed state)."""
         ex, loc_index = self._replay_stack(stack)
+        # _replay_stack leaves one trace event per stack node, and every
+        # step below appends one node and one event: each state this
+        # loop reaches is new, and is analysed before it is left
         trace = self._trace
+        trace_append = trace.append
+        stack_append = stack.append
+        setdefault = loc_index.setdefault
+        update_backtracks = self._update_backtracks
+        ex_is_done = ex.is_done
+        ex_enabled = ex.enabled
+        ex_step = ex.step
+        # the deadline probe and the post-step hook are compiled out
+        # when inert (no deadline, no override on the class or the
+        # instance), as in the kernel loop
+        probe_deadline = (
+            self._deadline_exceeded_midschedule
+            if self._deadline is not None
+            or "_deadline_exceeded_midschedule" in self.__dict__
+            else None
+        )
+        prune_after_step = (
+            self._prune_after_step
+            if type(self)._prune_after_step
+            is not DPORExplorer._prune_after_step
+            or "_prune_after_step" in self.__dict__
+            else None
+        )
         # pending ops analysed at the previous state of this run, by
         # tid: the delta of _update_backtracks (empty = full scans)
         analysed: Dict[int, PendingInfo] = {}
 
         while True:
-            if self._deadline_exceeded_midschedule():
+            if probe_deadline is not None and probe_deadline():
                 return None
-            if ex.is_done():
+            if ex_is_done():
                 result = ex.finish()
                 self.stats.num_events += result.num_events
-                self._update_backtracks(ex, stack, loc_index, analysed)
+                update_backtracks(ex, stack, loc_index, analysed)
                 self._record_terminal(result)
                 self._retire(ex)
                 return False
-            if len(trace) >= len(stack):
-                # a state we have not analysed yet
-                analysed = self._update_backtracks(
-                    ex, stack, loc_index, analysed
-                )
-                enabled = ex.enabled()
-                if len(trace) == len(stack):
-                    sleep = self._child_sleep(stack, ex)
-                    node = _Node(enabled, sleep)
-                    runnable = [t for t in enabled if t not in sleep]
-                    if not runnable:
-                        # every enabled thread is redundant here: the
-                        # continuation is covered by an earlier branch
-                        self._retire(ex)
-                        return True
-                    choice = runnable[0]
-                    node.backtrack.add(choice)
-                    node.chosen = choice
-                    node.done.add(choice)
-                    stack.append(node)
-            event = ex.step(stack[len(trace)].chosen)
-            trace.append(event)
-            self._index_event(loc_index, event)
-            if self._prune_after_step(ex):
+            analysed = update_backtracks(ex, stack, loc_index, analysed)
+            enabled = ex_enabled()
+            if stack and stack[-1].sleep:
+                sleep = self._child_sleep(stack, ex)
+                for choice in enabled:
+                    if choice not in sleep:
+                        break
+                else:
+                    # every enabled thread is redundant here: the
+                    # continuation is covered by an earlier branch
+                    self._retire(ex)
+                    return True
+            else:
+                sleep = set()
+                choice = enabled[0]
+            node = _Node(enabled, sleep)
+            node.backtrack.add(choice)
+            node.chosen = choice
+            node.done.add(choice)
+            stack_append(node)
+            event = ex_step(choice)
+            trace_append(event)
+            # _index_event, inlined
+            if event.oid >= 0:
+                setdefault((event.oid, event.key), []).append(event.index)
+            if event.released_mutex_oid is not None:
+                setdefault((event.released_mutex_oid, None),
+                           []).append(event.index)
+            if prune_after_step is not None and prune_after_step(ex):
                 self._retire(ex)
                 return True
 
@@ -376,7 +410,7 @@ class DPORExplorer(Explorer):
                         may_be_coenabled(newest, info):
                     node = stack[n - 1]
                     self._add_backtrack(
-                        node, {tid} if tid in node.enabled_set else set()
+                        node, {tid} if tid in node.enabled else set()
                     )
                 continue
             # the conflict predicates duck-type over the PendingInfo;
@@ -388,7 +422,7 @@ class DPORExplorer(Explorer):
             node = stack[i]
             # E: threads that could get the pending op (or something
             # happening-before it) running at the pre-state of event i
-            enabled_at_i = node.enabled_set
+            enabled_at_i = node.enabled
             E: Set[int] = set()
             if tid in enabled_at_i:
                 E.add(tid)
@@ -410,7 +444,7 @@ class DPORExplorer(Explorer):
                 node.want_snap = True
         else:
             before = len(node.backtrack)
-            node.backtrack.update(node.enabled_set)
+            node.backtrack.update(node.enabled)
             if len(node.backtrack) != before:
                 node.want_snap = True
 

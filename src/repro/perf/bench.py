@@ -342,28 +342,20 @@ def main(args) -> int:  # pragma: no cover - exercised via the CLI tests
     """Entry point for ``python -m repro bench``."""
     cases = args.cases.split(",") if args.cases else None
     try:
-        report = run_bench(
-            cases=cases,
-            smoke=args.smoke,
-            repeat=args.repeat,
-            min_time=args.min_time,
-            progress=print if not args.quiet else None,
-            engine=args.engine,
-        )
+        selected = _select_cases(cases)
+        # an explicit engine that the registry rejects (unknown or
+        # unavailable in this environment) raises ValueError
+        resolved = resolve_engine(args.engine)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # an explicit engine that the registry rejects (unknown or
-        # unavailable in this environment)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print()
-    print(bench_table(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"\nwrote {args.out}")
+    baseline = None
     if args.baseline:
+        # the baseline is read and checked before anything is measured,
+        # so a run it would refuse costs no measurement time
         try:
             baseline = load_report(args.baseline)
         except (OSError, ValueError, KeyError) as exc:
@@ -375,8 +367,8 @@ def main(args) -> int:  # pragma: no cover - exercised via the CLI tests
         # CLI gate must not silently pass a case the baseline has never
         # measured — that reads as "no regression" when nothing was
         # checked at all
-        missing = sorted(n for n in report["cases"]
-                         if n not in baseline["cases"])
+        missing = sorted(c.name for c in selected
+                         if c.name not in baseline["cases"])
         if missing:
             for name in missing:
                 print(f"error: case {name!r} missing from baseline "
@@ -387,18 +379,32 @@ def main(args) -> int:  # pragma: no cover - exercised via the CLI tests
         # most of the gate's threshold, so a cross-engine ratio mixes
         # the engine gap into the regression check: refuse instead
         unlike = sorted(
-            n for n, row in report["cases"].items()
-            if row["engine"] != baseline["cases"][n].get("engine")
+            c.name for c in selected
+            if resolved != baseline["cases"][c.name].get("engine")
         )
         if unlike:
             for name in unlike:
                 base_engine = baseline["cases"][name].get("engine")
-                print(f"error: case {name!r} ran on "
-                      f"{report['cases'][name]['engine']!r} but baseline "
-                      f"{args.baseline} measured it on {base_engine!r}; "
-                      f"rerun with --engine {base_engine} (the native "
-                      f"engine needs `{BUILD_HINT}`)", file=sys.stderr)
+                print(f"error: case {name!r} ran on {resolved!r} but "
+                      f"baseline {args.baseline} measured it on "
+                      f"{base_engine!r}; rerun with --engine "
+                      f"{base_engine} (the native engine needs "
+                      f"`{BUILD_HINT}`)", file=sys.stderr)
             return 2
+    report = run_bench(
+        cases=cases,
+        smoke=args.smoke,
+        repeat=args.repeat,
+        min_time=args.min_time,
+        progress=print if not args.quiet else None,
+        engine=args.engine,
+    )
+    print()
+    print(bench_table(report))
+    if args.out:
+        write_report(report, args.out)
+        print(f"\nwrote {args.out}")
+    if baseline is not None:
         for line in provenance_warnings(report, baseline):
             print(f"WARNING: {line}", file=sys.stderr)
         failures = compare_reports(report, baseline, args.max_regression)

@@ -182,11 +182,9 @@ class _GuestThread:
         #: ``gen`` the thread *records* new edges here; with ``gen is
         #: None`` its ops are *served* from the trie; ``None`` = off
         self.trie_node = None
-        #: memoised :class:`~repro.runtime.trace.PendingInfo` for the
-        #: current pending op, as ``(op, status, info)`` — every field
-        #: is a pure function of the op, so the info is valid while
-        #: ``pending``/``status`` are unchanged (DPOR asks for the whole
-        #: lookahead at every scheduling point)
+        #: the timed-waiter :class:`~repro.runtime.trace.PendingInfo`
+        #: of the current park (a parked thread has no pending op to
+        #: hold its record; :meth:`Executor.fx_park` clears it)
         self.pinfo = None
 
 
@@ -477,6 +475,7 @@ class Executor:
         regular HBR orders later lock() events after it."""
         t.wait_mutex = mutex
         t.status = _Status.WAITING
+        t.pinfo = None
         self._fx_released = mutex.oid
         self._fx_parked = True
         self._fx_any = True
@@ -605,40 +604,39 @@ class Executor:
     # DPOR lookahead
     def pending_info(self, tid: int) -> Optional[PendingInfo]:
         """The pending operation of ``tid`` as location data, or None for
-        finished/parked threads.
+        finished/parked threads (a parked timed waiter's lookahead is
+        its TIME_FIRE).
 
-        Memoised per thread: every field is a pure function of the
-        pending op (locations, keys and released oids never depend on
-        mutable object state), so the info is rebuilt only when the op
-        or status changes.  Enabledness is not part of it (ask
-        :meth:`enabled`).  DPOR reads the identity: the same object at
-        two consecutive states means the same op under the same status.
+        Every field is a pure function of the pending op (locations,
+        keys and released oids never depend on mutable object state),
+        so the record is built the first time a thread has the op
+        pending and kept on the op (``Op.info``): an op the op-trie
+        serves again, in a later schedule or after a restore, comes
+        with its record.  An op that two threads yield (one object in
+        a closure both bodies share) keeps the first thread's record,
+        and the other thread gets a fresh, uncached one each time.
+        Enabledness is not part of it (ask :meth:`enabled`).  DPOR
+        reads the identity: the same object at two consecutive states
+        means the same op of the same thread.
         """
         t = self.threads[tid]
         op = t.pending
-        status = t.status
-        cached = t.pinfo
-        if (
-            cached is not None
-            and cached[0] is op
-            and cached[1] == status
-            # a cached op-less info is the timed-waiter lookahead; it
-            # only applies while the deadline is still armed
-            and (op is not None or t.deadline is not None)
-        ):
-            return cached[2]
         if op is None:
-            if t.deadline is not None and status == _Status.WAITING:
+            if t.deadline is None or t.status != _Status.WAITING:
+                return None
+            info = t.pinfo
+            if info is None:
                 # timed condvar waiter: the lookahead is its TIME_FIRE
                 # on the clock, withdrawing it from the parked-on cv
-                info = PendingInfo(
+                info = t.pinfo = PendingInfo(
                     tid, int(_TIME_FIRE), self._clock.oid, None,
                     t.parked_on.oid if t.parked_on is not None else None,
                     True,
                 )
-                t.pinfo = (None, status, info)
-                return info
-            return None
+            return info
+        info = op.info
+        if info is not None and info.tid == tid:
+            return info
         oid, key = self._op_location(t, op)
         released = (
             op.target.op_released_oid(op) if op.target is not None else None
@@ -649,17 +647,24 @@ class Executor:
             # clock: expose the clock as its secondary location so
             # DPOR orders it against other time events
             released = self._clock.oid
-        info = PendingInfo(tid, int(op.kind), oid, key, released, timed)
-        t.pinfo = (op, status, info)
-        return info
+        fresh = PendingInfo(tid, int(op.kind), oid, key, released, timed)
+        if info is None:
+            op.info = fresh
+        return fresh
 
     def all_pending_infos(self) -> List[PendingInfo]:
+        """:meth:`pending_info` of every thread that has one, in tid
+        order; a record already on the op is read in place."""
         pending_info = self.pending_info
         infos = []
         for t in self.threads:
-            info = pending_info(t.tid)
-            if info is not None:
-                infos.append(info)
+            op = t.pending
+            info = op.info if op is not None else None
+            if info is None or info.tid != t.tid:
+                info = pending_info(t.tid)
+                if info is None:
+                    continue
+            infos.append(info)
         return infos
 
     @staticmethod
@@ -694,11 +699,10 @@ class Executor:
         kind = op.kind
         if kind is _SPAWN or kind is _JOIN:
             return None
-        oid, key = self._op_location(t, op)
-        target = op.target
+        info = self.pending_info(tid)
         return Lookahead(
-            self.engine, tid, kind, oid, key,
-            target.op_released_oid(op) if target is not None else None,
+            self.engine, tid, kind, info.oid, info.key,
+            info.released_mutex_oid,
         )
 
     # ------------------------------------------------------------------

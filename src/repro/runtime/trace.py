@@ -57,9 +57,12 @@ class TraceResult:
 class PendingInfo:
     """What a not-yet-executed thread wants to do next (DPOR lookahead).
 
-    Every field is a pure function of the pending op, and DPOR's race
-    analysis relies on a new object being built whenever the op or the
-    thread's status changes (see ``Executor.pending_info``).
+    Every field is a pure function of the pending op and its thread, so
+    ``Executor.pending_info`` builds one record per op and keeps it on
+    the op (``Op.info``), and DPOR's race analysis relies on that: the
+    same record means the same op of the same thread.  Only a pending
+    op has a record (a parked timed waiter's is kept on its thread),
+    and a thread with a pending op is always runnable.
     """
 
     tid: int

@@ -25,7 +25,11 @@ import contextlib
 import pytest
 from hypothesis import given
 
+from repro import Program
+from repro.core.events import Op, OpKind
 from repro.explore import DPORExplorer, ExplorationLimits, LazyDPORExplorer
+from repro.explore.controller import make_explorer
+from repro.runtime.executor import Executor
 from repro.suite import REGISTRY, small_benchmarks
 
 from reference_explorers import (
@@ -111,3 +115,37 @@ def test_generated_programs_identical(spec):
     limits = ExplorationLimits(max_schedules=60_000)
     for _label, make_new, make_ref in STRATEGIES:
         _assert_identical(program, make_new, make_ref, limits)
+
+
+def _shared_op_program():
+    def build(p):
+        x = p.var("x", 0)
+        # one Op object per instance, yielded by both threads: the
+        # only way two pending ops can share a PendingInfo record
+        bump = Op(OpKind.RMW, x, None, lambda v: (v + 1, v))
+
+        def body(api, out):
+            seen = yield bump
+            yield api.write(out, seen)
+            yield bump
+
+        p.thread(body, p.var("a", -1))
+        p.thread(body, p.var("b", -1))
+
+    return Program("shared_op", build)
+
+
+def test_op_shared_by_two_threads():
+    program = _shared_op_program()
+    ex = Executor(program)
+    first, second = (t.pending for t in ex.threads)
+    assert first is second
+    assert [info.tid for info in ex.all_pending_infos()] == [0, 1]
+    assert [ex.pending_info(tid).tid for tid in (1, 0)] == [1, 0]
+    dfs_states = make_explorer("dfs", program).run().state_hashes
+    assert len(dfs_states) > 2
+    for label, make_new, make_ref in STRATEGIES:
+        stats = _assert_identical(program, make_new, make_ref,
+                                  ExplorationLimits())
+        assert stats.exhausted, label
+        assert stats.state_hashes == dfs_states, label

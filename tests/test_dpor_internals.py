@@ -123,6 +123,48 @@ class TestIncrementalAnalysis:
         assert counts["states"] > 0
         assert counts["scans"] / counts["states"] <= 1.0
 
+    def test_pending_info_built_once_per_op(self, monkeypatch):
+        # the record lives on the op, so an op the op-trie serves again
+        # in a later schedule (every schedule but the first restores a
+        # snapshot here) keeps it: at most one record per distinct
+        # pending op, where a per-thread memo reset by every restore
+        # built one for nearly every analysed state
+        import repro.runtime.executor as executor_module
+        from repro.suite import REGISTRY
+
+        program = next(b.program for b in REGISTRY.values()
+                       if b.program.name == "disjoint_coarse_t3_k2")
+        counts = {"built": 0, "states": 0}
+        # the ops themselves are kept, so no id is reused
+        ops = {}
+
+        def counting_info(*args):
+            counts["built"] += 1
+            return PendingInfo(*args)
+
+        all_infos = Executor.all_pending_infos
+
+        def recording_all_infos(self):
+            counts["states"] += 1
+            for t in self.threads:
+                if t.pending is not None:
+                    ops[id(t.pending)] = t.pending
+            return all_infos(self)
+
+        monkeypatch.setattr(executor_module, "PendingInfo", counting_info)
+        monkeypatch.setattr(Executor, "all_pending_infos",
+                            recording_all_infos)
+        explorer = DPORExplorer(program)
+        stats = explorer.run()
+        assert stats.exhausted
+        assert explorer.snapshot_tree.hits > 0
+        assert 0 < counts["built"] <= len(ops)
+        if executor_module._OPCACHE_ON:
+            # with the op-trie off (REPRO_OPCACHE=0) every restore
+            # fast-forwards generators into fresh ops, each of which
+            # needs its own record: only the bound above holds then
+            assert counts["built"] * 10 < counts["states"]
+
     def test_ordered_modification_ends_the_scan(self):
         # x: T1 writes twice, T0 reads (seeing both writes), T2 reads.
         # T0's next read of x is ordered after T1's second write, and

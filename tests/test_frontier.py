@@ -349,10 +349,13 @@ class TestPeriodicCheckpoint:
 class TestAbortRollback:
     """A mid-schedule deadline abort must roll back the aborted
     schedule's cache insertions — otherwise the re-executed schedule
-    prunes its own subtree on resume.  (Regression.)"""
+    prunes its own subtree on resume.  (Regression.)  DPOR's loop
+    compiles its deadline probe out when no deadline is set, so an
+    instance-level override must still fire there."""
 
     @pytest.mark.parametrize("explorer_name", ["hbr-caching",
-                                               "lazy-hbr-caching"])
+                                               "lazy-hbr-caching",
+                                               "dpor", "lazy-dpor"])
     @pytest.mark.parametrize("fire_at", [1, 3, 7])
     def test_abort_then_resume_matches_uninterrupted(self, explorer_name,
                                                      fire_at):

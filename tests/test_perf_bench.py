@@ -229,10 +229,11 @@ class TestCLI:
         assert "dfs/racy_counter" in err
 
     def test_baseline_on_another_engine_is_refused(self, tmp_path,
-                                                   capsys):
+                                                   capsys, monkeypatch):
         # regression: the gate used to compare rows measured on
         # different engines, so an uncompiled run read the C kernel's
         # baseline rates as regressions of the reference engine
+        import repro.perf.bench as bench
         from repro.__main__ import main
 
         baseline = run_bench(cases=["dpor/racy_counter"], engine="ref",
@@ -247,6 +248,12 @@ class TestCLI:
 
         baseline["cases"]["dpor/racy_counter"]["engine"] = "native"
         write_report(baseline, str(path))
+
+        def measure(*args, **kwargs):
+            raise AssertionError("a refused baseline measured a case")
+
+        # the refusal comes before any measurement
+        monkeypatch.setattr(bench, "_measure_case", measure)
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = captured.err.strip().splitlines()
