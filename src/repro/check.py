@@ -83,6 +83,16 @@ class CheckResult:
                 f"{s.num_states} states, {s.num_events} events"
                 + (" (limit hit)" if s.limit_hit else "")
             )
+            if s.num_truncated:
+                # a run that never ends is cut, not checked: without
+                # this line a livelock would read as a clean verdict
+                lines.append(
+                    f"  truncated: {s.num_truncated} of "
+                    f"{s.num_schedules} runs were cut at the "
+                    "per-schedule event limit before finishing, so "
+                    "they may not terminate and were not checked "
+                    "past the cut"
+                )
         if self.approximate:
             lines.append(
                 f"  approximate: {self.explorer} can miss states, so the "

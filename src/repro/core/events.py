@@ -100,7 +100,11 @@ class KindSpec:
     mere *pendingness* can enable another thread (a new arrival forces
     an enabled-list rebuild: barrier cohorts, rendezvous receivers);
     ``data`` marks plain data-access kinds that key events on the
-    op's ``arg`` (sub-object locations).
+    op's ``arg`` (sub-object locations); ``gives_ops`` marks kinds
+    whose execution can give *another* thread a new pending op (a
+    notify hands each woken waiter the re-acquire of its mutex, a
+    spawn starts its child at a first op), so only after steps of
+    other kinds does every other thread keep the op it had.
     """
 
     hb: HBClass
@@ -108,6 +112,7 @@ class KindSpec:
     disturbing: bool = True
     arrival_sensitive: bool = False
     data: bool = False
+    gives_ops: bool = False
 
 
 #: The kind registry: one declarative row per operation kind.  Adding a
@@ -125,8 +130,8 @@ KIND_SPEC: Dict[OpKind, KindSpec] = {
     OpKind.UNLOCK: KindSpec(HBClass.LOCAL),
     # condition variables
     OpKind.WAIT: KindSpec(HBClass.BOTH, blocking=True),
-    OpKind.NOTIFY: KindSpec(HBClass.RELEASE),
-    OpKind.NOTIFY_ALL: KindSpec(HBClass.RELEASE),
+    OpKind.NOTIFY: KindSpec(HBClass.RELEASE, gives_ops=True),
+    OpKind.NOTIFY_ALL: KindSpec(HBClass.RELEASE, gives_ops=True),
     # semaphores
     OpKind.SEM_ACQUIRE: KindSpec(HBClass.BOTH, blocking=True),
     OpKind.SEM_RELEASE: KindSpec(HBClass.RELEASE),
@@ -137,7 +142,7 @@ KIND_SPEC: Dict[OpKind, KindSpec] = {
     # thread lifecycle (executor-core semantics).  SPAWN/EXIT modify
     # the target thread's pseudo-object; JOIN only observes it, so
     # concurrent joins of a finished thread do not conflict.
-    OpKind.SPAWN: KindSpec(HBClass.RELEASE),
+    OpKind.SPAWN: KindSpec(HBClass.RELEASE, gives_ops=True),
     OpKind.JOIN: KindSpec(HBClass.ACQUIRE, blocking=True, disturbing=False),
     OpKind.EXIT: KindSpec(HBClass.BOTH),
     # reader-writer locks (kept in the lazy HBR: the paper's theorem
@@ -211,6 +216,7 @@ IS_ARRIVAL_SENSITIVE = tuple(
     KIND_SPEC[k].arrival_sensitive for k in OpKind
 )
 IS_DATA = tuple(KIND_SPEC[k].data for k in OpKind)
+GIVES_OPS = tuple(KIND_SPEC[k].gives_ops for k in OpKind)
 IS_TIME = tuple(k in TIME_KINDS for k in OpKind)
 
 

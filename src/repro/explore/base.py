@@ -125,11 +125,15 @@ class ExplorationStats:
 
     def summary(self) -> str:
         mark = "!" if self.limit_hit else ("*" if self.exhausted else "")
+        # named only when runs were cut at max_events_per_schedule, so
+        # every other summary reads as before
+        trunc = (f" trunc={self.num_truncated}" if self.num_truncated
+                 else "")
         return (
             f"{self.program_name:<28} {self.explorer_name:<14} "
             f"sched={self.num_schedules:<7} hbrs={self.num_hbrs:<7} "
             f"lazy={self.num_lazy_hbrs:<7} states={self.num_states:<7} "
-            f"errors={len(self.errors)} {mark}"
+            f"errors={len(self.errors)}{trunc} {mark}"
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -27,6 +27,14 @@ state (DESIGN.md §14):
   can only gain one race: with the newest event.  Only the thread that
   stepped, threads with a new pending op, and every thread at the
   first analysed state of a run get a full scan.
+* **Ahead of the step.**  When the stepping thread's record is its
+  event's label (:meth:`Executor.label_ahead`: no SPAWN, JOIN or
+  timed op) and the step gives no other thread a new op (no NOTIFY or
+  NOTIFY_ALL, ``KindSpec.gives_ops``), that delta test runs before
+  the step, against the record.  A race it finds registers at the
+  state being left, which is then captured as the step departs, so a
+  backtrack there replays one step.  After such a step only the
+  thread that moved is analysed.
 * **Early exit.**  A full scan walks the trace per memory location,
   newest first, and stops a location's list at the first modification
   of that location that already happens before the pending op: the
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..core.events import Event, IS_MODIFYING
+from ..core.events import Event, GIVES_OPS, IS_MODIFYING
 from ..core.dependence import conflicts, may_be_coenabled
 from ..runtime.executor import Executor
 from ..runtime.trace import PendingInfo
@@ -63,8 +71,10 @@ class _Node:
         self.done: Set[int] = set()
         self.sleep: Set[int] = sleep
         #: race analysis registered a backtrack candidate here, so this
-        #: state WILL be re-explored: snapshot it on the next replay
-        #: pass through this depth (see _replay_stack)
+        #: state WILL be re-explored: the test ahead of this node's step
+        #: captures it on departure (_run_one), and a full scan of a
+        #: later state, which finds it left, has it captured on the
+        #: next replay pass through this depth (_replay_stack)
         self.want_snap = False
 
 
@@ -86,6 +96,10 @@ class DPORExplorer(Explorer):
         #: analysis walks: every step DPOR takes appends its event, and
         #: :meth:`_replay_stack` keeps the restored prefix's part
         self._trace: List[Event] = []
+        #: the trace positions of every location (an event's ``(oid,
+        #: key)``, and ``(released oid, None)``), ascending: the index
+        #: of ``_trace``, cut back with it by :meth:`_replay_stack`
+        self._loc_index: Dict[Tuple[int, object], List[int]] = {}
 
     # ------------------------------------------------------------------
     def _explore(self) -> None:
@@ -137,33 +151,33 @@ class DPORExplorer(Explorer):
         Resumes from the deepest spine snapshot on the stack's prefix
         (see :meth:`Explorer._executor_at`).  Every spine entry is a
         prefix of the last run, so that run's first ``start`` events are
-        the restored prefix's: the trace is cut back to them and the
-        per-location index rebuilt from them (cheap dict appends, no
-        re-execution), and the rest of the prefix is replayed stepwise.
+        the restored prefix's: the trace is cut back to them, each cut
+        event's entries leave the per-location index (the tails of
+        their ascending lists, so the work is the cut's length, not the
+        prefix's), and the rest of the prefix is replayed stepwise.
         A node's snapshot is its *pre*-state, the choices of the nodes
         above it, so re-choosing a node's ``chosen`` during
         backtracking keeps its own snapshot and drops only the deeper
         ones, which no longer lie on the prefix."""
-        loc_index: Dict[Tuple[int, object], List[int]] = {}
         ex, start = self._executor_at(tuple(node.chosen for node in stack))
         trace = self._trace
-        del trace[start:]
-        setdefault = loc_index.setdefault
-        for event in trace:
+        loc_index = self._loc_index
+        for event in trace[start:]:
             if event.oid >= 0:
-                setdefault((event.oid, event.key), []).append(event.index)
+                loc_index[(event.oid, event.key)].pop()
             if event.released_mutex_oid is not None:
-                setdefault((event.released_mutex_oid, None),
-                           []).append(event.index)
+                loc_index[(event.released_mutex_oid, None)].pop()
+        del trace[start:]
         for node in stack[start:]:
             if node.want_snap:
-                # this node holds a pending backtrack candidate, so its
-                # pre-state roots a future re-exploration: snapshot it now
-                # that a replay is passing through anyway.  Snapshots
-                # are taken on demand rather than at node creation —
-                # DPOR's backtrack sets are sparse, so most scheduling
-                # points are never revisited and eager snapshots were
-                # measured to cost more than the replays they save.
+                # a full scan registered a backtrack candidate here
+                # after the run had left this state, so its pre-state
+                # roots a future re-exploration: snapshot it now that a
+                # replay is passing through anyway.  Candidates the
+                # test ahead of a step registers are captured on
+                # departure instead (_run_one); eager snapshots of
+                # every node were measured to cost more than the
+                # replays they save (DPOR's backtrack sets are sparse).
                 node.want_snap = False
                 self._capture(ex)
             event = ex.step(node.chosen)
@@ -189,9 +203,12 @@ class DPORExplorer(Explorer):
         stack_append = stack.append
         setdefault = loc_index.setdefault
         update_backtracks = self._update_backtracks
-        ex_is_done = ex.is_done
+        race_ahead = self._race_ahead
+        capture = self._capture
         ex_enabled = ex.enabled
         ex_step = ex.step
+        label_ahead = ex.label_ahead
+        max_events = ex.max_events
         # the deadline probe and the post-step hook are compiled out
         # when inert (no deadline, no override on the class or the
         # instance), as in the kernel loop
@@ -211,19 +228,25 @@ class DPORExplorer(Explorer):
         # pending ops analysed at the previous state of this run, by
         # tid: the delta of _update_backtracks (empty = full scans)
         analysed: Dict[int, PendingInfo] = {}
+        # the last step was race-tested before it ran and gave no other
+        # thread a new op: only its own thread has a new one to analyse
+        moved = False
 
         while True:
             if probe_deadline is not None and probe_deadline():
                 return None
-            if ex_is_done():
+            enabled = ex_enabled()
+            if not enabled or len(trace) >= max_events:
+                # the run is over; finish() records a deadlock or the
+                # truncation (Executor.is_done)
                 result = ex.finish()
                 self.stats.num_events += result.num_events
-                update_backtracks(ex, stack, loc_index, analysed)
+                update_backtracks(ex, stack, loc_index, analysed, moved)
                 self._record_terminal(result)
                 self._retire(ex)
                 return False
-            analysed = update_backtracks(ex, stack, loc_index, analysed)
-            enabled = ex_enabled()
+            analysed = update_backtracks(ex, stack, loc_index, analysed,
+                                         moved)
             if stack and stack[-1].sleep:
                 sleep = self._child_sleep(stack, ex)
                 for choice in enabled:
@@ -242,6 +265,16 @@ class DPORExplorer(Explorer):
             node.chosen = choice
             node.done.add(choice)
             stack_append(node)
+            mine = label_ahead(choice)
+            moved = mine is not None and not GIVES_OPS[mine.kind]
+            if moved:
+                # the next state's delta test, run before the step
+                # (DESIGN §14.2): a race it registers makes this state
+                # a branch point, captured as the step departs
+                race_ahead(node, mine, analysed)
+                if node.want_snap:
+                    node.want_snap = False
+                    capture(ex)
             event = ex_step(choice)
             trace_append(event)
             # _index_event, inlined
@@ -251,6 +284,9 @@ class DPORExplorer(Explorer):
                 setdefault((event.released_mutex_oid, None),
                            []).append(event.index)
             if prune_after_step is not None and prune_after_step(ex):
+                # a pruned run analyses no state past this step: take
+                # back what the test ahead of the step registered
+                node.backtrack = {choice}
                 self._retire(ex)
                 return True
 
@@ -375,6 +411,7 @@ class DPORExplorer(Explorer):
         stack: List[_Node],
         loc_index: Dict[Tuple[int, object], List[int]],
         analysed: Dict[int, PendingInfo],
+        moved: bool,
     ) -> Dict[int, PendingInfo]:
         """F–G race analysis: for every pending operation, find the
         latest conflicting, possibly-co-enabled, HB-unordered event and
@@ -386,20 +423,34 @@ class DPORExplorer(Explorer):
         newest event and still has the same ``PendingInfo`` object
         kept its op and its clock, so its latest race is either the one
         already registered there (re-registering is a no-op) or the
-        newest event: only that one pair is tested.  Returns the map
-        for the next state."""
+        newest event: only that one pair is tested.  ``moved`` says
+        that pair test already ran, before the newest step
+        (:meth:`_race_ahead`), and that the step gave no other thread
+        a new op: only the thread that stepped is analysed, and the
+        map is updated in place.  Returns the map for the next
+        state."""
         trace = self._trace
         n = len(trace)
-        newest = trace[-1] if analysed else None
-        mover = newest.tid if newest is not None else -1
+        if moved:
+            now = analysed
+            mover = trace[-1].tid
+            now.pop(mover, None)
+            info = ex.pending_info(mover)
+            infos = () if info is None else (info,)
+            newest = None
+        else:
+            now = {}
+            infos = ex.all_pending_infos()
+            newest = trace[-1] if analysed else None
+            mover = newest.tid if newest is not None else -1
         clock_of = ex.engine.thread_clock_raw
-        now: Dict[int, PendingInfo] = {}
-        for info in ex.all_pending_infos():
+        for info in infos:
             if info.oid < 0 and info.released_mutex_oid is None:
                 continue
             tid = info.tid
             now[tid] = info
-            if tid != mover and analysed.get(tid) is info:
+            if newest is not None and tid != mover \
+                    and analysed.get(tid) is info:
                 # The newest event is another thread's fresh tick, which
                 # this thread's unchanged clock cannot have seen, so it
                 # never happens-before the pending op: it races iff it
@@ -432,6 +483,30 @@ class DPORExplorer(Explorer):
                     E.add(e_j.tid)
             self._add_backtrack(node, E)
         return now
+
+    def _race_ahead(self, node: _Node, mine: PendingInfo,
+                    analysed: Dict[int, PendingInfo]) -> None:
+        """The delta test of the state ``node``'s step will reach, run
+        before the step.  ``mine`` is the stepping thread's record,
+        which labels its event exactly (:meth:`Executor.label_ahead`),
+        and a step of a kind that gives no other thread a new op
+        (``KindSpec.gives_ops``) leaves every other thread analysed at
+        ``node``'s state its op and its clock.  So each of them gets
+        here the one pair test the next state would give it, and a
+        race registers at ``node``, as it would from there."""
+        p = mine.tid
+        oid = mine.oid
+        released = mine.released_mutex_oid
+        enabled = node.enabled
+        for tid, info in analysed.items():
+            if info.oid != oid and released is None \
+                    and info.released_mutex_oid is None:
+                continue  # no common location: conflicts() is False
+            if tid != p and conflicts(mine, info) \
+                    and may_be_coenabled(mine, info):
+                self._add_backtrack(
+                    node, {tid} if tid in enabled else set()
+                )
 
     @staticmethod
     def _add_backtrack(node: _Node, E: Set[int]) -> None:

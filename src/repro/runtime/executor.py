@@ -56,6 +56,7 @@ from bisect import insort
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.events import (
+    GIVES_OPS,
     IS_ARRIVAL_SENSITIVE,
     IS_DATA,
     IS_DISTURBING,
@@ -678,6 +679,29 @@ class Executor:
             return -2, op.arg  # resolved to the handle oid at execution
         return op.target.oid, None
 
+    def label_ahead(self, tid: int) -> Optional[PendingInfo]:
+        """``tid``'s :meth:`pending_info` when it is the label
+        (kind, location, released oid) of the event ``step(tid)``
+        would stamp, so a caller can act on the step before it runs.
+
+        None where the label is not a pure function of the pending
+        op: SPAWN (the child handle's oid is allocated at execution),
+        JOIN (the joined handle is resolved at execution), and a timed
+        op or a parked timed waiter (the step may fire a TIME_FIRE
+        instead, and a timed op's record names the clock as its
+        released oid, which the event does not).
+        """
+        op = self.threads[tid].pending
+        if op is None or op.timeout is not None:
+            return None
+        kind = op.kind
+        if kind is _SPAWN or kind is _JOIN:
+            return None
+        info = op.info
+        if info is not None and info.tid == tid:
+            return info
+        return self.pending_info(tid)
+
     def lookahead(self, tid: int) -> Optional[Lookahead]:
         """The fingerprints ``step(tid)`` would leave behind, without
         executing anything: a caller that only needs them can decide
@@ -685,23 +709,16 @@ class Executor:
         reads them from the clock tables as they stand, so it is valid
         until the next step.
 
-        None where the event's label is not a pure function of the
-        pending op: SPAWN (the child handle's oid is allocated at
-        execution), JOIN (the joined handle is resolved at execution),
-        a timed op or a parked timed waiter (the step may fire a
-        TIME_FIRE instead), and a step that would hit ``max_events``.
+        None where :meth:`label_ahead` is, and for a step that would
+        hit ``max_events``.
         """
-        t = self.threads[tid]
-        op = t.pending
-        if (op is None or op.timeout is not None
-                or len(self.schedule) >= self.max_events):
+        if len(self.schedule) >= self.max_events:
             return None
-        kind = op.kind
-        if kind is _SPAWN or kind is _JOIN:
+        info = self.label_ahead(tid)
+        if info is None:
             return None
-        info = self.pending_info(tid)
         return Lookahead(
-            self.engine, tid, kind, info.oid, info.key,
+            self.engine, tid, info.kind, info.oid, info.key,
             info.released_mutex_oid,
         )
 
@@ -822,6 +839,13 @@ class Executor:
             parked, self._fx_parked = self._fx_parked, False
             throw, self._fx_throw = self._fx_throw, None
             if self._fx_woken is not None:
+                if not GIVES_OPS[kind]:
+                    # DPOR race-tests a step before it runs only when
+                    # every other thread keeps its op (KindSpec)
+                    raise SchedulerError(
+                        f"{kind.name} woke threads, but its KindSpec "
+                        f"does not declare gives_ops"
+                    )
                 woken = [self.threads[w] for w in self._fx_woken]
                 self._fx_woken = None
         if t.deadline is not None and not parked:

@@ -74,6 +74,10 @@ class TestCheck:
         assert result.schedule is None
         assert result.trace == []
         assert result.stats.num_schedules >= 2
+        # nothing was cut, so neither summary mentions truncation
+        assert result.stats.num_truncated == 0
+        assert "truncated" not in result.summary()
+        assert "trunc=" not in result.stats.summary()
 
     def test_deterministic_across_calls(self):
         a, b = check(racy_main), check(racy_main)
@@ -112,6 +116,35 @@ class TestCheck:
         assert not result.approximate
         assert "approximate" not in result.summary()
         assert result.to_dict()["approximate"] is False
+
+    def test_summary_names_truncated_runs(self):
+        # a spin-wait on a flag nobody sets never ends: every run is cut
+        # at the event limit, and the verdict must say so instead of a
+        # bare "no bug found"
+        def build(p):
+            flag = p.var("flag", 0)
+            other = p.var("other", 0)
+
+            def spin(api):
+                while (yield api.read(flag)) == 0:
+                    pass
+
+            def bystander(api):
+                yield api.write(other, 1)
+
+            p.thread(spin)
+            p.thread(bystander)
+
+        result = check(repro.Program("spin_wait", build),
+                       limits=ExplorationLimits(max_events_per_schedule=200),
+                       max_schedules=3)
+        stats = result.stats
+        assert not result.bug_found
+        assert stats.num_truncated == stats.num_schedules > 0
+        assert stats.num_complete == 0
+        n = stats.num_truncated
+        assert f"truncated: {n} of {n} runs" in result.summary()
+        assert f"trunc={n}" in stats.summary()
 
     def test_old_payload_reads_as_exact(self):
         # payloads written before the field existed carry no key

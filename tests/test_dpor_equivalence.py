@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from repro import Program
 from repro.core.events import Op, OpKind
@@ -39,6 +39,7 @@ from reference_explorers import (
 )
 from reference_replay import capture_off
 from test_random_program_soundness import (
+    TIMED_SPEC,
     build_program,
     program_spec,
     soundness_settings,
@@ -110,6 +111,7 @@ def test_budget_cutoff_identical(label, make_new, make_ref):
 
 @soundness_settings
 @given(program_spec)
+@example(spec=TIMED_SPEC)
 def test_generated_programs_identical(spec):
     program = build_program(spec)
     limits = ExplorationLimits(max_schedules=60_000)
@@ -149,3 +151,38 @@ def test_op_shared_by_two_threads():
                                   ExplorationLimits())
         assert stats.exhausted, label
         assert stats.state_hashes == dfs_states, label
+
+
+def _clock_only_program():
+    def build(p):
+        m = p.mutex("m")
+        x = p.var("x", 0)
+        y = p.var("y", 0)
+
+        def locker(api):
+            if (yield api.lock(m, timeout=0.5)) is not False:
+                yield api.write(x, 1)
+                yield api.unlock(m)
+
+        def sleeper(api):
+            yield api.sleep(0.1)
+            yield api.write(y, 2)
+
+        p.thread(locker)
+        p.thread(sleeper)
+
+    return Program("clock_only", build)
+
+
+def test_timed_op_is_tested_after_its_step():
+    # the two threads share only the virtual clock, which a timed op's
+    # record names as its released oid (it may fire a TIME_FIRE) and
+    # its LOCK event does not: tested ahead of the step against the
+    # pending SLEEP, the acquisition would register a race that no
+    # event has, and DPOR would run a second schedule
+    program = _clock_only_program()
+    for label, make_new, make_ref in STRATEGIES:
+        stats = _assert_identical(program, make_new, make_ref,
+                                  ExplorationLimits())
+        assert stats.exhausted, label
+        assert stats.num_schedules == 1, label

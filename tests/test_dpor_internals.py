@@ -142,18 +142,38 @@ class TestIncrementalAnalysis:
             counts["built"] += 1
             return PendingInfo(*args)
 
-        all_infos = Executor.all_pending_infos
+        # Every pending op is installed by a step or by building or
+        # restoring the executor, and every record is built by
+        # pending_info: recording the ops after each step and at each
+        # pending_info call sees every op that can have a record.
+        # (Most analysed states read only the stepping thread's op, so
+        # all_pending_infos no longer sees them all.)
+        pending_info = Executor.pending_info
+        step = Executor.step
+        update = DPORExplorer._update_backtracks
 
-        def recording_all_infos(self):
-            counts["states"] += 1
+        def recording_info(self, tid):
+            op = self.threads[tid].pending
+            if op is not None:
+                ops[id(op)] = op
+            return pending_info(self, tid)
+
+        def recording_step(self, tid):
+            event = step(self, tid)
             for t in self.threads:
                 if t.pending is not None:
                     ops[id(t.pending)] = t.pending
-            return all_infos(self)
+            return event
+
+        def counting_update(self, *args):
+            counts["states"] += 1  # once per analysed state
+            return update(self, *args)
 
         monkeypatch.setattr(executor_module, "PendingInfo", counting_info)
-        monkeypatch.setattr(Executor, "all_pending_infos",
-                            recording_all_infos)
+        monkeypatch.setattr(Executor, "pending_info", recording_info)
+        monkeypatch.setattr(Executor, "step", recording_step)
+        monkeypatch.setattr(DPORExplorer, "_update_backtracks",
+                            counting_update)
         explorer = DPORExplorer(program)
         stats = explorer.run()
         assert stats.exhausted
@@ -164,6 +184,26 @@ class TestIncrementalAnalysis:
             # fast-forwards generators into fresh ops, each of which
             # needs its own record: only the bound above holds then
             assert counts["built"] * 10 < counts["states"]
+
+    @pytest.mark.parametrize("name", ["disjoint_coarse_t3_k2",
+                                      "racy_counter_t3_k1"])
+    def test_backtrack_replays_about_one_step(self, name):
+        # a race the test ahead of a step registers captures the state
+        # the step departs from, so a backtrack there restores it and
+        # replays the re-chosen step alone; capturing only on a later
+        # replay pass read 4.40 and 2.11 replayed events per restore
+        from repro.explore import ExplorationLimits
+        from repro.suite import REGISTRY
+
+        program = next(b.program for b in REGISTRY.values()
+                       if b.program.name == name)
+        explorer = DPORExplorer(program,
+                                ExplorationLimits(max_schedules=2000))
+        assert explorer.run().exhausted
+        counters = explorer.snapshot_tree
+        restores = counters.hits + counters.misses
+        assert restores > 0
+        assert counters.replayed_events <= 1.25 * restores
 
     def test_ordered_modification_ends_the_scan(self):
         # x: T1 writes twice, T0 reads (seeing both writes), T2 reads.
@@ -214,6 +254,99 @@ class TestIncrementalAnalysis:
         race = explorer._latest_race(trace, loc_index, pend, [1, 2])
         assert race is None
         assert trace.inspected == [1]
+
+
+def test_label_ahead_is_the_stamped_label(monkeypatch):
+    # DPOR tests a step ahead of it against the stepping thread's
+    # record (Executor.label_ahead): on every suite program, each step
+    # whose label is known ahead stamps exactly that label
+    from repro.explore import ExplorationLimits
+    from repro.suite import REGISTRY
+
+    step = Executor.step
+    seen = set()
+
+    def checking_step(self, tid):
+        info = self.label_ahead(tid)
+        event = step(self, tid)
+        if info is not None:
+            assert (event.kind, event.oid, event.key,
+                    event.released_mutex_oid) == (
+                info.kind, info.oid, info.key, info.released_mutex_oid)
+            seen.add(event.kind.name)
+        return event
+
+    monkeypatch.setattr(Executor, "step", checking_step)
+    for bench in REGISTRY.values():
+        DPORExplorer(bench.program,
+                     ExplorationLimits(max_schedules=30)).run()
+    assert {"LOCK", "UNLOCK", "WAIT", "NOTIFY", "NOTIFY_ALL", "READ",
+            "WRITE", "RMW", "EXIT", "SEM_ACQUIRE", "BARRIER_WAIT",
+            "CHAN_SEND", "CHAN_RECV", "FUT_SET", "FUT_GET"} <= seen, seen
+
+
+def test_waking_kind_must_declare_gives_ops(monkeypatch):
+    # the test ahead of a step assumes the step leaves every other
+    # thread its op; a kind that wakes threads without declaring it
+    # in the kind registry is refused, not explored inexactly
+    import repro.runtime.executor as executor_module
+    from repro.errors import SchedulerError
+
+    def build(p):
+        m = p.mutex("m")
+        cv = p.condition("cv")
+        ready = p.var("ready", 0)
+
+        def waiter(api):
+            yield api.lock(m)
+            while not (yield api.read(ready)):
+                yield api.wait(cv, m)
+            yield api.unlock(m)
+
+        def notifier(api):
+            yield api.lock(m)
+            yield api.write(ready, 1)
+            yield api.notify(cv)
+            yield api.unlock(m)
+
+        p.thread(waiter)
+        p.thread(notifier)
+
+    program = Program("wake", build)
+    assert DPORExplorer(program).run().exhausted
+    monkeypatch.setattr(executor_module, "GIVES_OPS",
+                        (False,) * len(OpKind))
+    with pytest.raises(SchedulerError, match="gives_ops"):
+        DPORExplorer(program).run()
+
+
+def test_restore_into_a_used_explorer():
+    # the trace and its per-location index persist across schedules,
+    # describing the spine's path; a checkpoint restored into an
+    # explorer that has already run keeps all three consistent, and the
+    # resumed run matches one on a fresh explorer
+    import json
+
+    from repro.explore import ExplorationLimits
+    from repro.suite import REGISTRY
+
+    program = next(b.program for b in REGISTRY.values()
+                   if b.program.name == "racy_counter_t3_k1")
+    partial = DPORExplorer(program, ExplorationLimits(max_schedules=10))
+    partial.run()
+    payload = json.loads(json.dumps(partial.snapshot()))
+    used = DPORExplorer(program, ExplorationLimits(max_schedules=7))
+    used.run()
+    assert used._trace and len(used._spine) > 1
+    used.limits = ExplorationLimits()
+    used.restore(payload)
+    fresh = DPORExplorer(program)
+    fresh.restore(payload)
+    resumed, want = used.run().to_dict(), fresh.run().to_dict()
+    resumed.pop("elapsed")
+    want.pop("elapsed")
+    assert resumed == want
+    assert want["exhausted"]
 
 
 @pytest.mark.parametrize("name", [

@@ -29,17 +29,23 @@ LIM = ExplorationLimits(max_schedules=60_000)
 # Program shapes kept tiny so DFS always exhausts: 2 threads, each up
 # to 3 segments of up to 2 ops over 2 variables and up to 2 mutexes.
 # A segment is ``(lock, ops)``: ``lock`` is None (bare ops), a mutex
-# index (ops in a critical section) or SPAWN, which starts a child
-# thread running ``ops`` and joins it after the parent's last segment.
+# index (ops in a critical section), ``(TIMED, index)`` (a critical
+# section entered with a timed acquisition, skipped when the timeout
+# fires) or SPAWN, which starts a child thread running ``ops`` and
+# joins it after the parent's last segment.
 SPAWN = "spawn"
+TIMED = "timed"
+#: virtual seconds a timed acquisition waits
+TIMEOUT = 0.5
 data_op = st.tuples(
     st.sampled_from(["read", "write", "incr"]),
     st.integers(min_value=0, max_value=1),
 )
+mutex_index = st.integers(min_value=0, max_value=1)
 segment = st.one_of(
     data_op.map(lambda op: (None, [op])),
     st.tuples(
-        st.integers(min_value=0, max_value=1),  # which mutex
+        mutex_index | st.tuples(st.just(TIMED), mutex_index),
         st.lists(data_op, min_size=1, max_size=2),
     ),
 )
@@ -67,8 +73,9 @@ def _event_count(spec) -> int:
     total = 0
     for body in spec:
         for lock_idx, ops in body:
-            # a critical section's lock and unlock; a spawn's SPAWN,
-            # JOIN and the child's exit
+            # a critical section's lock and unlock (a timed
+            # acquisition's TIME_FIRE takes the place of its LOCK and
+            # skips the rest); a spawn's SPAWN, JOIN and the child's exit
             total += {None: 0, SPAWN: 3}.get(lock_idx, 2)
             total += sum(2 if op == "incr" else 1 for op, _ in ops)
         total += 1  # exit event
@@ -109,8 +116,16 @@ def build_program(spec):
                                             seed + 50 + 10 * len(children))
                         children.append((yield api.spawn(child)))
                         continue
-                    if lock_idx is not None:
-                        yield api.lock(mutexes[lock_idx])
+                    mutex = None
+                    if isinstance(lock_idx, tuple):
+                        # the yield returns False when the timeout fires
+                        mutex = mutexes[lock_idx[1]]
+                        got = yield api.lock(mutex, timeout=TIMEOUT)
+                        if got is False:
+                            continue
+                    elif lock_idx is not None:
+                        mutex = mutexes[lock_idx]
+                        yield api.lock(mutex)
                     for op, var in ops:
                         if op == "read":
                             yield api.read(cells, key=var)
@@ -120,8 +135,8 @@ def build_program(spec):
                         else:  # incr: read-modify-write as two events
                             v = yield api.read(cells, key=var)
                             yield api.write(cells, v + 1, key=var)
-                    if lock_idx is not None:
-                        yield api.unlock(mutexes[lock_idx])
+                    if mutex is not None:
+                        yield api.unlock(mutex)
                 for child in children:
                     yield api.join(child)
             return body
@@ -158,11 +173,20 @@ SPAWN_SPEC = [
     [(0, [("read", 0)])],
 ]
 
+#: a timed acquisition of a mutex the other thread holds around its
+#: increment: it times out (and skips its write) exactly when it runs
+#: between the other thread's lock and unlock
+TIMED_SPEC = [
+    [((TIMED, 0), [("write", 0)]), (None, [("read", 0)])],
+    [(0, [("incr", 0)])],
+]
+
 
 @soundness_settings
 @given(program_spec)
 @example(spec=LAZY_DPOR_GAP_SPEC)
 @example(spec=SPAWN_SPEC)
+@example(spec=TIMED_SPEC)
 def test_all_reducers_match_dfs_states(spec):
     program = build_program(spec)
     dfs = DFSExplorer(program, LIM)
