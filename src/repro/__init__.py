@@ -13,7 +13,7 @@ The package provides:
   Flanagan–Godefroid DPOR, HBR caching, the paper's lazy HBR caching,
   a lazy-DPOR prototype (the paper's future work), plus random, PCT and
   preemption-bounded baselines;
-* :mod:`repro.suite` — 79 benchmark program instances mirroring the
+* :mod:`repro.suite` — 96 benchmark program instances mirroring the
   paper's benchmark collection;
 * :mod:`repro.analysis` — harnesses that regenerate the paper's
   Figure 2, Figure 3 and the state-counting inequality;

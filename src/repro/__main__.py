@@ -15,8 +15,6 @@ campaign                  sharded explorer×benchmark×seed run-matrix
                           (``--jobs``, ``--seeds``, ``--smoke``,
                           ``--split-large N``, ``--resume CKPT``,
                           ``--out report.json``)
-bench                     replay-loop micro-benchmarks; JSON reports
-                          (``--smoke``, ``--out``, ``--baseline``)
 shim-equivalence          shim-vs-DSL golden equivalence report
                           (``--out report.json`` for the CI artifact)
 """
@@ -460,11 +458,6 @@ def _cmd_campaign(args) -> int:
     return 1 if bad else 0
 
 
-def _cmd_bench(args) -> int:
-    from .perf.bench import main as bench_main
-    return bench_main(args)
-
-
 def _cmd_matrix(args) -> int:
     import json
 
@@ -566,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "checkpoint/resume and a JSON report.",
     )
     p_camp.add_argument("--ids", help="comma-separated bench ids "
-                                      "(default: all 79)")
+                                      "(default: all 96)")
     p_camp.add_argument("--explorers",
                         help="comma-separated strategy names (default: "
                              "dpor,hbr-caching,lazy-hbr-caching)")
@@ -660,39 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "--resume; no file means no coordinator "
                              "crash-resume)")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="replay-loop micro-benchmarks (JSON reports)",
-        description="Measure schedules/sec and events/sec of the "
-                    "explorer micro-benchmarks; optionally write a "
-                    "BENCH_<name>.json report and compare against a "
-                    "committed baseline.",
-    )
-    p_bench.add_argument("--cases",
-                         help="comma-separated case names (default: all)")
-    p_bench.add_argument("--engine", choices=("ref", "native"),
-                         default=None,
-                         help="clock-engine backend (default: auto)")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="fast mode for CI (shorter measurements)")
-    p_bench.add_argument("--repeat", type=int, default=3,
-                         help="measurement rounds per case; best wins")
-    p_bench.add_argument("--min-time", type=float, default=0.25,
-                         dest="min_time",
-                         help="seconds of work to accumulate per round")
-    p_bench.add_argument("--out", metavar="REPORT",
-                         help="write the JSON report here "
-                              "(e.g. BENCH_latest.json)")
-    p_bench.add_argument("--baseline", metavar="REPORT",
-                         help="compare against this report; exit 1 on "
-                              "regression, 2 when a case ran on another "
-                              "engine than its baseline row")
-    p_bench.add_argument("--max-regression", type=float, default=0.30,
-                         dest="max_regression",
-                         help="allowed fractional slowdown vs baseline "
-                              "(default 0.30)")
-    p_bench.add_argument("--quiet", action="store_true")
-
     p_equiv = sub.add_parser(
         "shim-equivalence",
         help="shim-vs-DSL golden equivalence report",
@@ -713,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix", help="compare explorers over chosen benchmarks"
     )
     p_matrix.add_argument("--ids", help="comma-separated bench ids "
-                                        "(default: all 79)")
+                                        "(default: all 96)")
     p_matrix.add_argument("--strategies", default="dpor,lazy-hbr-caching")
     p_matrix.add_argument("--limit", type=int, default=2_000)
     p_matrix.add_argument("--seconds", type=float, default=5.0)
@@ -737,7 +697,6 @@ def main(argv=None) -> int:
         "inequality": _cmd_inequality,
         "matrix": _cmd_matrix,
         "campaign": _cmd_campaign,
-        "bench": _cmd_bench,
     }[args.command]
     try:
         return handler(args)

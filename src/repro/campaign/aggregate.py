@@ -40,7 +40,7 @@ def merge_shard_results(
 
     Any failed shard fails the logical cell (its error is surfaced);
     the merged cell is ``exhausted`` only if every shard exhausted its
-    sub-frontier.
+    sub-frontier and no run of the seed or a shard was truncated.
     """
     cell = seed_result.cell
     failures = [r for r in ([seed_result] + list(shard_results))
@@ -54,7 +54,8 @@ def merge_shard_results(
         )
     merged = ExplorationStats.from_dict(seed_result.stats.to_dict())
     # the seed stopped early by design; exhaustion of the logical cell
-    # is decided purely by the shards (AND across them)
+    # is decided by the shards (AND across them) and by the truncated
+    # runs, the seed's included, which ExplorationStats.merge counts
     merged.exhausted = True
     merged.limit_hit = False
     for shard in sorted(shard_results, key=lambda r: r.shard):

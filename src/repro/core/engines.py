@@ -21,8 +21,8 @@ cross-engine campaign diff enforce it).
 
 Selection is runtime, with this precedence:
 
-1. an explicit name (``--engine`` on the ``bench``/``campaign``/
-   ``check`` CLIs, or the ``engine=`` parameter threaded through
+1. an explicit name (``--engine`` on the ``campaign``/``check``
+   CLIs, or the ``engine=`` parameter threaded through
    :class:`~repro.runtime.executor.Executor` and the explorers);
 2. the ``REPRO_ENGINE`` environment variable (``ref`` or ``native``);
 3. ``auto`` — ``native`` exactly when the compiled extension imports,
@@ -59,10 +59,11 @@ _NATIVE_COMPILED: Optional[bool] = None
 
 def native_compiled() -> bool:
     """True when the compiled C kernel imported, i.e. when ``native``
-    is available.  Drives the ``auto`` pick and the bench provenance
-    rows.  Memoised: every executor construction asks (via
-    :func:`resolve_engine`), and the answer is fixed per process once
-    :mod:`~repro.core.hb_native` has imported."""
+    is available.  Drives the ``auto`` pick, and the repository
+    benchmark records it with every result.  Memoised: every executor
+    construction asks (via :func:`resolve_engine`), and the answer is
+    fixed per process once :mod:`~repro.core.hb_native` has
+    imported."""
     global _NATIVE_COMPILED
     if _NATIVE_COMPILED is None:
         from .hb_native import NATIVE_COMPILED
@@ -72,8 +73,9 @@ def native_compiled() -> bool:
 
 
 def engine_provenance(name: str) -> dict:
-    """Provenance of a resolved backend, recorded per bench case row:
-    how the kernel executing the measurement was actually built."""
+    """Provenance of a resolved backend, recorded with every result
+    of the repository benchmark (``perfbench/run.py``): how the kernel
+    executing the measurement was actually built."""
     import platform
 
     if name == "native":

@@ -58,10 +58,10 @@ if NATIVE_COMPILED:
 
 
 def provenance() -> Dict[str, object]:
-    """How this process's ``native`` backend was built — recorded per
-    bench case row so reports cannot silently mix compiled and
-    reference numbers (the ``bench --baseline`` comparison warns on
-    mismatch)."""
+    """How this process's ``native`` backend was built — recorded with
+    every repository-benchmark result so reports cannot silently mix
+    compiled and reference numbers (``perfbench/compare.py`` warns
+    when two results differ)."""
     return {
         "compiled": NATIVE_COMPILED,
         "compiler": (_C.COMPILER if NATIVE_COMPILED else None),

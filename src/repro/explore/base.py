@@ -242,7 +242,10 @@ class ExplorationStats:
                     ErrorFinding(e.kind, e.message, list(e.schedule))
                 )
         self.limit_hit = self.limit_hit or other.limit_hit
-        self.exhausted = self.exhausted and other.exhausted
+        # as in Explorer.run: a truncated run on either side means the
+        # merged space was not covered
+        self.exhausted = (self.exhausted and other.exhausted
+                          and not self.num_truncated)
         self.elapsed += other.elapsed
         for key, value in other.extra.items():
             mine = self.extra.get(key)
@@ -590,6 +593,11 @@ class Explorer:
         self._last_checkpoint = start
         try:
             self._explore()
+            # a run cut at max_events_per_schedule left its suffix
+            # unexplored, so the space was not covered however the
+            # explorer's own loop ended
+            self.stats.exhausted = (self.stats.exhausted
+                                    and not self.stats.num_truncated)
         finally:
             self.stats.elapsed = (
                 self._elapsed_base + time.monotonic() - start

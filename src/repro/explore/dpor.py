@@ -20,21 +20,21 @@ not all linearizations of a lazy HBR are feasible.  (The prototype that
 The per-state work is proportional to what changed since the previous
 state (DESIGN.md §14):
 
-* **Delta.**  Between two analysed states exactly one event is
-  appended, and a thread's regular clock only changes when that thread
-  executes.  So a thread that did not execute the newest event and
+* **Ahead of the step.**  Between two analysed states exactly one
+  event is appended, and a thread's regular clock only changes when
+  that thread executes.  So a thread that did not execute the step and
   still has the same :class:`~repro.runtime.trace.PendingInfo` object
-  can only gain one race: with the newest event.  Only the thread that
-  stepped, threads with a new pending op, and every thread at the
-  first analysed state of a run get a full scan.
-* **Ahead of the step.**  When the stepping thread's record is its
-  event's label (:meth:`Executor.label_ahead`: no SPAWN, JOIN or
-  timed op) and the step gives no other thread a new op (no NOTIFY or
-  NOTIFY_ALL, ``KindSpec.gives_ops``), that delta test runs before
-  the step, against the record.  A race it finds registers at the
-  state being left, which is then captured as the step departs, so a
-  backtrack there replays one step.  After such a step only the
-  thread that moved is analysed.
+  can only gain one race: with the new event.  When the stepping
+  thread's record is its event's label (:meth:`Executor.label_ahead`:
+  no SPAWN, JOIN or timed op) and the step gives no other thread a new
+  op (no NOTIFY or NOTIFY_ALL, ``KindSpec.gives_ops``), that pair test
+  runs before the step, against the record.  A race it finds registers
+  at the state being left, which is then captured as the step departs,
+  so a backtrack there replays one step.  After such a step only the
+  thread that moved gets a full scan.
+* **Full scans otherwise.**  At the first analysed state of a run, and
+  after any step that was not tested ahead, every thread gets a full
+  scan; such steps are rare (DESIGN.md §14.5 counts them).
 * **Early exit.**  A full scan walks the trace per memory location,
   newest first, and stops a location's list at the first modification
   of that location that already happens before the pending op: the
@@ -226,7 +226,7 @@ class DPORExplorer(Explorer):
             else None
         )
         # pending ops analysed at the previous state of this run, by
-        # tid: the delta of _update_backtracks (empty = full scans)
+        # tid: what _race_ahead tests the next step against
         analysed: Dict[int, PendingInfo] = {}
         # the last step was race-tested before it ran and gave no other
         # thread a new op: only its own thread has a new one to analyse
@@ -268,8 +268,8 @@ class DPORExplorer(Explorer):
             mine = label_ahead(choice)
             moved = mine is not None and not GIVES_OPS[mine.kind]
             if moved:
-                # the next state's delta test, run before the step
-                # (DESIGN §14.2): a race it registers makes this state
+                # the next state's pair tests, run before the step
+                # (DESIGN §14.2): a race they register makes this state
                 # a branch point, captured as the step departs
                 race_ahead(node, mine, analysed)
                 if node.want_snap:
@@ -417,18 +417,14 @@ class DPORExplorer(Explorer):
         latest conflicting, possibly-co-enabled, HB-unordered event and
         register a backtrack point before it.
 
-        ``analysed`` holds the pending ops analysed at the previous
-        state, which is exactly one event older (empty at the first
-        analysed state of a run).  A thread that did not execute the
-        newest event and still has the same ``PendingInfo`` object
-        kept its op and its clock, so its latest race is either the one
-        already registered there (re-registering is a no-op) or the
-        newest event: only that one pair is tested.  ``moved`` says
-        that pair test already ran, before the newest step
-        (:meth:`_race_ahead`), and that the step gave no other thread
-        a new op: only the thread that stepped is analysed, and the
-        map is updated in place.  Returns the map for the next
-        state."""
+        ``moved`` says the newest step was race-tested before it ran
+        (:meth:`_race_ahead`) and gave no other thread a new op: every
+        other thread in ``analysed`` (the pending ops analysed at the
+        previous state) kept its op and its clock and has had its one
+        pair test with that step, so only the thread that stepped is
+        scanned, and the map is updated in place.  Otherwise (a run's
+        first state, or a step not tested ahead) every thread gets a
+        full scan.  Returns the map for the next state."""
         trace = self._trace
         n = len(trace)
         if moved:
@@ -437,33 +433,15 @@ class DPORExplorer(Explorer):
             now.pop(mover, None)
             info = ex.pending_info(mover)
             infos = () if info is None else (info,)
-            newest = None
         else:
             now = {}
             infos = ex.all_pending_infos()
-            newest = trace[-1] if analysed else None
-            mover = newest.tid if newest is not None else -1
         clock_of = ex.engine.thread_clock_raw
         for info in infos:
             if info.oid < 0 and info.released_mutex_oid is None:
                 continue
             tid = info.tid
             now[tid] = info
-            if newest is not None and tid != mover \
-                    and analysed.get(tid) is info:
-                # The newest event is another thread's fresh tick, which
-                # this thread's unchanged clock cannot have seen, so it
-                # never happens-before the pending op: it races iff it
-                # conflicts and may be co-enabled.  With i = n - 1 the
-                # E scan below is empty: E is the thread itself, if it
-                # was enabled there.
-                if conflicts(newest, info) and \
-                        may_be_coenabled(newest, info):
-                    node = stack[n - 1]
-                    self._add_backtrack(
-                        node, {tid} if tid in node.enabled else set()
-                    )
-                continue
             # the conflict predicates duck-type over the PendingInfo;
             # no throwaway Event allocation per pending op
             cv = clock_of(tid)  # regular clock of tid
@@ -486,14 +464,16 @@ class DPORExplorer(Explorer):
 
     def _race_ahead(self, node: _Node, mine: PendingInfo,
                     analysed: Dict[int, PendingInfo]) -> None:
-        """The delta test of the state ``node``'s step will reach, run
-        before the step.  ``mine`` is the stepping thread's record,
-        which labels its event exactly (:meth:`Executor.label_ahead`),
-        and a step of a kind that gives no other thread a new op
+        """The pair test of every thread that keeps its op against the
+        event ``node``'s step will append, run before the step; it runs
+        nowhere else (after a step not tested here, every thread gets a
+        full scan).  ``mine`` is the stepping thread's record, which
+        labels its event exactly (:meth:`Executor.label_ahead`), and a
+        step of a kind that gives no other thread a new op
         (``KindSpec.gives_ops``) leaves every other thread analysed at
-        ``node``'s state its op and its clock.  So each of them gets
-        here the one pair test the next state would give it, and a
-        race registers at ``node``, as it would from there."""
+        ``node``'s state its op and its clock.  Such a thread can gain
+        only that one race, and it registers at ``node``, as a scan
+        from the next state would register it."""
         p = mine.tid
         oid = mine.oid
         released = mine.released_mutex_oid

@@ -24,7 +24,8 @@ from repro.analysis.runner import (
     run_figure2,
     run_figure3,
 )
-from repro.explore import ExplorationLimits, make_explorer
+from repro.campaign.aggregate import merge_shard_results
+from repro.explore import ExplorationLimits, ExplorationStats, make_explorer
 from repro.explore.controller import matrix_report
 from repro.suite import REGISTRY
 
@@ -359,6 +360,23 @@ class TestSplitCampaign:
         if explorer == "dfs":
             # no pruning: the shards partition the schedule set exactly
             assert s.num_schedules == u.num_schedules
+
+    def test_truncated_seed_run_keeps_merged_cell_unexhausted(self):
+        # the merge starts from True and ANDs the shards' flags, so the
+        # seed's cut run must still count against the merged cell
+        cell = CampaignCell(3, "dfs")
+        shard = CellResult(cell, ExplorationStats(
+            "p", "dfs", num_schedules=3, num_complete=3, exhausted=True),
+            shard=0, num_shards=1)
+        clean = ExplorationStats("p", "dfs", num_schedules=2,
+                                 num_complete=2, limit_hit=True)
+        assert merge_shard_results(CellResult(cell, clean),
+                                   [shard]).stats.exhausted
+        cut = ExplorationStats("p", "dfs", num_schedules=2, num_complete=1,
+                               num_truncated=1, limit_hit=True)
+        merged = merge_shard_results(CellResult(cell, cut), [shard]).stats
+        assert merged.num_truncated == 1
+        assert not merged.exhausted
 
     def test_split_dfs_schedule_count_exact_serial_vs_pool(self):
         cells = [CampaignCell(3, "dfs")]

@@ -5,8 +5,43 @@ import pytest
 import repro
 from repro.check import CheckResult, check
 from repro.explore.base import ExplorationLimits
+from repro.explore.controller import STANDARD_EXPLORERS, make_explorer
 from repro.shim import threading as shim_threading
 from repro.suite import all_benchmarks
+
+
+def spin_wait():
+    """A spin-wait on a flag nobody sets: no run ever ends, so every
+    run is cut at ``max_events_per_schedule``."""
+    def build(p):
+        flag = p.var("flag", 0)
+        other = p.var("other", 0)
+
+        def spin(api):
+            while (yield api.read(flag)) == 0:
+                pass
+
+        def bystander(api):
+            yield api.write(other, 1)
+
+        p.thread(spin)
+        p.thread(bystander)
+
+    return repro.Program("spin_wait", build)
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_EXPLORERS))
+def test_truncated_runs_are_never_exhausted(name):
+    # no run ends, so no explorer covered the space, however its own
+    # loop stopped: DPOR's frontier empties after one cut run, the
+    # caching explorers prune the rest, the bounded ones reach their
+    # bound
+    limits = ExplorationLimits(max_events_per_schedule=50,
+                               max_schedules=200)
+    stats = make_explorer(name, spin_wait(), limits).run()
+    assert stats.num_truncated > 0
+    assert not stats.exhausted
+    assert "*" not in stats.summary()
 
 
 @repro.shared
@@ -118,24 +153,9 @@ class TestCheck:
         assert result.to_dict()["approximate"] is False
 
     def test_summary_names_truncated_runs(self):
-        # a spin-wait on a flag nobody sets never ends: every run is cut
-        # at the event limit, and the verdict must say so instead of a
-        # bare "no bug found"
-        def build(p):
-            flag = p.var("flag", 0)
-            other = p.var("other", 0)
-
-            def spin(api):
-                while (yield api.read(flag)) == 0:
-                    pass
-
-            def bystander(api):
-                yield api.write(other, 1)
-
-            p.thread(spin)
-            p.thread(bystander)
-
-        result = check(repro.Program("spin_wait", build),
+        # every run of the spin-wait is cut at the event limit, and the
+        # verdict must say so instead of a bare "no bug found"
+        result = check(spin_wait(),
                        limits=ExplorationLimits(max_events_per_schedule=200),
                        max_schedules=3)
         stats = result.stats

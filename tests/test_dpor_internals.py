@@ -95,14 +95,12 @@ class _CountingTrace(list):
 class TestIncrementalAnalysis:
     """Pins on the work the incremental race analysis removed."""
 
-    def test_full_scans_per_analysed_state(self, monkeypatch):
-        # only the thread that stepped, threads with a new pending op
-        # and the first analysed state of a run need a full scan; the
-        # full-scan analysis did 1.74 per analysed state here
+    @staticmethod
+    def _scans_per_analysed_state(monkeypatch, name):
         from repro.suite import REGISTRY
 
         program = next(b.program for b in REGISTRY.values()
-                       if b.program.name == "racy_counter_t3_k1")
+                       if b.program.name == name)
         counts = {"states": 0, "scans": 0}
         update = DPORExplorer._update_backtracks
         scan = DPORExplorer._latest_race
@@ -121,7 +119,21 @@ class TestIncrementalAnalysis:
         stats = DPORExplorer(program).run()
         assert stats.exhausted
         assert counts["states"] > 0
-        assert counts["scans"] / counts["states"] <= 1.0
+        return counts["scans"] / counts["states"]
+
+    def test_full_scans_per_analysed_state(self, monkeypatch):
+        # every step here is tested ahead, so only the thread that
+        # stepped and the first analysed state of a run need a full
+        # scan; the full-scan analysis did 1.74 per analysed state
+        assert self._scans_per_analysed_state(
+            monkeypatch, "racy_counter_t3_k1") <= 1.0
+
+    def test_full_scans_after_steps_not_tested_ahead(self, monkeypatch):
+        # a condvar notify is not tested ahead, so every thread gets a
+        # full scan after one: 1.06 per analysed state here, where
+        # scanning every thread at every state does 1.90
+        assert self._scans_per_analysed_state(
+            monkeypatch, "bounded_buffer_p1_c2_k2_cap2") <= 1.25
 
     def test_pending_info_built_once_per_op(self, monkeypatch):
         # the record lives on the op, so an op the op-trie serves again

@@ -32,6 +32,7 @@ from repro.core.engines import (
     ENGINE_ENV,
     available_backends,
     create_clock_engine,
+    engine_provenance,
     native_compiled,
     resolve_engine,
 )
@@ -109,6 +110,15 @@ class TestRegistry:
         # ...while auto still falls back to the reference engine
         monkeypatch.delenv(ENGINE_ENV)
         assert resolve_engine(None) == "ref"
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_provenance_describes_each_backend(self, name):
+        # the repository benchmark records this with every result, so
+        # its compare.py can warn when two results ran on unlike builds
+        prov = engine_provenance(name)
+        assert prov["compiled"] is (name == "native")
+        assert (prov["compiler"] is None) is (name == "ref")
+        assert prov["python"] and prov["implementation"]
 
     def test_create_respects_backend(self):
         assert create_clock_engine("ref").backend == "ref"
