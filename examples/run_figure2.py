@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Regenerate the paper's Figure 2: #HBRs vs #lazy HBRs under DPOR,
-over all 79 suite benchmarks.
+over all 96 suite benchmarks (the paper's evaluation had 79).
 
 Usage:
     python examples/run_figure2.py [schedule_limit] [seconds_per_benchmark] [jobs]
 
 Defaults: limit 2000, 10 s per benchmark, 1 job.  The paper used
 100,000 schedules on an instrumented JVM; every counted quantity grows
-monotonically with the limit, so the diagonal structure is unchanged —
-see EXPERIMENTS.md for the calibration discussion.  With ``jobs > 1``
-the benchmarks are sharded across a process pool (same rows bit-for-bit
-when only the schedule limit binds; a binding wall-clock cap is
-load-dependent either way — see ``python -m repro campaign``).
+monotonically with the limit, so the diagonal structure is unchanged
+(``tests/test_paper_claims.py`` checks the paper's claims at 2000).
+The harness runs its cells as a campaign: with ``jobs > 1`` they are
+sharded across a process pool (same rows bit-for-bit when only the
+schedule limit binds; a binding wall-clock cap is load-dependent
+either way — see ``python -m repro campaign``).
 """
 
 import sys

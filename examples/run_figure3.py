@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Regenerate the paper's Figure 3: terminal lazy HBRs explored by
-regular HBR caching vs lazy HBR caching, over all 79 suite benchmarks.
+regular HBR caching vs lazy HBR caching, over all 96 suite benchmarks
+(the paper's evaluation had 79).
 
 Usage:
     python examples/run_figure3.py [schedule_limit] [seconds_per_benchmark] [jobs]
 
-Defaults: limit 2000, 10 s per benchmark (per explorer), 1 job.  With
-``jobs > 1`` the per-benchmark cells are sharded across a process pool
+Defaults: limit 2000, 10 s per benchmark (per explorer), 1 job.  The
+harness runs its cells as a campaign: with ``jobs > 1`` the
+per-benchmark cells are sharded across a process pool
 (same rows bit-for-bit when only the schedule limit binds; a binding
 wall-clock cap is load-dependent either way — see
 ``python -m repro campaign``).

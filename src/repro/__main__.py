@@ -12,9 +12,11 @@ races ID                  systematic data-race hunt on a benchmark
 figure2 / figure3         regenerate the paper's figures (``--jobs N``)
 inequality                the Section 3 inequality table
 campaign                  sharded explorer×benchmark×seed run-matrix
-                          (``--jobs``, ``--seeds``, ``--smoke``,
-                          ``--split-large N``, ``--resume CKPT``,
-                          ``--out report.json``)
+                          (``--ids``, ``--explorers``, ``--jobs``,
+                          ``--seeds``, ``--smoke``, ``--split-large N``,
+                          ``--resume CKPT``, ``--out report.json``);
+                          prints the explorer comparison table, and
+                          ``--out`` holds every cell's statistics
 shim-equivalence          shim-vs-DSL golden equivalence report
                           (``--out report.json`` for the CI artifact)
 """
@@ -33,8 +35,9 @@ from .analysis import (
     run_inequality_table,
 )
 from .analysis.races import find_races, race_summary
+from .errors import SchedulerError
 from .explore import ExplorationLimits
-from .explore.controller import STANDARD_EXPLORERS
+from .explore.controller import STANDARD_EXPLORERS, require_explorer, run_single
 from .runtime.schedule import execute
 from .suite import REGISTRY, all_benchmarks
 
@@ -104,13 +107,18 @@ def _cmd_check(args) -> int:
 def _cmd_shim_equivalence(args) -> int:
     import json
 
-    from .explore import ExplorationLimits
     from .suite.shim_twins import equivalence_report
 
+    explorers = tuple(args.explorers.split(","))
+    try:
+        for name in explorers:
+            require_explorer(name)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     limits = ExplorationLimits(max_schedules=args.limit,
                                max_seconds=args.seconds)
-    report = equivalence_report(limits,
-                                explorers=tuple(args.explorers.split(",")))
+    report = equivalence_report(limits, explorers=explorers)
     for name in sorted(report["pairs"]):
         pair = report["pairs"][name]
         per_explorer = " ".join(
@@ -145,12 +153,30 @@ def _get(bench_id: int):
     return REGISTRY[bench_id]
 
 
+def _check_jobs(args) -> bool:
+    """Is ``--jobs`` valid?  Prints the ``error:`` line when not."""
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args) -> int:
     bench = _get(args.id)
     schedule = None
     if args.schedule:
-        schedule = [int(t) for t in args.schedule.split(",")]
-    result = execute(bench.program, schedule=schedule)
+        try:
+            schedule = [int(t) for t in args.schedule.split(",")]
+        except ValueError:
+            print(f"error: --schedule must be comma-separated thread "
+                  f"ids, got {args.schedule!r}", file=sys.stderr)
+            return 2
+    try:
+        result = execute(bench.program, schedule=schedule)
+    except SchedulerError as exc:
+        print(f"error: --schedule {args.schedule}: {exc}", file=sys.stderr)
+        return 2
     print(result.describe())
     if args.timeline:
         from .analysis.traceviz import names_of, render_timeline
@@ -165,15 +191,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_explore(args) -> int:
     bench = _get(args.id)
-    factory = STANDARD_EXPLORERS.get(args.strategy)
-    if factory is None:
+    if args.strategy not in STANDARD_EXPLORERS:
         print(f"error: unknown strategy {args.strategy!r}; one of "
               f"{sorted(STANDARD_EXPLORERS)}", file=sys.stderr)
         return 2
     limits = ExplorationLimits(max_schedules=args.limit,
                                max_seconds=args.seconds)
-    stats = factory(bench.program, limits).run()
-    stats.verify_inequality()
+    stats = run_single(bench.program, args.strategy, limits)
     print(stats.summary())
     for finding in stats.errors:
         print(f"  {finding.kind}: {finding.message}")
@@ -193,6 +217,8 @@ def _cmd_races(args) -> int:
 
 
 def _cmd_figure2(args) -> int:
+    if not _check_jobs(args):
+        return 2
     rows = run_figure2(schedule_limit=args.limit,
                        seconds_per_benchmark=args.seconds,
                        progress=print if args.verbose else None,
@@ -202,6 +228,8 @@ def _cmd_figure2(args) -> int:
 
 
 def _cmd_figure3(args) -> int:
+    if not _check_jobs(args):
+        return 2
     rows = run_figure3(schedule_limit=args.limit,
                        seconds_per_benchmark=args.seconds,
                        progress=print if args.verbose else None,
@@ -211,6 +239,8 @@ def _cmd_figure3(args) -> int:
 
 
 def _cmd_inequality(args) -> int:
+    if not _check_jobs(args):
+        return 2
     rows = run_inequality_table(schedule_limit=args.limit,
                                 seconds_per_benchmark=args.seconds,
                                 jobs=args.jobs)
@@ -330,9 +360,9 @@ def _cmd_campaign(args) -> int:
         build_cells,
         campaign_report,
         comparison_rows,
+        matrix_report,
         run_campaign,
     )
-    from .explore.controller import matrix_report
     from .ioutil import atomic_write_json
 
     if args.worker and args.coordinator:
@@ -374,9 +404,7 @@ def _cmd_campaign(args) -> int:
         explorers_arg = explorers_arg or "dpor,hbr-caching,lazy-hbr-caching"
         limit = limit if limit is not None else 2_000
         ids = ids if ids is not None else sorted(REGISTRY)
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}",
-              file=sys.stderr)
+    if not _check_jobs(args):
         return 2
     if args.split_large == 1 or args.split_large < 0:
         print(f"error: --split-large must be 0 (off) or >= 2, got "
@@ -456,31 +484,6 @@ def _cmd_campaign(args) -> int:
         print(f"UNEXPECTED [{kind}] {r.cell.key}: {detail}",
               file=sys.stderr)
     return 1 if bad else 0
-
-
-def _cmd_matrix(args) -> int:
-    import json
-
-    from .explore.controller import matrix_report, run_matrix
-
-    ids = ([int(t) for t in args.ids.split(",")] if args.ids
-           else sorted(REGISTRY))
-    programs = [_get(i).program for i in ids]
-    strategies = args.strategies.split(",")
-    limits = ExplorationLimits(max_schedules=args.limit,
-                               max_seconds=args.seconds)
-    rows = run_matrix(programs, strategies, limits,
-                      progress=print if args.verbose else None)
-    print(matrix_report(rows))
-    if args.json:
-        payload = [
-            {name: stats.to_dict() for name, stats in row.by_explorer.items()}
-            for row in rows
-        ]
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"\nwrote {args.json}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,17 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--out", metavar="REPORT",
                          help="write the JSON equivalence report here")
 
-    p_matrix = sub.add_parser(
-        "matrix", help="compare explorers over chosen benchmarks"
-    )
-    p_matrix.add_argument("--ids", help="comma-separated bench ids "
-                                        "(default: all 96)")
-    p_matrix.add_argument("--strategies", default="dpor,lazy-hbr-caching")
-    p_matrix.add_argument("--limit", type=int, default=2_000)
-    p_matrix.add_argument("--seconds", type=float, default=5.0)
-    p_matrix.add_argument("--json", help="also write results as JSON")
-    p_matrix.add_argument("--verbose", action="store_true")
-
     return parser
 
 
@@ -695,7 +687,6 @@ def main(argv=None) -> int:
         "figure2": _cmd_figure2,
         "figure3": _cmd_figure3,
         "inequality": _cmd_inequality,
-        "matrix": _cmd_matrix,
         "campaign": _cmd_campaign,
     }[args.command]
     try:

@@ -1,4 +1,6 @@
-"""Markdown report generation for EXPERIMENTS.md."""
+"""Markdown reports of the paper's Figures 2 and 3 and the Section 3
+inequality table (what ``repro figure2``, ``figure3`` and
+``inequality`` print)."""
 
 from __future__ import annotations
 

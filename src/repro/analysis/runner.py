@@ -11,32 +11,36 @@
 * :func:`run_inequality_table` — the Section 3 chain
   ``#states <= #lazy HBRs <= #HBRs <= #schedules`` for every benchmark.
 
-All three accept ``jobs``: with ``jobs > 1`` the per-benchmark cells are
-sharded across a process pool by the campaign driver
-(:mod:`repro.campaign`).  Serial and parallel paths execute the same
-cell function (:func:`repro.explore.controller.run_single`), so the rows
-they produce are bit-for-bit identical — provided only deterministic
-budgets bind: a binding ``seconds_per_benchmark`` wall-clock cap cuts
-exploration at a load-dependent point and is not reproducible, serial
-*or* parallel.
+Each harness is a campaign: it builds the (benchmark × explorer)
+cells, runs them with :func:`repro.campaign.runner.run_campaign`
+(sharded across a process pool when ``jobs > 1``) and reads its rows
+back from the cell results — Figures 2 and 3 through
+:func:`figure2_rows_from_cells` and :func:`figure3_rows_from_cells`,
+the same functions that put figure rows into a ``repro campaign
+--out`` report.  Serial and parallel runs execute the same cell
+function, so the rows are bit-for-bit identical — provided only
+deterministic budgets bind: a binding ``seconds_per_benchmark``
+wall-clock cap cuts exploration at a load-dependent point and is not
+reproducible, serial *or* parallel.
 
 The paper used a schedule limit of 100,000 on instrumented JVM
 executions; the default here is lower because pure-Python execution is
 slower, and every counted quantity grows monotonically with the limit
-(so diagonal structure is preserved — see EXPERIMENTS.md).
+(so diagonal structure is preserved; ``tests/test_paper_claims.py``
+checks the paper's Figure 2 and 3 claims at this default).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..campaign.cells import CampaignCell
+from ..campaign.aggregate import stats_by_cell
+from ..campaign.cells import build_cells
 from ..campaign.runner import run_campaign
 from ..campaign.worker import CellResult
 from ..explore.base import ExplorationLimits, ExplorationStats
-from ..explore.controller import run_single
 from ..suite import REGISTRY, all_benchmarks
 from ..suite.base import Benchmark
 from .stats import ScatterPoint
@@ -93,62 +97,32 @@ class Figure3Row:
         return cls(**payload)
 
 
-def _limits(schedule_limit: int, seconds: Optional[float]) -> ExplorationLimits:
-    return ExplorationLimits(
-        max_schedules=schedule_limit, max_seconds=seconds
-    )
-
-
-# ---------------------------------------------------------------------------
-# Shared execution: every figure harness is a (benchmark × explorer)
-# sub-matrix, executed serially in-process or sharded via the campaign.
-
-def _explore_matrix(
+def _run_cells(
     benchmarks: Sequence[Benchmark],
     explorer_names: Sequence[str],
-    limits: ExplorationLimits,
+    schedule_limit: int,
+    seconds: Optional[float],
     jobs: int,
-    on_stats: Optional[Callable[[int, str, ExplorationStats], None]] = None,
-) -> Dict[Tuple[int, str], ExplorationStats]:
-    """Run each named explorer on each benchmark; returns stats keyed by
-    ``(benchmark position, explorer name)``.
-
-    Suite benchmarks go through :func:`repro.campaign.runner
-    .run_campaign` (sharded when ``jobs > 1``); ad-hoc
-    :class:`Benchmark` objects that are not in the registry cannot cross
-    a process boundary and always run serially in-process.  Both paths
-    call the same cell-execution function.
-    """
-    # duplicates would collapse in the cell work-list (cells are keyed
-    # by bench_id); the serial path handles them per-entry
-    registry_backed = (
-        all(REGISTRY.get(b.bench_id) is b for b in benchmarks)
-        and len({b.bench_id for b in benchmarks}) == len(benchmarks)
-    )
-    stats: Dict[Tuple[int, str], ExplorationStats] = {}
-    if not registry_backed:
-        for i, b in enumerate(benchmarks):
-            for name in explorer_names:
-                st = run_single(b.program, name, limits)
-                stats[(i, name)] = st
-                if on_stats is not None:
-                    on_stats(i, name, st)
-        return stats
-
-    index_of = {b.bench_id: i for i, b in enumerate(benchmarks)}
-    cells = [
-        CampaignCell(b.bench_id, name)
-        for b in benchmarks for name in explorer_names
-    ]
-
-    def consume(result: CellResult) -> None:
-        if result.ok and result.stats is not None and on_stats is not None:
-            on_stats(
-                index_of[result.cell.bench_id], result.cell.explorer,
-                result.stats,
+    progress: Optional[Callable[[str], None]] = None,
+    on_result: Optional[Callable[[CellResult], None]] = None,
+) -> List[CellResult]:
+    """Run each named explorer on each benchmark as one campaign (a
+    benchmark listed twice runs once) and return the cell results.
+    Cells cross process boundaries by benchmark id, so every benchmark
+    must be the suite registry's."""
+    for b in benchmarks:
+        if REGISTRY.get(b.bench_id) is not b:
+            raise ValueError(
+                f"benchmark {b.bench_id} ({b.program.name}) is not the "
+                f"suite registry's; the figure harnesses run suite "
+                f"benchmarks only"
             )
-
-    campaign = run_campaign(cells, limits, jobs=jobs, on_result=consume)
+    cells = build_cells([b.bench_id for b in benchmarks], explorer_names)
+    campaign = run_campaign(
+        cells, ExplorationLimits(max_schedules=schedule_limit,
+                                 max_seconds=seconds),
+        jobs=jobs, progress=progress, on_result=on_result,
+    )
     failures = campaign.failures
     if failures:
         first = failures[0]
@@ -156,9 +130,7 @@ def _explore_matrix(
             f"{len(failures)} cell(s) failed; first: "
             f"{first.cell.key}: {first.error}"
         )
-    for r in campaign.results:
-        stats[(index_of[r.cell.bench_id], r.cell.explorer)] = r.stats
-    return stats
+    return campaign.results
 
 
 def run_figure2(
@@ -168,19 +140,13 @@ def run_figure2(
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
 ) -> List[Figure2Row]:
-    """DPOR with the regular HBR; count terminal HBRs vs lazy HBRs."""
+    """DPOR with the regular HBR; count terminal HBRs vs lazy HBRs.
+    One row per requested benchmark, in request order."""
     benchs = list(benchmarks) if benchmarks is not None else all_benchmarks()
-    on_stats = (
-        (lambda i, name, st: progress(st.summary()))
-        if progress is not None else None
-    )
-    stats = _explore_matrix(
-        benchs, ["dpor"], _limits(schedule_limit, seconds_per_benchmark),
-        jobs, on_stats,
-    )
-    return [
-        _figure2_row(b, stats[(i, "dpor")]) for i, b in enumerate(benchs)
-    ]
+    results = _run_cells(benchs, ["dpor"], schedule_limit,
+                         seconds_per_benchmark, jobs, progress=progress)
+    rows = {r.bench_id: r for r in figure2_rows_from_cells(results)}
+    return [rows[b.bench_id] for b in benchs]
 
 
 def _figure2_row(b: Benchmark, st: ExplorationStats) -> Figure2Row:
@@ -197,33 +163,33 @@ def run_figure3(
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
 ) -> List[Figure3Row]:
-    """Regular vs lazy HBR caching; compare terminal lazy HBRs reached."""
+    """Regular vs lazy HBR caching; compare terminal lazy HBRs reached.
+    One row per requested benchmark, in request order."""
     benchs = list(benchmarks) if benchmarks is not None else all_benchmarks()
 
     # progress pairs the two cells of a benchmark into one line, however
     # the pool interleaves them
     partial: Dict[int, Dict[str, ExplorationStats]] = {}
 
-    def on_stats(i: int, name: str, st: ExplorationStats) -> None:
-        got = partial.setdefault(i, {})
-        got[name] = st
-        if progress is not None and len(got) == 2:
+    def pair(result: CellResult) -> None:
+        if not result.ok or result.stats is None:
+            return
+        got = partial.setdefault(result.cell.bench_id, {})
+        got[result.cell.explorer] = result.stats
+        if len(got) == 2:
             progress(
-                f"{benchs[i].program.name:<34} "
+                f"{result.stats.program_name:<34} "
                 f"caching={got['hbr-caching'].num_lazy_hbrs:<6} "
                 f"lazy-caching={got['lazy-hbr-caching'].num_lazy_hbrs:<6}"
             )
 
-    stats = _explore_matrix(
-        benchs, ["hbr-caching", "lazy-hbr-caching"],
-        _limits(schedule_limit, seconds_per_benchmark), jobs, on_stats,
+    results = _run_cells(
+        benchs, ["hbr-caching", "lazy-hbr-caching"], schedule_limit,
+        seconds_per_benchmark, jobs,
+        on_result=pair if progress is not None else None,
     )
-    return [
-        _figure3_row(
-            b, stats[(i, "hbr-caching")], stats[(i, "lazy-hbr-caching")]
-        )
-        for i, b in enumerate(benchs)
-    ]
+    rows = {r.bench_id: r for r in figure3_rows_from_cells(results)}
+    return [rows[b.bench_id] for b in benchs]
 
 
 def _figure3_row(
@@ -264,22 +230,23 @@ def run_inequality_table(
     seconds_per_benchmark: Optional[float] = None,
     jobs: int = 1,
 ) -> List[InequalityRow]:
-    """The Section 3 inequality, measured (not assumed) per benchmark."""
+    """The Section 3 inequality, measured (not assumed) per benchmark.
+    One row per requested benchmark, in request order."""
     benchs = list(benchmarks) if benchmarks is not None else all_benchmarks()
-    stats = _explore_matrix(
-        benchs, ["dpor"], _limits(schedule_limit, seconds_per_benchmark),
-        jobs,
-    )
+    stats = stats_by_cell(_run_cells(benchs, ["dpor"], schedule_limit,
+                                     seconds_per_benchmark, jobs))
     return [
-        InequalityRow(b.bench_id, b.program.name, stats[(i, "dpor")])
-        for i, b in enumerate(benchs)
+        InequalityRow(b.bench_id, b.program.name,
+                      stats[(b.bench_id, "dpor", 0)])
+        for b in benchs
     ]
 
 
 # ---------------------------------------------------------------------------
-# Figure rows from raw campaign results (for `repro campaign --out`):
-# any campaign whose cells cover the needed explorers can be re-read as
-# figure data without re-running anything.
+# Figure rows from raw campaign results (the harnesses above and
+# `repro campaign --out` alike): any campaign whose cells cover the
+# needed explorers can be re-read as figure data without re-running
+# anything.
 
 def figure2_rows_from_cells(
     results: Sequence[CellResult],

@@ -5,8 +5,8 @@ The paper's evaluation is a big run-matrix; this subsystem makes it
 wall-clock-bound by core count instead of single-thread speed:
 
 * :mod:`~repro.campaign.cells` — the deterministic work-list;
-* :mod:`~repro.campaign.worker` — one-cell execution (shared with the
-  serial harnesses via :func:`repro.explore.controller.run_single`);
+* :mod:`~repro.campaign.worker` — one-cell execution, through
+  :func:`repro.explore.controller.run_single`;
 * :mod:`~repro.campaign.store` — resumable JSON checkpointing;
 * :mod:`~repro.campaign.runner` — the ``multiprocessing`` driver;
 * :mod:`~repro.campaign.aggregate` — order-independent aggregation;
@@ -23,9 +23,11 @@ CLI: ``python -m repro campaign --jobs 8`` (see ``--help``), or
 from .aggregate import (
     CampaignReport,
     CampaignSummary,
+    ComparisonRow,
     campaign_report,
     canonical_report_dict,
     comparison_rows,
+    matrix_report,
     merge_shard_results,
     merge_stolen_results,
     stats_by_cell,
@@ -35,7 +37,7 @@ from .chaos import ChaosError, ChaosPlan, ChaosRule
 from .runner import CampaignResult, run_campaign
 from .split import SplitPlan, prepare_split, shard_key
 from .store import ResultStore
-from .worker import CellResult, execute_cell, execute_cell_with_watchdog
+from .worker import CellResult, execute_cell
 
 __all__ = [
     "CampaignCell",
@@ -46,6 +48,7 @@ __all__ = [
     "ChaosError",
     "ChaosPlan",
     "ChaosRule",
+    "ComparisonRow",
     "ResultStore",
     "SplitPlan",
     "build_cells",
@@ -53,7 +56,7 @@ __all__ = [
     "canonical_report_dict",
     "comparison_rows",
     "execute_cell",
-    "execute_cell_with_watchdog",
+    "matrix_report",
     "merge_shard_results",
     "merge_stolen_results",
     "prepare_split",

@@ -6,7 +6,9 @@ rows — and therefore the rendered reports — are identical however the
 cells were scheduled.  Figure-specific aggregation (``Figure2Row``,
 ``Figure3Row``) lives next to those row types in
 :mod:`repro.analysis.runner`; this module covers the explorer-matrix
-and raw-JSON views that do not depend on the analysis layer.
+(:func:`comparison_rows`, rendered by :func:`matrix_report` — the
+table ``repro campaign`` prints) and raw-JSON views that do not depend
+on the analysis layer.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..explore.base import ExplorationLimits, ExplorationStats
-from ..explore.controller import ComparisonRow
 from ..suite import REGISTRY
 from .runner import CampaignResult
 from .worker import CellResult
@@ -153,6 +154,14 @@ def stats_by_cell(
     }
 
 
+@dataclass
+class ComparisonRow:
+    """Stats of all requested explorers for one program."""
+
+    program_name: str
+    by_explorer: Dict[str, ExplorationStats] = field(default_factory=dict)
+
+
 def comparison_rows(results: Sequence[CellResult]) -> List[ComparisonRow]:
     """Re-assemble campaign cells into the rows ``matrix_report``
     renders: one row per benchmark (ascending id), explorers in cell
@@ -171,6 +180,27 @@ def comparison_rows(results: Sequence[CellResult]) -> List[ComparisonRow]:
             )
         row.by_explorer[r.cell.label] = r.stats
     return [by_bench[bid] for bid in sorted(by_bench)]
+
+
+def matrix_report(rows: Sequence[ComparisonRow]) -> str:
+    """Markdown table comparing all explorers over all programs: one row
+    per (program, explorer) with the headline counts."""
+    out = [
+        "| program | explorer | schedules | #HBRs | #lazy HBRs | #states "
+        "| errors | status |",
+        "|---|---|---:|---:|---:|---:|---:|:--|",
+    ]
+    for row in rows:
+        for name, stats in row.by_explorer.items():
+            status = "limit" if stats.limit_hit else (
+                "exhausted" if stats.exhausted else "done"
+            )
+            out.append(
+                f"| {row.program_name} | {name} | {stats.num_schedules} | "
+                f"{stats.num_hbrs} | {stats.num_lazy_hbrs} | "
+                f"{stats.num_states} | {len(stats.errors)} | {status} |"
+            )
+    return "\n".join(out)
 
 
 @dataclass

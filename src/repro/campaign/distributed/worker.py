@@ -1,19 +1,19 @@
 """Distributed campaign worker: lease → execute → report, forever.
 
 The worker is deliberately thin: all exploration goes through
-:func:`repro.campaign.worker.execute_cell_with_watchdog` — the same
-cell executor the local pool uses — with two callbacks threaded into
-the explorer's between-schedules control point:
+:func:`repro.campaign.worker.execute_cell` — the same cell executor
+the local pool uses — under its hard watchdog (``hard_timeout=``),
+with two callbacks riding the explorer's one between-schedules hook:
 
 * the **control callback** probes the chaos plan (fault injection),
   heartbeats the lease at the coordinator-prescribed interval, honours
   ``abandon`` replies (stop cooperatively, discard the result) and
   answers ``steal`` commands by donating the bottom half of the
   frontier;
-* the **checkpoint callback** streams periodic snapshots to the
-  coordinator, which is what makes worker death cheap: the next
-  attempt resumes from the last streamed checkpoint instead of
-  schedule zero.
+* the **checkpoint sink** streams periodic snapshots (and a
+  budget-limited cell's final one) to the coordinator, which is what
+  makes worker death cheap: the next attempt resumes from the last
+  streamed checkpoint instead of schedule zero.
 
 Failure stance: a lost heartbeat or checkpoint is *ignored* (the
 worker keeps computing through coordinator restarts and network
@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ...clock import Clock, SystemClock
 from ...explore.base import ExplorationLimits
 from ..chaos import ChaosPlan
-from ..worker import CellResult, execute_cell_with_watchdog
+from ..worker import CellResult, execute_cell
 from . import messages as M
 from .messages import PROTOCOL_VERSION, Task
 from .transport import TransportError, WorkerChannel
@@ -198,13 +198,13 @@ class DistributedWorker:
                 if explorer is not None:
                     explorer.request_stop()
 
-        result = execute_cell_with_watchdog(
+        result = execute_cell(
             cell, self.limits, self.verify,
-            hard_timeout=self.hard_timeout,
             resume_state=task.snapshot,
+            checkpoint_interval=min(2.0, self.lease_timeout / 4.0),
             checkpoint_fn=checkpoint,
             control_fn=control,
-            checkpoint_interval=min(2.0, self.lease_timeout / 4.0),
+            hard_timeout=self.hard_timeout,
         )
         if state["abandoned"]:
             # the lease was revoked (expired + reassigned, or the cell

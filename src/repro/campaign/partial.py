@@ -4,9 +4,10 @@ A *partial* is the serialized in-progress state of one exploration —
 an explorer ``snapshot()`` (frontier of remaining work items,
 statistics with fingerprint sets, strategy state such as HBR caches) —
 stamped with the cell key and the :class:`ExplorationLimits` it was
-produced under.  Workers write partials periodically (and when a cell
-stops on a budget limit); ``--resume`` then continues the cell from
-its frontier instead of schedule zero.
+produced under.  Workers write partials periodically, through the
+explorer's between-schedules control hook (:func:`checkpoint_control`),
+and when a cell stops on a budget limit; ``--resume`` then continues
+the cell from its frontier instead of schedule zero.
 
 Partials live as individual files under ``<checkpoint>.partials/`` —
 one atomic ``os.replace`` per write — so pool workers in separate
@@ -25,13 +26,40 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
-from ..explore.base import ExplorationLimits
+from ..explore.base import ExplorationLimits, Explorer
 from ..ioutil import atomic_write_json
 
 PARTIAL_VERSION = 1
+
+
+def checkpoint_control(
+    sink: Callable[[Dict[str, Any]], None],
+    interval: float = 2.0,
+) -> Callable[[Explorer], None]:
+    """A between-schedules control function (see
+    :meth:`~repro.explore.base.Explorer.set_control`) that hands
+    ``sink`` a fresh ``snapshot()`` at most every ``interval`` seconds,
+    the first one ``interval`` after this call (so ``0`` checkpoints at
+    every boundary).  The explorer must have a ``snapshot`` method.
+    Once a stop was requested it takes no more snapshots: the run ends
+    at this boundary, and whoever stopped it owns what happens next."""
+    last = time.monotonic()
+
+    def control(explorer: Explorer) -> None:
+        nonlocal last
+        if explorer.stop_requested:
+            return
+        now = time.monotonic()
+        if now - last < interval:
+            return
+        last = now
+        sink(explorer.snapshot())  # type: ignore[attr-defined]
+
+    return control
 
 
 def limits_to_dict(limits: ExplorationLimits) -> Dict[str, Any]:

@@ -1,9 +1,12 @@
 """Cell execution: the one function every campaign worker runs.
 
 ``execute_cell`` resolves the cell's benchmark from the suite registry
-and funnels into :func:`repro.explore.controller.run_single` — the same
-function the serial harnesses call — so a sharded campaign produces
-bit-for-bit the statistics a serial run would.
+and funnels into :func:`repro.explore.controller.run_single` — the one
+function that builds and runs an explorer — so a sharded campaign
+produces bit-for-bit the statistics a serial run would.  The local
+pool, the figure harnesses (through the campaign driver) and the
+distributed worker (with its hard watchdog, ``hard_timeout=``) all
+call it.
 
 Failures are *data*, not exceptions: a worker never takes the pool down.
 A crash inside an explorer (or an inequality violation under ``verify``)
@@ -13,22 +16,28 @@ the campaign driver decides whether that fails the run.
 Frontier threading (see ``repro.explore.kernel``): a worker can start
 a cell from a ``resume_state`` snapshot (a checkpointed partial, or
 one shard of a split frontier), periodically checkpoints the in-flight
-state to ``checkpoint_path``, and returns the final snapshot of a
-budget-limited cell in :attr:`CellResult.partial` so a later run with
-a laxer budget continues instead of restarting.
+state to ``checkpoint_path`` through the explorer's control hook, and
+returns the final snapshot of a budget-limited cell in
+:attr:`CellResult.partial` so a later run with a laxer budget
+continues instead of restarting.
 """
 
 from __future__ import annotations
 
+import threading
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..explore.base import ExplorationLimits, ExplorationStats
-from ..explore.controller import APPROXIMATE_EXPLORERS, run_single
+from ..explore.controller import (
+    APPROXIMATE_EXPLORERS,
+    run_single,
+    supports_snapshot,
+)
 from ..suite import REGISTRY
 from .cells import CampaignCell
-from .partial import write_partial
+from .partial import checkpoint_control, write_partial
 
 
 @dataclass
@@ -40,10 +49,11 @@ class CellResult:
     ok: bool = True
     error: Optional[str] = None
     cached: bool = False  #: satisfied from a checkpoint, not re-executed
-    #: final explorer snapshot of a budget-limited cell (when the
-    #: strategy supports snapshots); lets a laxer-budget resume
-    #: continue from the frontier.  Persisted as a partial file, not
-    #: in the main store document.
+    #: final explorer snapshot of a budget-limited cell that
+    #: checkpoints (a store's partial file, or the distributed
+    #: worker's stream) when the strategy supports snapshots; lets a
+    #: laxer-budget resume continue from the frontier.  Persisted as a
+    #: partial file, not in the main store document.
     partial: Optional[Dict[str, Any]] = None
     #: shard index within a split cell (-1 = not a shard)
     shard: int = -1
@@ -119,7 +129,7 @@ def execute_cell(
     num_shards: int = 0,
     checkpoint_fn: Optional[Callable[[Dict[str, Any]], None]] = None,
     control_fn: Optional[Callable[[Any], None]] = None,
-    on_explorer: Optional[Callable[[Any], None]] = None,
+    hard_timeout: Optional[float] = None,
 ) -> CellResult:
     """Run one cell to completion, trapping any failure.
 
@@ -133,12 +143,33 @@ def execute_cell(
     ``limits``).  With ``checkpoint_path`` the in-flight state is
     written there (atomic replace) at most every
     ``checkpoint_interval`` seconds, so an interrupted campaign resumes
-    the cell from (almost) where it stopped.  ``checkpoint_fn``
-    overrides the file sink with a custom one (the distributed worker
-    streams checkpoints to the coordinator instead); ``control_fn`` is
-    installed as the explorer's between-schedules control callback
-    (heartbeats, steal commands, fault injection — see
-    :meth:`repro.explore.base.Explorer.set_control`).
+    the cell from (almost) where it stopped; a budget-limited cell
+    also writes its final snapshot there and returns it in
+    :attr:`CellResult.partial`.  ``checkpoint_fn`` overrides the file
+    sink with a custom one (the distributed worker streams checkpoints
+    to the coordinator instead).  Without either sink nothing is
+    snapshotted.
+
+    The explorer takes one between-schedules hook
+    (:meth:`repro.explore.base.Explorer.set_control`): ``control_fn``
+    (heartbeats, steal commands, fault injection) runs first, then the
+    rate-limited checkpoint (:func:`repro.campaign.partial
+    .checkpoint_control`), so a steal lands before the snapshot.
+
+    ``hard_timeout`` runs the cell under a hard wall-clock watchdog.
+    ``max_seconds`` is cooperative — probed every 32 scheduling points
+    — so a cell that wedges inside a single step (a pathological
+    guest, a runaway object semantics bug) would hold its lease
+    forever.  With the watchdog the cell runs in a daemon thread and,
+    if it has not finished after ``hard_timeout`` seconds, comes back
+    as ``timed_out`` (a failed :class:`CellResult` with
+    ``diagnostics["status"] == "timed_out"``) instead of stalling or
+    crashing the worker.  The overrunning thread cannot be killed
+    (CPython has no thread cancellation); it is asked to stop
+    cooperatively (:meth:`~repro.explore.base.Explorer.request_stop`)
+    and abandoned as a daemon — it stops burning CPU at the next
+    schedule boundary it ever reaches, and dies with the worker
+    process.
     """
     limits = limits or ExplorationLimits()
     bench = REGISTRY.get(cell.bench_id)
@@ -152,101 +183,57 @@ def execute_cell(
     if checkpoint_fn is None and checkpoint_path is not None:
         def checkpoint_fn(snapshot: Dict[str, Any]) -> None:
             write_partial(checkpoint_path, key, limits, snapshot)
-
-    holder: Dict[str, Any] = {}
-
-    def grab(explorer) -> None:
-        holder["explorer"] = explorer
-        if on_explorer is not None:
-            on_explorer(explorer)
-
-    try:
-        stats = run_single(
-            bench.program, cell.explorer, limits, seed=cell.seed,
-            verify=verify, resume_state=resume_state,
-            checkpoint_fn=checkpoint_fn,
-            checkpoint_interval=checkpoint_interval,
-            control_fn=control_fn,
-            on_explorer=grab,
-        )
-        result = CellResult(cell, stats, shard=shard, num_shards=num_shards)
-        explorer = holder.get("explorer")
-        if (stats.limit_hit and explorer is not None
-                and hasattr(explorer, "snapshot")):
-            result.partial = explorer.snapshot()
-            if checkpoint_fn is not None:
-                checkpoint_fn(result.partial)
-        return result
-    except Exception as exc:  # noqa: BLE001 - workers must not crash
-        return CellResult(
-            cell, None, ok=False,
-            error=f"{type(exc).__name__}: {exc}\n"
-                  f"{traceback.format_exc(limit=8)}",
-            shard=shard, num_shards=num_shards,
-        )
-
-
-def execute_cell_with_watchdog(
-    cell: CampaignCell,
-    limits: Optional[ExplorationLimits] = None,
-    verify: bool = True,
-    hard_timeout: Optional[float] = None,
-    resume_state: Optional[Dict[str, Any]] = None,
-    checkpoint_fn: Optional[Callable[[Dict[str, Any]], None]] = None,
-    control_fn: Optional[Callable[[Any], None]] = None,
-    checkpoint_interval: float = 2.0,
-    _execute: Callable[..., CellResult] = None,
-) -> CellResult:
-    """Run one cell under a hard wall-clock watchdog.
-
-    ``ExplorationLimits.max_seconds`` is a *cooperative* deadline —
-    probed every 32 scheduling points — so a cell that wedges inside a
-    single step (a pathological guest, a runaway object semantics bug)
-    would hold its lease forever.  The watchdog runs the cell in a
-    daemon thread and, if it has not finished after ``hard_timeout``
-    seconds, reports the cell as ``timed_out`` (a failed
-    :class:`CellResult` with ``diagnostics["status"] == "timed_out"``)
-    instead of stalling or crashing the worker.
-
-    The overrunning thread cannot be killed (CPython has no thread
-    cancellation); it is asked to stop cooperatively
-    (:meth:`~repro.explore.base.Explorer.request_stop`) and abandoned
-    as a daemon — it stops burning CPU at the next schedule boundary
-    it ever reaches, and dies with the worker process.  ``None``
-    disables the watchdog (plain :func:`execute_cell`).
-    """
-    import threading
-
-    execute = _execute or execute_cell
-    if hard_timeout is None:
-        return execute(cell, limits, verify, resume_state=resume_state,
-                       checkpoint_fn=checkpoint_fn, control_fn=control_fn,
-                       checkpoint_interval=checkpoint_interval)
+    if not supports_snapshot(cell.explorer):
+        checkpoint_fn = None
+    checkpoint = (checkpoint_control(checkpoint_fn, checkpoint_interval)
+                  if checkpoint_fn is not None else None)
+    #: the live explorer, kept in reach for the final snapshot and
+    #: for the watchdog's stop request
     box: Dict[str, Any] = {}
 
-    def capture_control(explorer) -> None:
-        # runs at every schedule boundary: keep the live explorer in
-        # reach so the watchdog can ask it to stop cooperatively
+    def control(explorer) -> None:
         box["explorer"] = explorer
         if control_fn is not None:
             control_fn(explorer)
+        if checkpoint is not None:
+            checkpoint(explorer)
+
+    def execute() -> CellResult:
+        try:
+            stats = run_single(
+                bench.program, cell.explorer, limits, seed=cell.seed,
+                verify=verify, resume_state=resume_state,
+                control_fn=control,
+            )
+            result = CellResult(cell, stats, shard=shard,
+                                num_shards=num_shards)
+            explorer = box.get("explorer")
+            if (stats.limit_hit and checkpoint_fn is not None
+                    and explorer is not None):
+                result.partial = explorer.snapshot()
+                checkpoint_fn(result.partial)
+            return result
+        except Exception as exc:  # noqa: BLE001 - workers must not crash
+            return CellResult(
+                cell, None, ok=False,
+                error=f"{type(exc).__name__}: {exc}\n"
+                      f"{traceback.format_exc(limit=8)}",
+                shard=shard, num_shards=num_shards,
+            )
+
+    if hard_timeout is None:
+        return execute()
 
     def target() -> None:
-        box["result"] = execute(
-            cell, limits, verify, resume_state=resume_state,
-            checkpoint_fn=checkpoint_fn, control_fn=capture_control,
-            checkpoint_interval=checkpoint_interval,
-        )
+        box["result"] = execute()
 
-    thread = threading.Thread(
-        target=target, daemon=True,
-        name=f"cell-{cell.key}",
-    )
+    thread = threading.Thread(target=target, daemon=True,
+                              name=f"cell-{cell.key}")
     thread.start()
     thread.join(hard_timeout)
     if thread.is_alive():
         explorer = box.get("explorer")
-        if explorer is not None and hasattr(explorer, "request_stop"):
+        if explorer is not None:
             explorer.request_stop()
         return CellResult(
             cell, None, ok=False,

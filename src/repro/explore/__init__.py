@@ -17,11 +17,8 @@ from .controller import (
     SEEDED_EXPLORERS,
     SPLITTABLE_EXPLORERS,
     STANDARD_EXPLORERS,
-    ComparisonRow,
     make_explorer,
-    run_matrix,
     run_single,
-    states_found,
     supports_snapshot,
     supports_split,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "WorkItem",
     "supports_snapshot",
     "supports_split",
-    "ComparisonRow",
     "make_explorer",
     "run_single",
     "DFSExplorer",
@@ -66,6 +62,4 @@ __all__ = [
     "PCTExplorer",
     "PreemptionBoundedExplorer",
     "RandomWalkExplorer",
-    "run_matrix",
-    "states_found",
 ]

@@ -334,17 +334,12 @@ class Explorer:
         #: wall-clock already consumed by a restored run; counted
         #: against ``max_seconds`` and added to the final ``elapsed``
         self._elapsed_base: float = 0.0
-        #: periodic checkpoint callback (see :meth:`set_checkpoint`);
-        #: only explorers with a ``snapshot`` method honour it
-        self._checkpoint_fn: Optional[Callable[[Dict[str, Any]], None]] = None
-        self._checkpoint_interval: float = 2.0
-        self._last_checkpoint: float = 0.0
         self._points_since_deadline_check = 0
         #: between-schedules control callback (see :meth:`set_control`);
-        #: unlike checkpoints it runs at EVERY schedule boundary — the
-        #: callback does its own rate limiting — so callers with
-        #: deterministic triggers (fault injection, steal commands at a
-        #: chosen schedule count) fire at exact points
+        #: it runs at EVERY schedule boundary — the callback does its
+        #: own rate limiting — so callers with deterministic triggers
+        #: (fault injection, steal commands at a chosen schedule count)
+        #: fire at exact points
         self._control_fn: Optional[Callable[["Explorer"], None]] = None
         #: cooperative stop flag (see :meth:`request_stop`)
         self._stop_requested = False
@@ -475,7 +470,8 @@ class Explorer:
         # every explorer loop probes the budget between schedules, so
         # this is the one uniform between-schedules point: run the
         # control callback (heartbeats, steal commands, fault
-        # injection) first — it may request the stop honoured below
+        # injection, checkpoints) first — it may request the stop
+        # honoured below
         self._maybe_control()
         if self._stop_requested:
             self.stats.limit_hit = True
@@ -528,43 +524,21 @@ class Explorer:
         self.stats.limit_hit = False
         self.stats.exhausted = False
 
-    # -- checkpointing ------------------------------------------------------
-    def set_checkpoint(
-        self,
-        fn: Callable[[Dict[str, Any]], None],
-        interval: float = 2.0,
-    ) -> None:
-        """Install a periodic checkpoint callback.
-
-        Explorers that support serialization (those with a
-        ``snapshot()`` method — the kernel family and DPOR) call
-        ``fn(self.snapshot())`` between schedules, at most every
-        ``interval`` seconds.  Explorers without snapshot support
-        silently ignore the callback.
-        """
-        self._checkpoint_fn = fn
-        self._checkpoint_interval = interval
-
-    def _maybe_checkpoint(self) -> None:
-        if self._checkpoint_fn is None:
-            return
-        now = time.monotonic()
-        if now - self._last_checkpoint < self._checkpoint_interval:
-            return
-        self._last_checkpoint = now
-        self._checkpoint_fn(self.snapshot())  # type: ignore[attr-defined]
-
     # -- external control ---------------------------------------------------
     def set_control(self, fn: Callable[["Explorer"], None]) -> None:
-        """Install a between-schedules control callback.
+        """Install the between-schedules control callback.
 
-        ``fn(self)`` runs at every schedule boundary of explorers that
-        support it (the kernel family and DPOR — the same set that
-        honours checkpoints).  The distributed campaign worker uses it
-        to heartbeat its lease, answer steal commands by splitting the
-        live frontier, and let the chaos harness fire deterministic
-        faults at exact schedule counts.  The callback may call
-        :meth:`request_stop` to end the run cooperatively.
+        ``fn(self)`` runs at every schedule boundary, before the budget
+        checks, so the explorer is between schedules and a
+        ``snapshot()`` (on explorers that have one: the kernel family
+        and DPOR) resumes exactly there.  It is the one hook an
+        exploration takes: campaign cells checkpoint through it
+        (:func:`repro.campaign.partial.checkpoint_control`), and the
+        distributed campaign worker heartbeats its lease, answers
+        steal commands by splitting the live frontier, and lets the
+        chaos harness fire deterministic faults at exact schedule
+        counts.  The callback may call :meth:`request_stop` to end the
+        run cooperatively.
         """
         self._control_fn = fn
 
@@ -583,6 +557,11 @@ class Explorer:
         """
         self._stop_requested = True
 
+    @property
+    def stop_requested(self) -> bool:
+        """Has :meth:`request_stop` been called?"""
+        return self._stop_requested
+
     # -- template method ------------------------------------------------------
     def run(self) -> ExplorationStats:
         start = time.monotonic()
@@ -590,7 +569,6 @@ class Explorer:
             self._deadline = start + (
                 self.limits.max_seconds - self._elapsed_base
             )
-        self._last_checkpoint = start
         try:
             self._explore()
             # a run cut at max_events_per_schedule left its suffix

@@ -1,10 +1,9 @@
-"""Run-matrix helpers: run several explorers over several programs and
-collect comparable statistics."""
+"""The standard explorers by name, and the one function that runs a
+cell: build one named explorer over one program and explore it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from ..runtime.program import Program
 from .base import ExplorationLimits, ExplorationStats, Explorer
@@ -119,118 +118,40 @@ def run_single(
     seed: int = 0,
     verify: bool = True,
     resume_state: Optional[dict] = None,
-    checkpoint_fn=None,
-    checkpoint_interval: float = 2.0,
-    control_fn=None,
-    on_explorer=None,
+    control_fn: Optional[Callable[[Explorer], None]] = None,
     engine: Optional[str] = None,
 ) -> ExplorationStats:
     """Execute ONE (program, explorer, seed) cell.
 
-    This is the single cell-execution function shared by every harness —
-    the serial ``run_matrix``/``run_figure2``/``run_figure3`` loops and
-    the parallel campaign workers all funnel through here, so serial and
-    sharded runs produce bit-for-bit identical statistics (given
-    deterministic budgets; a binding ``max_seconds`` wall-clock cap is
-    inherently load-dependent).
+    This is the one function that builds and runs a cell's explorer:
+    ``repro explore``, :func:`repro.check`, the shim equivalence report
+    and every campaign cell (:func:`repro.campaign.worker.execute_cell`,
+    which the figure harnesses reach through
+    :func:`repro.campaign.runner.run_campaign`) funnel through here, so
+    serial and sharded runs produce bit-for-bit identical statistics
+    (given deterministic budgets; a binding ``max_seconds`` wall-clock
+    cap is inherently load-dependent).
 
     ``engine`` pins the clock-engine backend (``"ref"``/``"native"``)
     for the cell's executors; ``None`` keeps the registry's auto pick.
     Both backends are byte-identical in observable behaviour.
 
-    The frontier-kernel extensions (all optional, ignored by
-    strategies without snapshot support):
-
-    * ``resume_state`` — a ``snapshot()`` payload; the explorer
-      restores it and continues with the identical remaining schedule
-      set, its restored schedule/elapsed counts charged against
-      ``limits``;
-    * ``checkpoint_fn`` — called with a fresh snapshot at most every
-      ``checkpoint_interval`` seconds between schedules (the campaign
-      store threads this through for intra-cell ``--resume``);
+    * ``resume_state`` — a ``snapshot()`` payload (strategies with
+      snapshot support only); the explorer restores it and continues
+      with the identical remaining schedule set, its restored
+      schedule/elapsed counts charged against ``limits``;
     * ``control_fn`` — installed as the explorer's between-schedules
-      control callback (``Explorer.set_control``); the distributed
-      worker heartbeats its lease, answers steal commands and injects
-      chaos faults through it;
-    * ``on_explorer`` — receives the explorer instance after the run
-      (the campaign worker grabs the final snapshot of budget-limited
-      cells this way).
+      callback (:meth:`Explorer.set_control`); campaign cells
+      checkpoint through it, and the distributed worker heartbeats its
+      lease, answers steal commands and injects chaos faults.
     """
     explorer = make_explorer(explorer_name, program, limits, seed,
                              engine=engine)
     if resume_state is not None and hasattr(explorer, "restore"):
         explorer.restore(resume_state)
-    if checkpoint_fn is not None and hasattr(explorer, "snapshot"):
-        explorer.set_checkpoint(checkpoint_fn, checkpoint_interval)
     if control_fn is not None:
         explorer.set_control(control_fn)
     stats = explorer.run()
     if verify:
         stats.verify_inequality()
-    if on_explorer is not None:
-        on_explorer(explorer)
     return stats
-
-
-def matrix_report(rows: Sequence["ComparisonRow"]) -> str:
-    """Markdown table comparing all explorers over all programs: one row
-    per (program, explorer) with the headline counts."""
-    out = [
-        "| program | explorer | schedules | #HBRs | #lazy HBRs | #states "
-        "| errors | status |",
-        "|---|---|---:|---:|---:|---:|---:|:--|",
-    ]
-    for row in rows:
-        for name, stats in row.by_explorer.items():
-            status = "limit" if stats.limit_hit else (
-                "exhausted" if stats.exhausted else "done"
-            )
-            out.append(
-                f"| {row.program_name} | {name} | {stats.num_schedules} | "
-                f"{stats.num_hbrs} | {stats.num_lazy_hbrs} | "
-                f"{stats.num_states} | {len(stats.errors)} | {status} |"
-            )
-    return "\n".join(out)
-
-
-@dataclass
-class ComparisonRow:
-    """Stats of all requested explorers for one program."""
-
-    program_name: str
-    by_explorer: Dict[str, ExplorationStats] = field(default_factory=dict)
-
-
-def run_matrix(
-    programs: Iterable[Program],
-    explorer_names: Sequence[str],
-    limits: Optional[ExplorationLimits] = None,
-    verify: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[ComparisonRow]:
-    """Run each named explorer on each program.
-
-    With ``verify`` (default), the paper's inequality chain is asserted
-    for every run.
-    """
-    limits = limits or ExplorationLimits()
-    rows: List[ComparisonRow] = []
-    for program in programs:
-        row = ComparisonRow(program.name)
-        for name in explorer_names:
-            stats = run_single(program, name, limits, verify=verify)
-            row.by_explorer[name] = stats
-            if progress is not None:
-                progress(stats.summary())
-        rows.append(row)
-    return rows
-
-
-def states_found(program: Program, explorer_name: str,
-                 limits: Optional[ExplorationLimits] = None) -> frozenset:
-    """The set of distinct terminal state hashes an explorer reaches —
-    used by the soundness tests to compare against DFS ground truth."""
-    limits = limits or ExplorationLimits()
-    explorer = make_explorer(explorer_name, program, limits)
-    explorer.run()
-    return frozenset(explorer._state_hashes)

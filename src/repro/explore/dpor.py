@@ -110,7 +110,6 @@ class DPORExplorer(Explorer):
             self._started = True
             if self._budget_exceeded():
                 return
-            self._maybe_checkpoint()
             self._schedule_started()
             pruned = self._run_one(stack)
             if pruned is None:
@@ -368,8 +367,10 @@ class DPORExplorer(Explorer):
                 f"a {self.name!r} explorer"
             )
         self._load_work_items(Frontier.from_dict(payload["frontier"]))
-        self._started = True
         self._restore_stats(payload.get("stats"))
+        # a snapshot taken before the first schedule holds an empty
+        # stack: that run has not started, and resumes from scratch
+        self._started = bool(self._stack) or self.stats.num_schedules > 0
         self._aux_state_from_dict(payload.get("aux") or {})
 
     # ------------------------------------------------------------------

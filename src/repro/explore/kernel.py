@@ -193,16 +193,13 @@ class KernelExplorer(Explorer):
             else None
         )
         while frontier:
-            # the budget probe runs the control callback first: it may
-            # request a stop (honoured by the same probe) or steal
-            # frontier items, and a checkpoint taken afterwards must
-            # reflect that
+            # the budget probe runs the control callback first, BEFORE
+            # popping: it may request a stop (honoured by the same
+            # probe) or steal frontier items, and a checkpoint it takes
+            # must contain the complete remaining frontier, including
+            # the item about to be explored (resuming re-executes it)
             if self._budget_exceeded():
                 return  # frontier preserved: snapshot() resumes here
-            # checkpoint BEFORE popping: a snapshot must contain the
-            # complete remaining frontier, including the item about to
-            # be explored (resuming re-executes it)
-            self._maybe_checkpoint()
             seeding = self._seed_target is not None
             if seeding:
                 if len(frontier) >= self._seed_target:

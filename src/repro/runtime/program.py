@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..deprecation import install_aliases as _install_aliases
 from .atomic import AtomicInt
 from .barrier import Barrier
 from .channel import Channel
@@ -123,15 +122,6 @@ class ProgramBuilder:
 
         return self.thread(timer_body, *args,
                            name=name or f"timer{len(self.threads)}")
-
-
-#: Deprecated spelling -> canonical constructor: the condition-variable
-#: constructor follows the primitive's stdlib name (PR 6 naming pass).
-BUILDER_ALIASES = {
-    "condvar": "condition",
-}
-
-_install_aliases(ProgramBuilder, BUILDER_ALIASES)
 
 
 @dataclass

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..core.events import Op, OpKind, to_ticks
-from ..deprecation import install_aliases as _install_aliases
 from ..errors import GuestAssertionError
 from .atomic import AtomicInt
 from .barrier import Barrier
@@ -234,16 +233,3 @@ class ThreadAPI:
         if not condition:
             raise GuestAssertionError(self.tid, message)
 
-
-#: Deprecated spelling -> canonical method.  PR 6 aligned the channel
-#: and semaphore verbs with the ``fut_*`` naming (object-kind prefix);
-#: the old verbs warn once and forward.  Tests assert completeness.
-THREAD_API_ALIASES = {
-    "send": "chan_send",
-    "recv": "chan_recv",
-    "close": "chan_close",
-    "acquire": "sem_acquire",
-    "release": "sem_release",
-}
-
-_install_aliases(ThreadAPI, THREAD_API_ALIASES)

@@ -2,6 +2,7 @@
 cell execution, serial/parallel determinism, checkpoint/resume, and the
 ``repro campaign`` CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.campaign import (
     campaign_report,
     comparison_rows,
     execute_cell,
+    matrix_report,
     run_campaign,
 )
 from repro.analysis.runner import (
@@ -25,8 +27,8 @@ from repro.analysis.runner import (
     run_figure3,
 )
 from repro.campaign.aggregate import merge_shard_results
+from repro.campaign.partial import read_partial
 from repro.explore import ExplorationLimits, ExplorationStats, make_explorer
-from repro.explore.controller import matrix_report
 from repro.suite import REGISTRY
 
 LIMITS = ExplorationLimits(max_schedules=120)
@@ -125,6 +127,28 @@ class TestExecuteCell:
         assert clone.cell == res.cell
         assert clone.stats.to_dict() == res.stats.to_dict()
 
+    def test_budget_limited_cell_without_sink_takes_no_snapshot(self):
+        res = execute_cell(CampaignCell(3, "dfs"),
+                           ExplorationLimits(max_schedules=30))
+        assert res.ok and res.stats.limit_hit
+        assert res.partial is None
+
+    def test_budget_limited_cell_writes_final_snapshot(self, tmp_path):
+        cell = CampaignCell(3, "dfs")
+        tight = ExplorationLimits(max_schedules=30)
+        path = tmp_path / "cell.json"
+        res = execute_cell(cell, tight, checkpoint_path=str(path))
+        assert res.stats.limit_hit
+        assert res.partial is not None
+        assert read_partial(path, cell.key, tight) == res.partial
+        lax = ExplorationLimits(max_schedules=100_000)
+        resumed = execute_cell(cell, lax, resume_state=res.partial).stats
+        reference = execute_cell(cell, lax).stats
+        assert resumed.num_schedules == reference.num_schedules
+        assert resumed.hbr_fps == reference.hbr_fps
+        assert resumed.state_hashes == reference.state_hashes
+        assert resumed.exhausted
+
     def test_only_lazy_dpor_cells_are_labelled_approximate(self):
         # the key is left out for exact explorers, so reports of the
         # default campaign keep their shape
@@ -143,6 +167,17 @@ class TestExecuteCell:
         assert labels == {"dpor": None, "lazy-dpor": True}
         clone = CellResult.from_dict(json.loads(json.dumps(lazy)))
         assert clone.to_dict()["approximate"] is True
+
+
+class TestProgress:
+    def test_progress_callback(self):
+        seen = []
+        run_campaign(build_cells([1, 3], ["dpor"]),
+                     ExplorationLimits(max_schedules=100),
+                     progress=seen.append)
+        # one line per executed cell, in work-list order
+        assert len(seen) == 2
+        assert "figure1" in seen[0]
 
 
 class TestDeterminism:
@@ -174,6 +209,13 @@ class TestDeterminism:
                            jobs=2)
         assert len(rows) == 2
         assert rows[0] == rows[1]
+
+    def test_non_registry_benchmark_rejected(self):
+        # cells name benchmarks by id, so a look-alike of a suite
+        # entry would silently run the registry's program instead
+        twin = dataclasses.replace(REGISTRY[1])
+        with pytest.raises(ValueError, match="registry"):
+            run_figure2([twin], schedule_limit=60)
 
     def test_figure_rows_from_cells_match_harness(self):
         subset = [REGISTRY[i] for i in (1, 3, 11)]
@@ -332,6 +374,21 @@ class TestIntraCellResume:
                 == reference.num_schedules)
         assert resumed.results[0].stats.state_hashes \
             == reference.state_hashes
+
+    def test_dpor_resumes_from_a_partial_before_its_first_schedule(
+            self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        cell = CampaignCell(36, "dpor")  # lock-order deadlock
+        none = ExplorationLimits(max_schedules=0)
+        first = run_campaign([cell], none, store=ResultStore(path, none))
+        assert first.results[0].stats.num_schedules == 0
+        lax = ExplorationLimits(max_schedules=100)
+        resumed = run_campaign([cell], lax, store=ResultStore(path, lax))
+        assert resumed.num_resumed == 1
+        stats = resumed.results[0].stats
+        reference = execute_cell(cell, lax).stats
+        assert stats.num_schedules == reference.num_schedules > 0
+        assert [e.kind for e in stats.errors] == ["DeadlockError"]
 
 
 class TestSplitCampaign:

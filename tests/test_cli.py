@@ -5,6 +5,11 @@ import pytest
 from repro.__main__ import build_parser, main
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 class TestCheck:
     def test_check_benchmark_clean(self, capsys):
         assert main(["check", "1", "--explorer", "dfs",
@@ -96,6 +101,10 @@ class TestShimEquivalence:
         assert payload["kind"] == "repro-shim-equivalence"
         assert payload["all_equal"] is True
 
+    def test_unknown_explorer_exits_2(self, capsys):
+        assert main(["shim-equivalence", "--explorers", "nope"]) == 2
+        assert_one_error_line(capsys)
+
 
 class TestList:
     def test_lists_all(self, capsys):
@@ -122,6 +131,15 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["run", "999"])
         assert exc.value.code == 2
+
+    def test_non_integer_schedule_exits_2(self, capsys):
+        assert main(["run", "1", "--schedule", "a,b"]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("schedule", ["5", "0,0,0,0,0,0,0,0,0"])
+    def test_disabled_thread_in_schedule_exits_2(self, capsys, schedule):
+        assert main(["run", "1", "--schedule", schedule]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestExplore:
@@ -177,6 +195,19 @@ class TestFigures:
         for cmd in ("figure2", "figure3", "inequality"):
             args = parser.parse_args([cmd, "--jobs", "4"])
             assert args.jobs == 4
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("cmd", ["figure2", "figure3", "inequality"])
+    def test_figure_commands_reject_bad_jobs(self, capsys, cmd, jobs):
+        assert main([cmd, "--jobs", jobs]) == 2
+        assert_one_error_line(capsys)
+
+    def test_matrix_command_is_gone(self, capsys):
+        # `campaign --ids --explorers` prints the explorer table
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["matrix"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_campaign_flags(self):
         args = build_parser().parse_args(

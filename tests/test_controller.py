@@ -1,55 +1,28 @@
-"""Tests for the explorer run-matrix controller."""
+"""Tests for ``run_single``, the one function that builds and runs a
+cell's explorer."""
 
 import pytest
 
 from repro.explore import ExplorationLimits
-from repro.explore.controller import (
-    STANDARD_EXPLORERS,
-    run_matrix,
-    states_found,
-)
+from repro.explore.controller import STANDARD_EXPLORERS, run_single
 from repro.suite import REGISTRY
 
 
-class TestRunMatrix:
-    def test_matrix_shape(self):
-        rows = run_matrix(
-            [REGISTRY[1].program, REGISTRY[3].program],
-            ["dpor", "lazy-hbr-caching"],
-            ExplorationLimits(max_schedules=300),
-        )
-        assert len(rows) == 2
-        assert set(rows[0].by_explorer) == {"dpor", "lazy-hbr-caching"}
-
+class TestRunSingle:
     def test_unknown_explorer_rejected(self):
         with pytest.raises(KeyError):
-            run_matrix([REGISTRY[1].program], ["nope"])
-
-    def test_progress_callback(self):
-        seen = []
-        run_matrix(
-            [REGISTRY[1].program], ["dpor"],
-            ExplorationLimits(max_schedules=100),
-            progress=seen.append,
-        )
-        assert len(seen) == 1
-        assert "figure1" in seen[0]
+            run_single(REGISTRY[1].program, "nope")
 
     def test_all_standard_explorers_run(self):
-        rows = run_matrix(
-            [REGISTRY[1].program],
-            sorted(STANDARD_EXPLORERS),
-            ExplorationLimits(max_schedules=200),
-        )
-        for name, stats in rows[0].by_explorer.items():
+        limits = ExplorationLimits(max_schedules=200)
+        for name in sorted(STANDARD_EXPLORERS):
+            stats = run_single(REGISTRY[1].program, name, limits)
             assert stats.num_schedules >= 1, name
 
-
-class TestStatesFound:
     def test_all_strategies_agree_on_figure1(self):
         lim = ExplorationLimits(max_schedules=500)
         sets = {
-            name: states_found(REGISTRY[1].program, name, lim)
+            name: run_single(REGISTRY[1].program, name, lim).state_hashes
             for name in ("dfs", "dpor", "hbr-caching", "lazy-hbr-caching",
                          "lazy-dpor")
         }

@@ -58,13 +58,17 @@ class TestDelayBounded:
 
 class TestMatrixReport:
     def test_report_renders(self):
-        from repro.explore.controller import matrix_report, run_matrix
-        rows = run_matrix(
-            [REGISTRY[1].program],
-            ["dpor", "delay-bounded"],
+        from repro.campaign import (
+            build_cells,
+            comparison_rows,
+            matrix_report,
+            run_campaign,
+        )
+        campaign = run_campaign(
+            build_cells([1], ["dpor", "delay-bounded"]),
             ExplorationLimits(max_schedules=300),
         )
-        text = matrix_report(rows)
+        text = matrix_report(comparison_rows(campaign.results))
         assert "figure1" in text
         assert "dpor" in text and "delay-bounded" in text
         assert "exhausted" in text

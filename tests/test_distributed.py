@@ -20,7 +20,6 @@ from repro.campaign import (
     ChaosRule,
     canonical_report_dict,
     execute_cell,
-    execute_cell_with_watchdog,
     merge_stolen_results,
 )
 from repro.campaign.distributed import (
@@ -594,7 +593,7 @@ class TestDiagnostics:
                 hung["done"] = True
                 _time.sleep(3.0)
 
-        result = execute_cell_with_watchdog(
+        result = execute_cell(
             CampaignCell(1, "dfs", 0), LIMITS, hard_timeout=0.3,
             control_fn=wedge)
         assert not result.ok

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.campaign.partial import checkpoint_control
 from repro.explore import ExplorationLimits, Frontier, WorkItem
 from repro.explore.base import ExplorationStats
 from repro.explore.controller import (
@@ -323,16 +324,19 @@ class TestSplitShards:
 
 class TestPeriodicCheckpoint:
     """Every periodic snapshot — not just the final budget-limit one —
-    must resume to the identical remaining schedule set.  (Regression:
-    checkpointing after the pop lost the in-flight item's subtree.)"""
+    must resume to the identical remaining schedule set.  (Regressions:
+    checkpointing after the pop lost the in-flight item's subtree, and
+    a DPOR snapshot taken before the first schedule resumed to an
+    empty run.)"""
 
-    @pytest.mark.parametrize("explorer_name", ["dfs", "lazy-hbr-caching"])
+    @pytest.mark.parametrize("explorer_name", ["dfs", "lazy-hbr-caching",
+                                               "dpor", "lazy-dpor"])
     def test_every_periodic_snapshot_resumes_identically(self,
                                                          explorer_name):
         reference = _fresh(explorer_name, 3).run()
         ex = _fresh(explorer_name, 3)
         snapshots = []
-        ex.set_checkpoint(snapshots.append, interval=0.0)
+        ex.set_control(checkpoint_control(snapshots.append, interval=0.0))
         ex.run()
         assert len(snapshots) > 10
         for snap in snapshots[:: max(1, len(snapshots) // 8)]:

@@ -111,8 +111,11 @@ class TestToDict:
 
 
 class TestMatrixCommand:
+    """The explorer comparison table and its per-cell statistics come
+    from ``repro campaign --ids --explorers`` (and ``--out``)."""
+
     def test_matrix_renders_table(self, capsys):
-        assert main(["matrix", "--ids", "1", "--strategies",
+        assert main(["campaign", "--ids", "1", "--explorers",
                      "dpor,lazy-dpor", "--limit", "200"]) == 0
         out = capsys.readouterr().out
         assert "| figure1 | dpor |" in out
@@ -120,9 +123,9 @@ class TestMatrixCommand:
 
     def test_matrix_json_export(self, tmp_path, capsys):
         path = tmp_path / "results.json"
-        assert main(["matrix", "--ids", "1,36", "--strategies", "dpor",
-                     "--limit", "200", "--json", str(path)]) == 0
-        payload = json.loads(path.read_text())
-        assert len(payload) == 2
-        assert payload[0]["dpor"]["program"] == "figure1"
-        assert payload[1]["dpor"]["errors"]
+        assert main(["campaign", "--ids", "1,36", "--explorers", "dpor",
+                     "--limit", "200", "--out", str(path)]) == 0
+        cells = json.loads(path.read_text())["cells"]
+        assert len(cells) == 2
+        assert cells[0]["stats"]["program"] == "figure1"
+        assert cells[1]["stats"]["errors"]
